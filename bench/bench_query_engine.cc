@@ -76,7 +76,7 @@ void BM_CqChainJoinNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_CqChainJoinNaive)->RangeMultiplier(2)->Range(64, 512);
 
-// Boolean satisfiability check (ComponentHasMatch path): the plan
+// Boolean satisfiability check (bytecode::HasMatch per component): it
 // short-circuits on the first witness, the naive evaluator still
 // materializes the full result before testing emptiness.
 void BM_CqNonemptyIndexed(benchmark::State& state) {

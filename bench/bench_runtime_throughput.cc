@@ -149,7 +149,7 @@ void BM_RuntimePeerStore(benchmark::State& state) {
 // BM_RuntimeTravel (null injector, no retry, no breaker — the all-
 // disabled default) measures the overhead of the fault path itself;
 // it should be noise (a null check, a counter bump and an integer
-// compare per run). Recorded in BENCH_runtime_faults.json.
+// compare per run). Recorded in BENCH_runtime.json.
 void BM_RuntimeTravelFaultsQuiescent(benchmark::State& state) {
   static const auto* service =
       new sws::models::TravelService(sws::models::MakeTravelService());

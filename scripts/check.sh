@@ -7,9 +7,11 @@
 # chaos pass under ASan, a self-healing failover pass (fencing epochs,
 # elections, catch-up) under ASan, a network front-door pass (epoll
 # server, wire codec, socket replication chaos) under TSan and ASan,
-# and a deterministic fuzz smoke over the serde + wire-frame decoders.
+# a deterministic fuzz smoke over the serde + wire-frame decoders, and
+# the end-to-end benchmark's own tests.
 # Usage: scripts/check.sh
-#   [release|tsan|asan|ubsan|chaos|recovery|replication|failover|net|bench|fuzz|all]
+#   [release|tsan|asan|ubsan|chaos|recovery|replication|failover|net|bench|
+#    fuzz|perfbench|all]
 # (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,7 +22,7 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 san_targets=(runtime_test session_test sws_run_test fault_test chaos_test
              persistence_test crash_recovery_test governor_test serde_fuzz
              replication_test node_chaos_test failover_test relational_test
-             query_engine_test net_test)
+             query_engine_test net_test fo_compile_test)
 
 run_release() {
   echo "== Release build + full ctest =="
@@ -104,6 +106,13 @@ run_bench() {
     /tmp/bench_net.fresh.json --threshold 1.0
 }
 
+run_perfbench() {
+  echo "== End-to-end benchmark: seeded inputs and oracle self-tests =="
+  # Builds perfbench/ (into $CARGO_TARGET_DIR, default .bench_build) and
+  # checks that inputs are seed-determined and a broken oracle fails.
+  python3 perfbench/test_perfbench.py
+}
+
 run_recovery() {
   echo "== Crash-recovery chaos harness (randomized kill points) under ASan =="
   cmake --preset asan
@@ -170,8 +179,9 @@ case "$mode" in
   net) run_net ;;
   bench) run_bench ;;
   fuzz) run_fuzz ;;
+  perfbench) run_perfbench ;;
   all) run_release; run_tsan; run_asan; run_ubsan ;;
-  *) echo "usage: $0 [release|tsan|asan|ubsan|chaos|recovery|replication|failover|net|bench|fuzz|all]" >&2
+  *) echo "usage: $0 [release|tsan|asan|ubsan|chaos|recovery|replication|failover|net|bench|fuzz|perfbench|all]" >&2
      exit 2 ;;
 esac
 echo "== check.sh ($mode): OK =="

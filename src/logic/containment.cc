@@ -70,18 +70,13 @@ bool HeadProducedBy(const UnionQuery& q2, const rel::Database& db,
     bool found = false;
     EnumerateMatches(d.body(), d.comparisons(), db,
                      [&](const Binding& binding) {
-                       rel::Tuple t;
-                       t.reserve(d.head().size());
-                       for (const Term& term : d.head()) {
-                         auto v = ResolveTerm(term, binding);
-                         SWS_CHECK(v.has_value());
-                         t.push_back(*v);
+                       size_t i = 0;
+                       while (i < head.size() &&
+                              ResolveTerm(d.head()[i], binding) == head[i]) {
+                         ++i;
                        }
-                       if (t == head) {
-                         found = true;
-                         return false;  // stop
-                       }
-                       return true;
+                       found = i == head.size();
+                       return !found;  // stop at the first witness
                      });
     if (found) return true;
   }

@@ -28,13 +28,6 @@ void DatalogProgram::AddFact(Atom fact) {
   facts_.push_back(std::move(fact));
 }
 
-std::set<std::string> DatalogProgram::IdbPredicates() const {
-  std::set<std::string> idb;
-  for (const DatalogRule& r : rules_) idb.insert(r.head.relation);
-  for (const Atom& f : facts_) idb.insert(f.relation);
-  return idb;
-}
-
 std::optional<std::string> DatalogProgram::Validate() const {
   std::map<std::string, size_t> arities;
   auto check_arity = [&arities](const Atom& a) -> std::optional<std::string> {

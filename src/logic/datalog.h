@@ -35,9 +35,6 @@ class DatalogProgram {
   const std::vector<DatalogRule>& rules() const { return rules_; }
   const std::vector<Atom>& facts() const { return facts_; }
 
-  /// IDB predicates: those occurring in some rule head or fact.
-  std::set<std::string> IdbPredicates() const;
-
   /// Safety (head variables bound in the body; facts ground) and arity
   /// consistency.
   std::optional<std::string> Validate() const;

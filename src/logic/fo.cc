@@ -1,6 +1,9 @@
 #include "logic/fo.h"
 
+#include <algorithm>
 #include <sstream>
+
+#include "logic/bytecode.h"
 
 #include "util/cancellation.h"
 #include "util/common.h"
@@ -132,31 +135,14 @@ bool FoFormula::Eval(const rel::Database& db,
 
 bool FoFormula::EvalMutable(const rel::Database& db,
                             const std::set<rel::Value>& domain,
-                            Binding* binding, EvalContext* ctx) const {
+                            Binding* binding) const {
   switch (node_->kind) {
     case Kind::kAtom: {
-      // Resolve the atom's relation: through the per-evaluation cache
-      // when the caller supplies one (two string-keyed map lookups per
-      // atom evaluation otherwise — the dominant cost of quantifier
-      // sweeps), directly against the database when not. nullptr in the
-      // cache records "absent or arity mismatch": the atom is false.
-      const rel::Relation* rel = nullptr;
-      if (ctx != nullptr) {
-        auto [it, inserted] =
-            ctx->atom_relations.try_emplace(node_.get(), nullptr);
-        if (inserted && db.Contains(node_->relation)) {
-          const rel::Relation& r = db.Get(node_->relation);
-          if (r.arity() == node_->args.size()) it->second = &r;
-        }
-        rel = it->second;
-      } else if (db.Contains(node_->relation)) {
-        const rel::Relation& r = db.Get(node_->relation);
-        if (r.arity() == node_->args.size()) rel = &r;
-      }
-      if (rel == nullptr) return false;
-      rel::Tuple local;
-      rel::Tuple& t = ctx != nullptr ? ctx->probe : local;
-      t.clear();
+      // An absent relation, or one of another arity: the atom is false.
+      if (!db.Contains(node_->relation)) return false;
+      const rel::Relation& rel = db.Get(node_->relation);
+      if (rel.arity() != node_->args.size()) return false;
+      rel::Tuple t;
       t.reserve(node_->args.size());
       for (const Term& term : node_->args) {
         auto v = ResolveTerm(term, *binding);
@@ -164,7 +150,7 @@ bool FoFormula::EvalMutable(const rel::Database& db,
                                  << " in FO atom";
         t.push_back(*v);
       }
-      return rel->Contains(t);
+      return rel.Contains(t);
     }
     case Kind::kEq: {
       auto l = ResolveTerm(node_->args[0], *binding);
@@ -173,15 +159,15 @@ bool FoFormula::EvalMutable(const rel::Database& db,
       return *l == *r;
     }
     case Kind::kNot:
-      return !node_->children[0].EvalMutable(db, domain, binding, ctx);
+      return !node_->children[0].EvalMutable(db, domain, binding);
     case Kind::kAnd:
       for (const auto& c : node_->children) {
-        if (!c.EvalMutable(db, domain, binding, ctx)) return false;
+        if (!c.EvalMutable(db, domain, binding)) return false;
       }
       return true;
     case Kind::kOr:
       for (const auto& c : node_->children) {
-        if (c.EvalMutable(db, domain, binding, ctx)) return true;
+        if (c.EvalMutable(db, domain, binding)) return true;
       }
       return false;
     case Kind::kExists:
@@ -202,7 +188,7 @@ bool FoFormula::EvalMutable(const rel::Database& db,
         // caller discards the (meaningless) boolean.
         if (!sws::util::StepTick()) break;
         (*binding)[node_->bound_var] = v;
-        if (node_->children[0].EvalMutable(db, domain, binding, ctx) ==
+        if (node_->children[0].EvalMutable(db, domain, binding) ==
             is_exists) {
           result = is_exists;  // witness / counterexample: short-circuit
           break;
@@ -345,25 +331,307 @@ std::optional<std::string> FoQuery::Validate() const {
   return std::nullopt;
 }
 
-rel::Relation FoQuery::Evaluate(const rel::Database& db) const {
-  // Active-domain semantics: quantify over adom(db) plus the query's
-  // constants. The shared snapshot is cached per database generation;
-  // copy it only if some constant is actually missing from it.
-  std::shared_ptr<const std::set<rel::Value>> adom = db.ActiveDomainShared();
-  std::set<rel::Value> constants = formula_.Constants();
-  for (const Term& t : head_) {
-    if (t.is_const()) constants.insert(t.value());
-  }
-  const std::set<rel::Value>* domain = adom.get();
-  std::set<rel::Value> extended;
-  for (const rel::Value& c : constants) {
-    if (adom->count(c) == 0) {
-      extended = *adom;
-      extended.insert(constants.begin(), constants.end());
-      domain = &extended;
-      break;
+// ---------------------------------------------------------------------------
+// Compilation onto the join bytecode (DESIGN.md §12).
+//
+// The formula is put in disjunctive normal form with ¬ pushed inward
+// (∀x φ read as ¬∃x ¬φ) and every quantified variable renamed apart. A
+// disjunct is a conjunction of atoms, (in)equalities and negated sub-DNFs.
+// LowerConj unifies each disjunct's equalities and checks that every
+// variable is range-restricted — bound by a positive atom, a constant or
+// an enclosing body — which holds for every safe-range query; anything
+// else stays on the interpreter.
+// ---------------------------------------------------------------------------
+
+struct FoBody {
+  /// The query head; in a nested body, the enclosing variables it reads
+  /// (none: a closed sentence, evaluated once per Evaluate).
+  ConjunctiveQuery cq;
+  std::vector<Atom> negated;   // ¬R(t̄), every variable bound: kAntiProbe
+  std::vector<FoBody> nested;  // ¬∃ȳ φ: HasMatch, enclosing regs preloaded
+};
+
+namespace {
+
+constexpr size_t kMaxDisjuncts = 64;  // larger DNFs stay interpreted
+
+struct Conj {
+  std::vector<Atom> atoms = {};
+  std::vector<Comparison> comparisons = {};   // '=' and '≠' as written
+  std::vector<std::vector<Conj>> negated = {};  // each ¬(D_1 ∨ … ∨ D_k)
+  std::vector<int> locals = {};  // variables quantified at this level
+};
+using Dnf = std::vector<Conj>;
+
+// The DNF of f (of ¬f when `negate`); `rename` maps each quantified
+// variable in scope to its fresh id. nullopt past kMaxDisjuncts.
+std::optional<Dnf> ToDnf(const FoFormula& f, bool negate,
+                         const std::map<int, int>& rename, int* fresh) {
+  using Kind = FoFormula::Kind;
+  auto term = [&rename](const Term& t) {
+    auto it = t.is_var() ? rename.find(t.var()) : rename.end();
+    return it == rename.end() ? t : Term::Var(it->second);
+  };
+  auto append = [](auto* to, const auto& from) {
+    to->insert(to->end(), from.begin(), from.end());
+  };
+  switch (f.kind()) {
+    case Kind::kAtom: {
+      Atom atom{f.relation(), {}};
+      for (const Term& t : f.args()) atom.args.push_back(term(t));
+      Dnf d{Conj{.atoms = {std::move(atom)}}};
+      return negate ? Dnf{Conj{.negated = {std::move(d)}}} : d;
+    }
+    case Kind::kEq:
+      return Dnf{Conj{.comparisons = {{term(f.args()[0]),
+                                        term(f.args()[1]), !negate}}}};
+    case Kind::kNot:
+      return ToDnf(f.children()[0], !negate, rename, fresh);
+    case Kind::kAnd:
+    case Kind::kOr: {
+      const bool conjunction = (f.kind() == Kind::kAnd) != negate;
+      Dnf out = conjunction ? Dnf{Conj{}} : Dnf{};
+      for (const FoFormula& child : f.children()) {
+        std::optional<Dnf> d = ToDnf(child, negate, rename, fresh);
+        if (!d.has_value()) return std::nullopt;
+        if (!conjunction) {
+          append(&out, *d);
+        } else {
+          Dnf product;
+          for (const Conj& x : out) {
+            for (Conj y : *d) {
+              append(&y.atoms, x.atoms);
+              append(&y.comparisons, x.comparisons);
+              append(&y.negated, x.negated);
+              append(&y.locals, x.locals);
+              product.push_back(std::move(y));
+            }
+          }
+          out = std::move(product);
+        }
+        if (out.size() > kMaxDisjuncts) return std::nullopt;
+      }
+      return out;
+    }
+    case Kind::kExists:
+    case Kind::kForall: {
+      // ∃ (and ¬∀ = ∃¬) projects; ∀ (and ¬∃) negates an inner ∃.
+      const int id = (*fresh)++;
+      std::map<int, int> scoped = rename;
+      scoped[f.bound_var()] = id;
+      std::optional<Dnf> d =
+          ToDnf(f.children()[0], f.kind() == Kind::kForall, scoped, fresh);
+      if (!d.has_value()) return std::nullopt;
+      for (Conj& c : *d) c.locals.push_back(id);
+      if ((f.kind() == Kind::kExists) != negate) return d;
+      return Dnf{Conj{.negated = {std::move(*d)}}};
     }
   }
+  return std::nullopt;
+}
+
+// Lowers one conjunction into a body appended to `out` (nothing when it
+// is unsatisfiable). `outer` maps each enclosing variable to the term
+// holding its value: a variable of the enclosing body (a preloaded
+// register) or a constant. `head` is the query head at the top level and
+// null in a nested body. Returns false if a variable is not
+// range-restricted, or is free but not in the head.
+bool LowerConj(const Conj& c, const std::map<int, Term>& outer,
+               const std::vector<Term>* head, std::vector<FoBody>* out) {
+  const size_t head_size = head != nullptr ? head->size() : 0;
+  std::vector<int> scope = c.locals;
+  for (size_t i = 0; i < head_size; ++i) {
+    if ((*head)[i].is_var()) scope.push_back((*head)[i].var());
+  }
+  std::set<int> preloaded, params;  // params: the preloaded ones read here
+  for (const auto& [var, t] : outer) {
+    if (t.is_var()) preloaded.insert(t.var());
+  }
+  bool known = true;
+  auto enclosing = [&](const Term& t) {
+    if (!t.is_var() ||
+        std::find(scope.begin(), scope.end(), t.var()) != scope.end()) {
+      return t;
+    }
+    auto it = outer.find(t.var());
+    known = known && it != outer.end();
+    if (it == outer.end()) return t;
+    if (it->second.is_var()) params.insert(it->second.var());
+    return it->second;
+  };
+  std::vector<Atom> atoms = c.atoms;
+  for (Atom& a : atoms) {
+    for (Term& t : a.args) t = enclosing(t);
+  }
+  std::vector<Comparison> comparisons = c.comparisons;
+  for (Comparison& cmp : comparisons) {
+    cmp.lhs = enclosing(cmp.lhs);
+    cmp.rhs = enclosing(cmp.rhs);
+  }
+  if (!known) return false;
+  // Normalize unifies the '=' classes. A class's representative is a
+  // constant if it has one, else its smallest variable — a preloaded one
+  // when present, as enclosing variables get their ids first. Its head
+  // holds the representatives of the query head (or the params), then of
+  // every scoped variable.
+  std::vector<Term> terms;
+  if (head != nullptr) terms = *head;
+  for (int v : params) terms.push_back(Term::Var(v));
+  const size_t front = terms.size();
+  for (int v : scope) terms.push_back(Term::Var(v));
+  std::optional<ConjunctiveQuery> cq =
+      ConjunctiveQuery(terms, std::move(atoms), std::move(comparisons))
+          .Normalize();
+  if (!cq.has_value()) return true;
+  std::set<int> bound = preloaded;
+  for (const Atom& a : cq->body()) {
+    for (const Term& t : a.args) {
+      if (t.is_var()) bound.insert(t.var());
+    }
+  }
+  auto restricted = [&bound](const Term& t) {
+    return t.is_const() || bound.count(t.var()) > 0;
+  };
+  const std::vector<Term>& reps = cq->head();
+  if (!std::all_of(reps.begin(), reps.end(), restricted)) return false;
+  FoBody body;
+  std::vector<Comparison> checks = cq->comparisons();
+  for (size_t i = head_size; i < front; ++i) {
+    if (!(reps[i] == terms[i])) checks.push_back({terms[i], reps[i], true});
+  }
+
+  // Each disjunct D of a negated sub-DNF sees every variable bound here;
+  // ¬D becomes an anti-probe when D is one atom over bound terms.
+  std::map<int, Term> inner = outer;
+  for (size_t i = 0; i < scope.size(); ++i) inner[scope[i]] = reps[front + i];
+  for (const Dnf& negation : c.negated) {
+    for (const Conj& d : negation) {
+      std::vector<FoBody> lowered;
+      if (!LowerConj(d, inner, nullptr, &lowered)) return false;
+      if (lowered.empty()) continue;  // D unsatisfiable: ¬D holds
+      FoBody& n = lowered[0];
+      for (const Term& t : n.cq.head()) {
+        if (preloaded.count(t.var()) > 0) params.insert(t.var());
+      }
+      const std::vector<Atom>& d_atoms = n.cq.body();
+      const bool plain = n.cq.comparisons().empty() && n.negated.empty() &&
+                         n.nested.empty();
+      if (plain && d_atoms.empty()) return true;  // ¬true
+      if (plain && d_atoms.size() == 1 && d_atoms[0].args.size() <= 64 &&
+          std::all_of(d_atoms[0].args.begin(), d_atoms[0].args.end(),
+                      restricted)) {
+        body.negated.push_back(d_atoms[0]);
+      } else {
+        body.nested.push_back(std::move(n));
+      }
+    }
+  }
+  std::vector<Term> head_terms(reps.begin(), reps.begin() + head_size);
+  if (head == nullptr) {
+    for (int v : params) head_terms.push_back(Term::Var(v));
+  }
+  body.cq = ConjunctiveQuery(std::move(head_terms), cq->body(),
+                             std::move(checks));
+  out->push_back(std::move(body));
+  return true;
+}
+
+// A body compiled against one database, once per Evaluate.
+struct CompiledBody {
+  bytecode::JoinProgram program;
+  std::vector<CompiledBody> nested;
+};
+
+bool Matches(const CompiledBody& c, const std::vector<rel::Value>* preload);
+
+// True iff no nested body matches under `regs`.
+bool Keep(const CompiledBody& c, const std::vector<rel::Value>& regs) {
+  return std::none_of(
+      c.nested.begin(), c.nested.end(),
+      [&regs](const CompiledBody& n) { return Matches(n, &regs); });
+}
+
+bool Matches(const CompiledBody& c, const std::vector<rel::Value>* preload) {
+  return bytecode::HasMatch(
+      c.program, preload,
+      [&c](const std::vector<rel::Value>& regs) { return Keep(c, regs); });
+}
+
+CompiledBody CompileBody(const FoBody& b, const rel::Database& db,
+                         const std::map<int, int>& preloaded) {
+  CompiledBody c{
+      bytecode::Compile(
+          bytecode::OrderAtomsGreedily(b.cq.body(), db, preloaded),
+          b.cq.comparisons(), db, b.negated, preloaded),
+      {}};
+  for (const FoBody& n : b.nested) {
+    if (c.program.never_matches) break;
+    if (!n.cq.head().empty()) {
+      c.nested.push_back(CompileBody(n, db, c.program.var_reg));
+    } else if (Matches(CompileBody(n, db, {}), nullptr)) {
+      c.program.never_matches = true;  // a closed ¬∃ sentence is false
+    }
+  }
+  return c;
+}
+
+// The lowered form of a query; null when it is not range-restricted or
+// its DNF is too large.
+std::shared_ptr<const std::vector<FoBody>> Lower(const std::vector<Term>& head,
+                                                 const FoFormula& formula) {
+  // Quantified variables are all renamed, so fresh ids need only avoid
+  // the free and head variables.
+  std::set<int> kept = formula.FreeVars();
+  for (const Term& t : head) kept.insert(t.is_var() ? t.var() : -1);
+  int fresh = kept.empty() ? 0 : *kept.rbegin() + 1;
+  std::optional<Dnf> dnf = ToDnf(formula, false, {}, &fresh);
+  if (!dnf.has_value()) return nullptr;
+  auto bodies = std::make_shared<std::vector<FoBody>>();
+  for (const Conj& c : *dnf) {
+    if (!LowerConj(c, {}, &head, bodies.get())) return nullptr;
+  }
+  return bodies;
+}
+
+}  // namespace
+
+FoQuery::FoQuery(std::vector<Term> head, FoFormula formula)
+    : head_(std::move(head)),
+      formula_(std::move(formula)),
+      lowered_(Lower(head_, formula_)) {}
+
+rel::Relation FoQuery::Evaluate(const rel::Database& db) const {
+  if (lowered_ == nullptr) return EvaluateNaive(db);
+  rel::Relation out(head_.size());
+  for (const FoBody& body : *lowered_) {
+    const CompiledBody c = CompileBody(body, db, {});
+    out.MergeFrom(bytecode::Emit(
+        c.program, body.cq.head(),
+        [&c](const std::vector<rel::Value>& regs) { return Keep(c, regs); }));
+  }
+  return out;
+}
+
+std::optional<UnionQuery> FoQuery::LoweredUcq() const {
+  if (lowered_ == nullptr) return std::nullopt;
+  UnionQuery ucq(head_.size());
+  for (const FoBody& body : *lowered_) {
+    if (!body.negated.empty() || !body.nested.empty()) return std::nullopt;
+    ucq.Add(body.cq);
+  }
+  return ucq;
+}
+
+rel::Relation FoQuery::EvaluateNaive(const rel::Database& db) const {
+  // Active-domain semantics: quantify over adom(db) plus the query's
+  // constants.
+  std::set<rel::Value> domain = formula_.Constants();
+  for (const Term& t : head_) {
+    if (t.is_const()) domain.insert(t.value());
+  }
+  const std::shared_ptr<const std::set<rel::Value>> adom =
+      db.ActiveDomainShared();
+  domain.insert(adom->begin(), adom->end());
   // Enumerate assignments of the head *variables* over the domain.
   std::vector<int> vars;
   {
@@ -374,10 +642,9 @@ rel::Relation FoQuery::Evaluate(const rel::Database& db) const {
   }
   rel::Relation out(head_.size());
   Binding binding;
-  FoFormula::EvalContext ctx;  // shared across the O(|adom|^k) sweeps
   std::function<void(size_t)> assign = [&](size_t i) {
     if (i == vars.size()) {
-      if (formula_.EvalMutable(db, *domain, &binding, &ctx)) {
+      if (formula_.EvalMutable(db, domain, &binding)) {
         rel::Tuple t;
         t.reserve(head_.size());
         for (const Term& term : head_) {
@@ -389,7 +656,7 @@ rel::Relation FoQuery::Evaluate(const rel::Database& db) const {
       }
       return;
     }
-    for (const rel::Value& v : *domain) {
+    for (const rel::Value& v : domain) {
       if (!sws::util::StepTick()) break;  // cancelled: abandon enumeration
       binding[vars[i]] = v;
       assign(i + 1);

@@ -6,11 +6,11 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "logic/cq.h"
 #include "logic/term.h"
+#include "logic/ucq.h"
 #include "relational/database.h"
 
 namespace sws::logic {
@@ -61,28 +61,13 @@ class FoFormula {
   bool Eval(const rel::Database& db, const std::set<rel::Value>& domain,
             const Binding& binding) const;
 
-  /// Reusable per-evaluation state for repeated EvalMutable calls over
-  /// one fixed database (FoQuery::Evaluate invokes the formula once per
-  /// head-variable assignment — O(|adom|^k) times). Caches each atom
-  /// node's resolved relation so the inner loop skips the two
-  /// string-keyed database lookups per atom, and reuses one probe-tuple
-  /// buffer instead of allocating per atom evaluation. Must not outlive
-  /// the database it was first used with.
-  struct EvalContext {
-    std::unordered_map<const void*, const rel::Relation*> atom_relations;
-    rel::Tuple probe;
-  };
-
   /// As above, but extends `binding` in place while walking quantifiers
   /// (saving and restoring shadowed entries) instead of copying the map
-  /// at every quantifier node; `binding` is unchanged on return. This is
-  /// the hot path — Eval copies once and delegates here. (A separate
-  /// name, not an overload: `Eval(db, domain, {})` must keep meaning an
-  /// empty binding, not a null pointer.) Pass the same `ctx` across
-  /// calls against one database to amortize atom-relation resolution.
+  /// at every quantifier node; `binding` is unchanged on return. (A
+  /// separate name, not an overload: `Eval(db, domain, {})` must keep
+  /// meaning an empty binding, not a null pointer.)
   bool EvalMutable(const rel::Database& db,
-                   const std::set<rel::Value>& domain, Binding* binding,
-                   EvalContext* ctx = nullptr) const;
+                   const std::set<rel::Value>& domain, Binding* binding) const;
 
   /// Free variables of the formula.
   std::set<int> FreeVars() const;
@@ -102,13 +87,20 @@ class FoFormula {
   std::shared_ptr<const Node> node_;
 };
 
+/// One disjunct of a compiled FoQuery (defined in fo.cc; DESIGN.md §12).
+struct FoBody;
+
 /// An FO query: a formula with an ordered tuple of free head variables
 /// (variables may repeat; constants are allowed as head terms).
+///
+/// A safe-range query is lowered once, at construction, into a union of
+/// conjunctive bodies with guarded negation that Evaluate runs on the
+/// join bytecode (logic/bytecode.h) without touching the active domain.
+/// Other queries keep the active-domain interpreter (EvaluateNaive).
 class FoQuery {
  public:
   FoQuery() = default;
-  FoQuery(std::vector<Term> head, FoFormula formula)
-      : head_(std::move(head)), formula_(std::move(formula)) {}
+  FoQuery(std::vector<Term> head, FoFormula formula);
 
   const std::vector<Term>& head() const { return head_; }
   const FoFormula& formula() const { return formula_; }
@@ -119,9 +111,19 @@ class FoQuery {
   /// presentation: non-head variables must be quantified).
   std::optional<std::string> Validate() const;
 
-  /// Active-domain evaluation: head variables range over adom(db) plus the
-  /// formula's constants.
+  /// True iff the query was lowered onto the join bytecode.
+  bool compiled() const { return lowered_ != nullptr; }
+
+  /// The query's answer: the compiled path when compiled(), else
+  /// EvaluateNaive. Both give the active-domain semantics.
   rel::Relation Evaluate(const rel::Database& db) const;
+
+  /// The active-domain interpreter: head variables range over adom(db)
+  /// plus the formula's constants. The fallback, and the test oracle.
+  rel::Relation EvaluateNaive(const rel::Database& db) const;
+
+  /// The lowered form as a UCQ, when the query compiled with no negation.
+  std::optional<UnionQuery> LoweredUcq() const;
 
   /// Converts a CQ (with = and ≠) to an equivalent FO query.
   static FoQuery FromCq(const ConjunctiveQuery& cq);
@@ -132,6 +134,8 @@ class FoQuery {
  private:
   std::vector<Term> head_;
   FoFormula formula_;
+  /// Derived from head_ and formula_; null when not safe-range.
+  std::shared_ptr<const std::vector<FoBody>> lowered_;
 };
 
 /// Result of a bounded-model satisfiability search.

@@ -192,25 +192,6 @@ size_t PlFormula::Size() const {
   return n;
 }
 
-bool PlFormula::StructurallyEquals(const PlFormula& other) const {
-  if (node_ == other.node_) return true;
-  if (node_->kind != other.node_->kind) return false;
-  switch (node_->kind) {
-    case Kind::kConst:
-      return node_->const_value == other.node_->const_value;
-    case Kind::kVar:
-      return node_->var == other.node_->var;
-    default:
-      if (node_->children.size() != other.node_->children.size()) return false;
-      for (size_t i = 0; i < node_->children.size(); ++i) {
-        if (!node_->children[i].StructurallyEquals(other.node_->children[i])) {
-          return false;
-        }
-      }
-      return true;
-  }
-}
-
 std::string PlFormula::ToString(
     const std::function<std::string(int)>& name) const {
   switch (node_->kind) {

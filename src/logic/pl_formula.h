@@ -69,9 +69,6 @@ class PlFormula {
   /// Number of AST nodes.
   size_t Size() const;
 
-  /// Structural equality (not logical equivalence; see pl_sat.h for that).
-  bool StructurallyEquals(const PlFormula& other) const;
-
   /// Renders with variable names supplied by `name`; by default variables
   /// print as x<id>.
   std::string ToString(

@@ -73,12 +73,6 @@ int UnionQuery::MaxVar() const {
   return max_var;
 }
 
-size_t UnionQuery::TotalSize() const {
-  size_t n = 0;
-  for (const auto& d : disjuncts_) n += d.Size();
-  return n;
-}
-
 std::string UnionQuery::ToString(
     const std::function<std::string(int)>& name) const {
   if (disjuncts_.empty()) return "ans() :- false";

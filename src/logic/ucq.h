@@ -45,8 +45,6 @@ class UnionQuery {
   UnionQuery ShiftVars(int offset) const;
   int MaxVar() const;
 
-  size_t TotalSize() const;
-
   std::string ToString(
       const std::function<std::string(int)>& name = nullptr) const;
 

@@ -261,6 +261,17 @@ core::Status ServiceRuntime::SubmitInternal(
     stats_.OnRejected();
     return init_error_;
   }
+  // The one admission check on message content, before the queue and
+  // the journal: a message whose arity differs from R_in's would abort
+  // the session's run, and once journaled every recovery replay with it.
+  if (message.arity() != sws().rin_arity() &&
+      !core::SessionRunner::IsDelimiter(message)) {
+    stats_.OnRejected();
+    return Status::Error(RunError::kInvalidInput,
+                         "message arity " + std::to_string(message.arity()) +
+                             " differs from the service's input arity " +
+                             std::to_string(sws().rin_arity()));
+  }
   // Dead on arrival: fast-fail without admitting or running anything.
   if (deadline != std::chrono::steady_clock::time_point::max() &&
       std::chrono::steady_clock::now() > deadline) {

@@ -170,8 +170,9 @@ class ServiceRuntime {
 
   /// Submits one message for `session_id`. ok() iff the message was
   /// admitted; otherwise the code says why: kQueueRejected (backpressure
-  /// or priority shedding), kShutdown, or kDeadlineExceeded (already
-  /// expired at enqueue — fast-failed without running). A non-admitted
+  /// or priority shedding), kShutdown, kDeadlineExceeded (already
+  /// expired at enqueue — fast-failed without running), or kInvalidInput
+  /// (a non-delimiter message whose arity is not rin_arity()). A non-admitted
   /// message produces no callback. `callback`, if given, fires on the
   /// worker when the message closes a session, errors, or misses its
   /// deadline; buffered non-delimiter messages produce no callback.

@@ -28,6 +28,8 @@ const char* RunErrorName(RunError error) {
       return "PROTOCOL_ERROR";
     case RunError::kNetworkError:
       return "NETWORK_ERROR";
+    case RunError::kInvalidInput:
+      return "INVALID_INPUT";
   }
   return "UNKNOWN";
 }

@@ -24,6 +24,7 @@ enum class RunError : uint8_t {
   kReplicationTimeout,  // the follower ack quorum was not reached in time
   kProtocolError,     // a peer sent a malformed/invalid wire frame
   kNetworkError,      // a socket operation failed (bind, connect, send)
+  kInvalidInput,      // a submitted message does not fit the input schema
 };
 
 const char* RunErrorName(RunError error);

@@ -364,6 +364,9 @@ TEST(ChaosTest, HogSessionIsContainedAndBreakerIsolated) {
   // 40-value message (adom ≈ 44) costs ~44^5 ≈ 1.6×10^8 — minutes of
   // work against a 100ms deadline.
   Sws sws = MakeGovernedLogger(/*depth=*/5);
+  // Vacuous inner quantifiers: not safe-range, so the interpreter's
+  // quantifier sweep is what the deadline has to cancel.
+  ASSERT_FALSE(sws.Synthesis(1).fo().compiled());
 
   RuntimeOptions options;
   options.num_workers = 4;

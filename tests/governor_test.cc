@@ -165,6 +165,9 @@ constexpr auto kBound = 10 * kDeadline;
 
 TEST(GovernorTest, DeadlineAbortsFoQuantifierRecursionWithinBound) {
   core::Sws sws = FoAlternationService(/*depth=*/8);
+  // The inner quantifiers are vacuous, so the formula is not safe-range:
+  // it stays on the interpreter, and the deadline must stop the sweep.
+  ASSERT_FALSE(sws.Synthesis(0).fo().compiled());
   Database db = CompleteDigraph(12);  // 12^8 ≈ 4×10^8 bindings unbounded
   core::RunOptions options;
   options.deadline = std::chrono::steady_clock::now() + kDeadline;

@@ -466,6 +466,27 @@ TEST_F(NetServerTest, InterleavedOutcomesAreCorrelated) {
       {Value::Str("ins"), Value::Str("Log"), Value::Int(8)}));
 }
 
+TEST_F(NetServerTest, WrongAritySubmitGetsTypedRejection) {
+  // A well-framed submit whose message does not fit R_in must come back
+  // as kInvalidInput, and the server must keep serving.
+  StartAll();
+  RpcClient client = MakeClient();
+  Relation wide(2);
+  wide.Insert({Value::Int(1), Value::Int(2)});
+  core::Status status = client.Submit(client.NextRequestId(), "alice", wide);
+  EXPECT_EQ(status.code(), core::RunError::kInvalidInput) << status.ToString();
+  ASSERT_TRUE(client.Submit(client.NextRequestId(), "alice", Msg(5)).ok());
+  OutcomeReply outcome;
+  ASSERT_TRUE(client
+                  .SubmitAndWait(client.NextRequestId(), "alice", Delim(),
+                                 &outcome)
+                  .ok());
+  EXPECT_EQ(outcome.status_code, 0u);
+  EXPECT_TRUE(outcome.output.Contains(
+      {Value::Str("ins"), Value::Str("Log"), Value::Int(5)}));
+  EXPECT_EQ(runtime_->Stats().rejected, 1u);
+}
+
 TEST_F(NetServerTest, HelloIsEnforcedFirst) {
   StartAll();
   RawConn raw;

@@ -997,6 +997,44 @@ TEST(DurableRuntimeTest, RestartRecoversSessionsAndSuppressesAckedOutputs) {
   EXPECT_EQ(final_state.sessions.at("open").db, oracle.db());
 }
 
+TEST(DurableRuntimeTest, WrongAritySubmitNeverReachesTheJournal) {
+  // A wrong-arity submit is refused before the journal, so a kAlways
+  // durable runtime restarts cleanly after one and replays nothing bad.
+  TempDir dir;
+  Sws sws = MakeTwoLevelLogger();
+  rt::RuntimeOptions options;
+  options.num_workers = 1;
+  options.num_shards = 2;
+  options.durability.dir = dir.path();
+  options.durability.fsync = FsyncPolicy::kAlways;
+  Relation wide(2);
+  wide.Insert({Value::Int(1), Value::Int(2)});
+  {
+    rt::ServiceRuntime runtime(&sws, LoggerDb(), options);
+    EXPECT_EQ(runtime.Submit("alice", wide).code(), RunError::kInvalidInput);
+    ASSERT_TRUE(runtime.Submit("alice", Msg(3)).ok());
+    runtime.Drain();
+    runtime.Shutdown();
+  }
+  rt::ServiceRuntime runtime(&sws, LoggerDb(), options);
+  const persistence::RecoveryResult& recovery = *runtime.recovery();
+  ASSERT_TRUE(recovery.status.ok()) << recovery.status.ToString();
+  ASSERT_EQ(recovery.sessions.size(), 1u);
+  EXPECT_EQ(recovery.sessions.at("alice").pending.size(), 1u);
+  EXPECT_EQ(runtime.Submit("alice", wide).code(), RunError::kInvalidInput);
+  ASSERT_TRUE(
+      runtime.Submit("alice", SessionRunner::DelimiterMessage(1)).ok());
+  runtime.Drain();
+  runtime.Shutdown();
+
+  SessionRunner oracle(&sws, LoggerDb());
+  oracle.Feed(Msg(3));
+  oracle.Feed(SessionRunner::DelimiterMessage(1));
+  RecoveryResult final_state = RecoverLogger(dir.path(), sws);
+  ASSERT_TRUE(final_state.status.ok());
+  EXPECT_EQ(final_state.sessions.at("alice").db, oracle.db());
+}
+
 // The high-severity regression of the PR-4 review: an input append
 // whose fsync fails must still feed the message and consume its seq —
 // the record is on disk and recovery WILL replay it. Treating it as

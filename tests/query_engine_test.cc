@@ -136,40 +136,24 @@ class CqFuzzer {
 };
 
 TEST(QueryEngineTest, IndexedJoinMatchesNaiveOnRandomQueries) {
-  CqFuzzer fuzzer(20260806);
-  for (int i = 0; i < 1000; ++i) {
-    RandomCq c = fuzzer.Next();
-    Relation fast = c.query.Evaluate(c.db);
-    Relation naive = c.query.EvaluateNaive(c.db);
-    ASSERT_EQ(fast, naive) << "case " << i << ": " << c.query.ToString()
-                           << "\nover\n"
-                           << c.db.ToString();
-    ASSERT_EQ(c.query.EvaluatesNonempty(c.db), !naive.empty())
-        << "case " << i << ": " << c.query.ToString();
-  }
-}
-
-TEST(QueryEngineTest, ThreeWayEngineDifferential) {
-  // The register-bytecode executor (default), the legacy JoinPlan and
-  // the naive backtracking oracle must agree on every randomized case.
-  using logic::CqEngine;
-  CqFuzzer fuzzer(977001);
-  for (int i = 0; i < 1000; ++i) {
-    RandomCq c = fuzzer.Next();
-    Relation bytecode = c.query.EvaluateWith(c.db, CqEngine::kBytecode);
-    Relation indexed = c.query.EvaluateWith(c.db, CqEngine::kIndexedPlan);
-    Relation naive = c.query.EvaluateWith(c.db, CqEngine::kNaive);
-    ASSERT_EQ(bytecode, naive)
-        << "bytecode vs naive, case " << i << ": " << c.query.ToString()
-        << "\nover\n"
-        << c.db.ToString();
-    ASSERT_EQ(indexed, naive)
-        << "indexed vs naive, case " << i << ": " << c.query.ToString();
+  // The register-bytecode executor and the naive backtracking oracle
+  // must agree on every randomized case.
+  for (uint64_t seed : {20260806u, 977001u}) {
+    CqFuzzer fuzzer(seed);
+    for (int i = 0; i < 1000; ++i) {
+      RandomCq c = fuzzer.Next();
+      Relation fast = c.query.Evaluate(c.db);
+      Relation naive = c.query.EvaluateNaive(c.db);
+      ASSERT_EQ(fast, naive) << "seed " << seed << " case " << i << ": "
+                             << c.query.ToString() << "\nover\n"
+                             << c.db.ToString();
+      ASSERT_EQ(c.query.EvaluatesNonempty(c.db), !naive.empty())
+          << "seed " << seed << " case " << i << ": " << c.query.ToString();
+    }
   }
 }
 
 TEST(QueryEngineTest, BytecodeHandlesConstantsComparisonsAndNullaryHeads) {
-  using logic::CqEngine;
   auto v = [](int i) { return Term::Var(i); };
   Database db;
   Relation r(2);
@@ -183,8 +167,7 @@ TEST(QueryEngineTest, BytecodeHandlesConstantsComparisonsAndNullaryHeads) {
   ConjunctiveQuery q1({v(1)},
                       {Atom{"R", {Term::Const(Value::Str("a")), v(1)}}},
                       {Comparison{v(1), Term::Int(1), false}});
-  EXPECT_EQ(q1.EvaluateWith(db, CqEngine::kBytecode),
-            q1.EvaluateWith(db, CqEngine::kNaive));
+  EXPECT_EQ(q1.Evaluate(db), q1.EvaluateNaive(db));
   EXPECT_EQ(q1.Evaluate(db).size(), 1u);
 
   // Repeated variable within one atom.
@@ -193,14 +176,13 @@ TEST(QueryEngineTest, BytecodeHandlesConstantsComparisonsAndNullaryHeads) {
   s.Insert({Value::Int(1), Value::Int(2)});
   db.Set("S", s);
   ConjunctiveQuery q2({v(0)}, {Atom{"S", {v(0), v(0)}}});
-  EXPECT_EQ(q2.EvaluateWith(db, CqEngine::kBytecode),
-            q2.EvaluateWith(db, CqEngine::kNaive));
+  EXPECT_EQ(q2.Evaluate(db), q2.EvaluateNaive(db));
   EXPECT_EQ(q2.Evaluate(db).size(), 1u);
 
   // Nullary head over a purely existential body: {()} iff a match.
   ConjunctiveQuery q3({}, {Atom{"R", {v(0), v(1)}}, Atom{"S", {v(1), v(2)}}});
   Relation nullary = q3.Evaluate(db);
-  EXPECT_EQ(nullary, q3.EvaluateWith(db, CqEngine::kNaive));
+  EXPECT_EQ(nullary, q3.EvaluateNaive(db));
   EXPECT_EQ(nullary.size(), 1u);
   EXPECT_EQ(nullary.arity(), 0u);
 

@@ -280,6 +280,30 @@ TEST(RuntimeTest, BackpressureRejects) {
   EXPECT_EQ(stats.completed, 2u);
 }
 
+TEST(RuntimeTest, WrongArityMessageIsRejectedAtAdmission) {
+  // A 2-ary message to the 1-ary logger comes back as kInvalidInput and
+  // counts as a rejection; the session it named carries on unharmed.
+  Sws sws = MakeTwoLevelLogger();
+  ServiceRuntime runtime(&sws, LoggerDb(), RuntimeOptions{});
+  OutcomeCollector collector;
+  Relation wide(2);
+  wide.Insert({Value::Int(1), Value::Int(2)});
+  core::Status status = runtime.Submit("alice", wide, collector.Callback());
+  EXPECT_EQ(status.code(), core::RunError::kInvalidInput) << status.ToString();
+  ASSERT_TRUE(runtime.Submit("alice", Msg(7)).ok());
+  ASSERT_TRUE(runtime.Submit("alice", Delim(), collector.Callback()).ok());
+  collector.WaitFor(1);
+  runtime.Drain();
+  std::vector<Outcome> outcomes = collector.Take();
+  ASSERT_EQ(outcomes.size(), 1u);
+  ASSERT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.ToString();
+  EXPECT_TRUE(outcomes[0].session->output.Contains(
+      {Value::Str("ins"), Value::Str("Log"), Value::Int(7)}));
+  StatsSnapshot stats = runtime.Stats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.submitted, 2u);
+}
+
 TEST(RuntimeTest, BackpressureBlocksUntilCapacityFrees) {
   Sws sws = MakeTwoLevelLogger();
   Gate gate;
