@@ -7,9 +7,10 @@ Usage:
 
 Benchmarks are matched by name (optionally restricted to names matching
 --filter); for each pair the relative change in real_time is reported. Exits non-zero if any benchmark regressed by
-more than the threshold (default 25% slower). Benchmarks present in
-only one file are reported but never fail the run — baselines are
-regenerated wholesale when the suite changes.
+more than the threshold (default 25% slower). A run recorded with
+--benchmark_repetitions is represented by its median aggregate row.
+Benchmarks present in only one file are reported but never fail the
+run — baselines are regenerated wholesale when the suite changes.
 
 Both plain google-benchmark output and the repo's wrapped baselines
 (top-level "note"/"command"/"context" plus "benchmarks") are accepted.
@@ -31,12 +32,16 @@ import sys
 def load_benchmarks(path):
     with open(path) as f:
         doc = json.load(f)
-    out = {}
+    out, medians = {}, {}
     for b in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev) if repetitions were used.
+        # With repetitions, the median row stands for the benchmark; the
+        # other aggregates (mean/stddev/cv) are skipped.
         if b.get("run_type") == "aggregate":
+            if b.get("aggregate_name") == "median":
+                medians[b["run_name"]] = float(b["real_time"])
             continue
         out[b["name"]] = float(b["real_time"])
+    out.update(medians)
     build_type = doc.get("context", {}).get("library_build_type")
     return out, build_type
 

@@ -22,7 +22,7 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 san_targets=(runtime_test session_test sws_run_test fault_test chaos_test
              persistence_test crash_recovery_test governor_test serde_fuzz
              replication_test node_chaos_test failover_test relational_test
-             query_engine_test net_test fo_compile_test)
+             query_engine_test net_test fo_compile_test sharing_test)
 
 run_release() {
   echo "== Release build + full ctest =="
@@ -67,7 +67,8 @@ run_bench() {
   cmake --build --preset release -j "$jobs" --target bench_query_engine \
     bench_interning bench_persistence
   ./build/bench/bench_query_engine --benchmark_min_time=0.05 \
-    --benchmark_format=json > /tmp/bench_query_engine.fresh.json
+    --benchmark_repetitions=5 --benchmark_format=json \
+    > /tmp/bench_query_engine.fresh.json
   # The naive/raw-tree reference evaluators are exponential-cost and
   # scheduler-bound; their run-to-run noise on the 1-CPU host exceeds
   # 25%, so the broad diff gates loosely. The hot path is gated tightly
@@ -78,6 +79,11 @@ run_bench() {
   # the bytecode executor exists for, so a regression here fails check.
   python3 scripts/bench_diff.py BENCH_query_engine.json \
     /tmp/bench_query_engine.fresh.json --filter 'BM_CqChainJoin' \
+    --threshold 0.25
+  # Gate the catalog-size independence of a service run the same way: a
+  # run that starts copying or re-indexing D again fails here.
+  python3 scripts/bench_diff.py BENCH_query_engine.json \
+    /tmp/bench_query_engine.fresh.json --filter 'BM_UcqCatalogScaling' \
     --threshold 0.25
   echo "== Interning/columnar microbenchmarks vs checked-in baseline =="
   ./build/bench/bench_interning --benchmark_min_time=0.05 \

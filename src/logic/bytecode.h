@@ -59,8 +59,8 @@ struct KeySlot {
 
 struct Level {
   const rel::Relation* relation = nullptr;
-  /// Shared ownership: under an IndexBudget the relation's pool may
-  /// evict this index mid-run; the program's reference keeps it alive.
+  /// Shared ownership: the index stays alive for the program even if
+  /// the relation's storage drops it (a write through the sole handle).
   std::shared_ptr<const rel::Relation::Index> index;  // null: full scan
   uint32_t ops_begin = 0, ops_end = 0;    // span into JoinProgram::ops
   uint32_t keys_begin = 0, keys_end = 0;  // span into JoinProgram::keys

@@ -13,28 +13,24 @@ Database::Database(const Schema& schema) {
   }
 }
 
-Database::Database(const Database& other)
-    : relations_(other.relations_), index_budget_(other.index_budget_) {}
+Database::Database(const Database& other) : relations_(other.relations_) {}
 
 Database& Database::operator=(const Database& other) {
   if (this != &other) {
     relations_ = other.relations_;
-    index_budget_ = other.index_budget_;
     ++structural_gen_;
   }
   return *this;
 }
 
 Database::Database(Database&& other) noexcept
-    : relations_(std::move(other.relations_)),
-      index_budget_(other.index_budget_) {
+    : relations_(std::move(other.relations_)) {
   ++other.structural_gen_;
 }
 
 Database& Database::operator=(Database&& other) noexcept {
   if (this != &other) {
     relations_ = std::move(other.relations_);
-    index_budget_ = other.index_budget_;
     ++structural_gen_;
     ++other.structural_gen_;
   }
@@ -42,32 +38,8 @@ Database& Database::operator=(Database&& other) noexcept {
 }
 
 void Database::Set(const std::string& name, Relation relation) {
-  relation.set_index_budget(index_budget_);
   relations_.insert_or_assign(name, std::move(relation));
   ++structural_gen_;
-}
-
-void Database::SetIndexBudget(IndexBudget budget) {
-  index_budget_ = budget;
-  for (auto& [name, rel] : relations_) rel.set_index_budget(budget);
-}
-
-size_t Database::TrackedIndexBytes() const {
-  size_t bytes = 0;
-  for (const auto& [name, rel] : relations_) bytes += rel.cached_index_bytes();
-  return bytes;
-}
-
-uint64_t Database::IndexEvictions() const {
-  uint64_t evictions = 0;
-  for (const auto& [name, rel] : relations_) {
-    evictions += rel.index_evictions();
-  }
-  return evictions;
-}
-
-void Database::DropIndexCaches() {
-  for (auto& [name, rel] : relations_) rel.DropIndexCache();
 }
 
 const Relation& Database::Get(const std::string& name) const {

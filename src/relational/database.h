@@ -19,15 +19,21 @@ namespace sws::rel {
 /// run of an SWS; updates are committed only at the end of a session
 /// (see relational/actions.h and sws/session.h).
 ///
+/// Copying a Database is O(#relations): each Relation is a handle over
+/// shared column storage (see relation.h), so a copy shares every
+/// relation's tuples and cached indexes, and a later write clones only
+/// the relation it touches.
+///
 /// Thread-safety (audited for src/runtime): all const members are pure
 /// reads or internally-synchronized caches (ActiveDomainShared guards
 /// its lazy rebuild with a mutex), so a Database may be read from any
 /// number of threads concurrently as long as no thread calls
 /// Set/GetMutable — the concurrent runtime shares one immutable seed
-/// instance across workers and gives each session a private copy. The
+/// instance across workers and gives each session its own copy. The
 /// run engine (sws/execution.cc) copies the database into its per-run
 /// environment, so core::Run itself never writes the caller's instance.
-/// Relation and Value are likewise safe const readers.
+/// Copies may be written concurrently with reads of the instance they
+/// were copied from. Relation and Value are likewise safe const readers.
 class Database {
  public:
   Database() = default;
@@ -35,32 +41,15 @@ class Database {
   /// An empty instance of every relation in the schema.
   explicit Database(const Schema& schema);
 
-  /// Copies/moves transfer the relations but not the active-domain
-  /// cache (rebuilt on demand).
+  /// Copies/moves transfer the relations (sharing their storage) but not
+  /// the active-domain cache (rebuilt on demand).
   Database(const Database& other);
   Database& operator=(const Database& other);
   Database(Database&& other) noexcept;
   Database& operator=(Database&& other) noexcept;
 
-  /// Sets (replaces) the instance of the named relation. The incoming
-  /// relation is stamped with this database's index budget (see
-  /// SetIndexBudget) so governed caps survive per-run Set calls.
+  /// Sets (replaces) the instance of the named relation.
   void Set(const std::string& name, Relation relation);
-
-  /// Installs an index-cache budget on every current relation and
-  /// remembers it for relations installed by future Set calls. Mutation
-  /// contract: must not race with concurrent readers.
-  void SetIndexBudget(IndexBudget budget);
-  const IndexBudget& index_budget() const { return index_budget_; }
-
-  /// Σ cached_index_bytes over all relations (live governed cache gauge)
-  /// and Σ lifetime LRU index evictions.
-  size_t TrackedIndexBytes() const;
-  uint64_t IndexEvictions() const;
-
-  /// Drops every relation's cached indexes (releasing tracked bytes) —
-  /// memory-pressure degradation hook. Mutation contract applies.
-  void DropIndexCaches();
 
   /// Instance of the named relation; aborts if absent.
   const Relation& Get(const std::string& name) const;
@@ -108,7 +97,6 @@ class Database {
 
   std::map<std::string, Relation> relations_;
   uint64_t structural_gen_ = 0;
-  IndexBudget index_budget_;
   mutable std::mutex adom_mu_;
   mutable std::shared_ptr<const std::set<Value>> adom_cache_;
   mutable std::pair<uint64_t, uint64_t> adom_key_{~uint64_t{0}, ~uint64_t{0}};

@@ -1,7 +1,10 @@
 #include "relational/relation.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <sstream>
 
 #include "util/cancellation.h"
@@ -9,18 +12,22 @@
 
 namespace sws::rel {
 
-namespace {
+/// The shared column storage behind one or more handles. `refs` is an
+/// intrusive count rather than a shared_ptr because the in-place write
+/// path needs an *acquire* read of it: observing refs == 1 must order
+/// every other handle's earlier reads (and index builds) before this
+/// handle's writes, and shared_ptr::use_count() is a relaxed load.
+struct Relation::Storage {
+  explicit Storage(size_t values) : arena(values) {}
 
-/// Byte estimate for one cached index — computed once at build time so
-/// eviction accounting never re-walks buckets. The constant stands in
-/// for unordered_map node overhead.
-size_t IndexApproxBytes(const Relation::Index& index) {
-  size_t bytes = sizeof(Relation::Index) + index.cols.size() * sizeof(size_t);
-  for (const auto& [key, bucket] : index.buckets) {
-    bytes += ApproxBytes(key) + bucket.size() * sizeof(uint32_t) + 48;
-  }
-  return bytes;
-}
+  std::atomic<uint32_t> refs{1};
+  std::mutex index_mu;
+  /// One entry per distinct mask built (linear scan: a handful at most).
+  std::vector<std::shared_ptr<const Index>> indexes;
+  std::vector<Value> arena;
+};
+
+namespace {
 
 /// Three-way lexicographic compare of row ra of a against row rb of b.
 std::strong_ordering CompareRows(const Relation& a, size_t ra,
@@ -37,34 +44,29 @@ std::strong_ordering CompareRows(const Relation& a, size_t ra,
 Relation::Relation(size_t arity, std::vector<Tuple> tuples)
     : Relation(FromSorted(arity, std::move(tuples))) {}
 
-Relation::Relation(const Relation& other)
+Relation::Relation(const Relation& other) noexcept
     : arity_(other.arity_),
       rows_(other.rows_),
-      capacity_(other.rows_),  // compact copy: no slack carried over
-      arena_(other.arity_ * other.rows_),
-      index_budget_(other.index_budget_) {
-  for (size_t c = 0; c < arity_; ++c) {
-    if (rows_ != 0) {
-      std::memcpy(arena_.data() + c * capacity_, other.ColumnData(c),
-                  rows_ * sizeof(Value));
-    }
+      capacity_(other.capacity_),
+      data_(other.data_),
+      storage_(other.storage_) {
+  if (storage_ != nullptr) {
+    storage_->refs.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-Relation& Relation::operator=(const Relation& other) {
+Relation& Relation::operator=(const Relation& other) noexcept {
   if (this != &other) {
+    if (other.storage_ != nullptr) {
+      other.storage_->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+    Release();
     arity_ = other.arity_;
     rows_ = other.rows_;
-    capacity_ = other.rows_;
-    arena_.assign(arity_ * rows_, Value());
-    for (size_t c = 0; c < arity_; ++c) {
-      if (rows_ != 0) {
-        std::memcpy(arena_.data() + c * capacity_, other.ColumnData(c),
-                    rows_ * sizeof(Value));
-      }
-    }
-    index_budget_ = other.index_budget_;
-    Touch();
+    capacity_ = other.capacity_;
+    data_ = other.data_;
+    storage_ = other.storage_;
+    ++generation_;
   }
   return *this;
 }
@@ -73,78 +75,67 @@ Relation::Relation(Relation&& other) noexcept
     : arity_(other.arity_),
       rows_(other.rows_),
       capacity_(other.capacity_),
-      arena_(std::move(other.arena_)),
-      index_budget_(other.index_budget_) {
+      data_(other.data_),
+      storage_(other.storage_) {
   other.rows_ = 0;
   other.capacity_ = 0;
-  other.Touch();
+  other.data_ = nullptr;
+  other.storage_ = nullptr;
+  ++other.generation_;
 }
 
 Relation& Relation::operator=(Relation&& other) noexcept {
   if (this != &other) {
+    Release();
     arity_ = other.arity_;
     rows_ = other.rows_;
     capacity_ = other.capacity_;
-    arena_ = std::move(other.arena_);
-    index_budget_ = other.index_budget_;
+    data_ = other.data_;
+    storage_ = other.storage_;
     other.rows_ = 0;
     other.capacity_ = 0;
-    Touch();
-    other.Touch();
+    other.data_ = nullptr;
+    other.storage_ = nullptr;
+    ++generation_;
+    ++other.generation_;
   }
   return *this;
 }
 
-Relation::~Relation() {
-  // Release the cached indexes' tracked bytes so a governor's byte gauge
-  // does not drift when governed relations die (Engine's working copies).
-  if (cached_index_bytes_ != 0) {
-    sws::util::ChargeGateBytes(-static_cast<int64_t>(cached_index_bytes_));
+Relation::~Relation() { Release(); }
+
+void Relation::Release() {
+  if (storage_ != nullptr &&
+      storage_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    delete storage_;
   }
+  storage_ = nullptr;
 }
 
-void Relation::ReleaseIndexesLocked() {
-  indexes_.clear();
-  if (cached_index_bytes_ != 0) {
-    sws::util::ChargeGateBytes(-static_cast<int64_t>(cached_index_bytes_));
-    cached_index_bytes_ = 0;
+Value* Relation::Writable(size_t min_rows) {
+  const bool unshared =
+      storage_ != nullptr &&
+      storage_->refs.load(std::memory_order_acquire) == 1;
+  if (unshared) {
+    storage_->indexes.clear();  // sole owner: no lock, no reader
+    if (min_rows <= capacity_) return storage_->arena.data();
+  } else if (min_rows == 0 && storage_ == nullptr) {
+    return nullptr;
   }
-}
-
-void Relation::Touch() {
-  ++generation_;
-  // No lock needed: mutation may not race with reads by contract.
-  ReleaseIndexesLocked();
-}
-
-void Relation::DropIndexCache() {
-  std::lock_guard<std::mutex> lock(index_mu_);
-  ReleaseIndexesLocked();
-}
-
-size_t Relation::cached_index_bytes() const {
-  std::lock_guard<std::mutex> lock(index_mu_);
-  return cached_index_bytes_;
-}
-
-uint64_t Relation::index_evictions() const {
-  std::lock_guard<std::mutex> lock(index_mu_);
-  return index_evictions_;
-}
-
-void Relation::Reserve(size_t min_rows) {
-  if (min_rows <= capacity_) return;
-  size_t new_cap = capacity_ == 0 ? 8 : capacity_ * 2;
-  while (new_cap < min_rows) new_cap *= 2;
-  std::vector<Value> grown(arity_ * new_cap);
-  for (size_t c = 0; c < arity_; ++c) {
-    if (rows_ != 0) {
-      std::memcpy(grown.data() + c * new_cap, arena_.data() + c * capacity_,
-                  rows_ * sizeof(Value));
-    }
+  // Grow unshared storage geometrically; clone shared storage at its
+  // stride. Bulk builds into an empty handle get exactly their rows.
+  const size_t cap = std::max(
+      {min_rows, unshared ? 2 * capacity_ : capacity_, size_t{8}});
+  auto* fresh = new Storage(arity_ * cap);
+  for (size_t c = 0; c < arity_ && rows_ != 0; ++c) {
+    std::memcpy(fresh->arena.data() + c * cap, data_ + c * capacity_,
+                rows_ * sizeof(Value));
   }
-  arena_ = std::move(grown);
-  capacity_ = new_cap;
+  Release();
+  storage_ = fresh;
+  capacity_ = cap;
+  data_ = fresh->arena.data();
+  return fresh->arena.data();
 }
 
 std::strong_ordering Relation::CompareRow(size_t r, const Tuple& t) const {
@@ -169,8 +160,9 @@ size_t Relation::LowerBound(const Tuple& t) const {
 }
 
 void Relation::AppendRow(const Value* vals) {
+  Value* arena = storage_->arena.data();
   for (size_t c = 0; c < arity_; ++c) {
-    arena_[c * capacity_ + rows_] = vals[c];
+    arena[c * capacity_ + rows_] = vals[c];
   }
   ++rows_;
 }
@@ -182,16 +174,16 @@ bool Relation::Insert(Tuple t) {
   if (pos < rows_ && CompareRow(pos, t) == std::strong_ordering::equal) {
     return false;
   }
-  Reserve(rows_ + 1);
+  Value* arena = Writable(rows_ + 1);
   for (size_t c = 0; c < arity_; ++c) {
-    Value* col = arena_.data() + c * capacity_;
+    Value* col = arena + c * capacity_;
     if (const size_t tail = rows_ - pos; tail != 0) {
       std::memmove(col + pos + 1, col + pos, tail * sizeof(Value));
     }
     col[pos] = t[c];
   }
   ++rows_;
-  Touch();
+  ++generation_;
   return true;
 }
 
@@ -200,14 +192,15 @@ bool Relation::Erase(const Tuple& t) {
   if (pos == rows_ || CompareRow(pos, t) != std::strong_ordering::equal) {
     return false;
   }
+  Value* arena = Writable(rows_);
   for (size_t c = 0; c < arity_; ++c) {
-    Value* col = arena_.data() + c * capacity_;
+    Value* col = arena + c * capacity_;
     if (const size_t tail = rows_ - pos - 1; tail != 0) {
       std::memmove(col + pos, col + pos + 1, tail * sizeof(Value));
     }
   }
   --rows_;
-  Touch();
+  ++generation_;
   return true;
 }
 
@@ -230,8 +223,11 @@ bool Relation::Contains(const Tuple& t) const {
 }
 
 void Relation::Clear() {
+  Release();
   rows_ = 0;
-  Touch();
+  capacity_ = 0;
+  data_ = nullptr;
+  ++generation_;
 }
 
 Relation Relation::FromSorted(size_t arity, std::vector<Tuple> sorted) {
@@ -244,10 +240,10 @@ Relation Relation::FromSorted(size_t arity, std::vector<Tuple> sorted) {
   }
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
   Relation r(arity);
-  r.Reserve(sorted.size());
+  Value* arena = r.Writable(sorted.size());
   for (size_t i = 0; i < sorted.size(); ++i) {
     for (size_t c = 0; c < arity; ++c) {
-      r.arena_[c * r.capacity_ + i] = sorted[i][c];
+      arena[c * r.capacity_ + i] = sorted[i][c];
     }
   }
   r.rows_ = sorted.size();
@@ -275,10 +271,10 @@ Relation Relation::FromRowMajor(size_t arity, const std::vector<Value>& rows) {
     }
     if (sorted_distinct) {
       Relation r(arity);
-      r.Reserve(n);
+      Value* arena = r.Writable(n);
       for (size_t i = 0; i < n; ++i) {
         const Value* src = rows.data() + i * arity;
-        for (size_t c = 0; c < arity; ++c) r.arena_[c * r.capacity_ + i] = src[c];
+        for (size_t c = 0; c < arity; ++c) arena[c * r.capacity_ + i] = src[c];
       }
       r.rows_ = n;
       return r;
@@ -307,9 +303,9 @@ Relation Relation::FromRowMajor(size_t arity, const std::vector<Value>& rows) {
       for (size_t i = 0; i < n; ++i) keyed[i] = rows[i].InlineOrderKey();
       std::sort(keyed.begin(), keyed.end());
       keyed.erase(std::unique(keyed.begin(), keyed.end()), keyed.end());
-      r.Reserve(keyed.size());
+      Value* arena = r.Writable(keyed.size());
       for (size_t i = 0; i < keyed.size(); ++i) {
-        r.arena_[i] = Value::FromInlineOrderKey(keyed[i]);
+        arena[i] = Value::FromInlineOrderKey(keyed[i]);
       }
       r.rows_ = keyed.size();
     } else {
@@ -320,10 +316,10 @@ Relation Relation::FromRowMajor(size_t arity, const std::vector<Value>& rows) {
       }
       std::sort(keyed.begin(), keyed.end());
       keyed.erase(std::unique(keyed.begin(), keyed.end()), keyed.end());
-      r.Reserve(keyed.size());
+      Value* arena = r.Writable(keyed.size());
       for (size_t i = 0; i < keyed.size(); ++i) {
-        r.arena_[i] = Value::FromInlineOrderKey(keyed[i].first);
-        r.arena_[r.capacity_ + i] = Value::FromInlineOrderKey(keyed[i].second);
+        arena[i] = Value::FromInlineOrderKey(keyed[i].first);
+        arena[r.capacity_ + i] = Value::FromInlineOrderKey(keyed[i].second);
       }
       r.rows_ = keyed.size();
     }
@@ -357,11 +353,11 @@ Relation Relation::FromRowMajor(size_t arity, const std::vector<Value>& rows) {
   };
   order.erase(std::unique(order.begin(), order.end(), row_eq), order.end());
   Relation r(arity);
-  r.Reserve(order.size());
+  Value* arena = r.Writable(order.size());
   for (size_t i = 0; i < order.size(); ++i) {
     const Value* src = rows.data() + size_t{order[i]} * arity;
     for (size_t c = 0; c < arity; ++c) {
-      r.arena_[c * r.capacity_ + i] = src[c];
+      arena[c * r.capacity_ + i] = src[c];
     }
   }
   r.rows_ = order.size();
@@ -380,8 +376,10 @@ void Relation::MergeFrom(Relation&& other) {
 
 Relation Relation::Union(const Relation& other) const {
   SWS_CHECK_EQ(arity_, other.arity_);
+  if (other.rows_ == 0) return *this;  // shares storage: no tuple copy
+  if (rows_ == 0) return other;
   Relation out(arity_);
-  out.Reserve(rows_ + other.rows_);
+  out.Writable(rows_ + other.rows_);
   size_t i = 0, j = 0;
   Tuple scratch;
   scratch.resize(arity_);
@@ -408,7 +406,7 @@ Relation Relation::Union(const Relation& other) const {
 Relation Relation::Intersect(const Relation& other) const {
   SWS_CHECK_EQ(arity_, other.arity_);
   Relation out(arity_);
-  out.Reserve(std::min(rows_, other.rows_));
+  out.Writable(std::min(rows_, other.rows_));
   size_t i = 0, j = 0;
   Tuple scratch;
   scratch.resize(arity_);
@@ -431,7 +429,7 @@ Relation Relation::Intersect(const Relation& other) const {
 Relation Relation::Difference(const Relation& other) const {
   SWS_CHECK_EQ(arity_, other.arity_);
   Relation out(arity_);
-  out.Reserve(rows_);
+  out.Writable(rows_);
   size_t i = 0, j = 0;
   Tuple scratch;
   scratch.resize(arity_);
@@ -499,59 +497,33 @@ size_t Relation::Hash() const {
 
 std::shared_ptr<const Relation::Index> Relation::GetIndex(
     uint64_t mask) const {
-  std::lock_guard<std::mutex> lock(index_mu_);
-  // Linear scan is fine: the pool holds one entry per distinct mask and
-  // the budget keeps it small. Front = most recently used.
-  for (size_t i = 0; i < indexes_.size(); ++i) {
-    if (indexes_[i]->mask == mask) {
-      std::shared_ptr<const Index> hit = indexes_[i];
-      if (i != 0) {
-        indexes_.erase(indexes_.begin() + static_cast<ptrdiff_t>(i));
-        indexes_.insert(indexes_.begin(), hit);
-      }
-      return hit;
+  auto build = [&] {
+    SWS_CHECK_LE(rows_, size_t{UINT32_MAX}) << "row ids are 32-bit";
+    auto index = std::make_shared<Index>();
+    index->mask = mask;
+    for (size_t c = 0; c < arity_ && c < 64; ++c) {
+      if ((mask >> c) & 1) index->cols.push_back(c);
     }
-  }
-  SWS_CHECK_LE(rows_, size_t{UINT32_MAX}) << "row ids are 32-bit";
-  auto index = std::make_shared<Index>();
-  index->mask = mask;
-  for (size_t c = 0; c < arity_ && c < 64; ++c) {
-    if ((mask >> c) & 1) index->cols.push_back(c);
-  }
-  Tuple key;
-  for (size_t r = 0; r < rows_; ++r) {
-    key.clear();
-    for (size_t c : index->cols) key.push_back(At(r, c));
-    index->buckets[key].push_back(static_cast<uint32_t>(r));
-  }
-  index->approx_bytes = IndexApproxBytes(*index);
-  cached_index_bytes_ += index->approx_bytes;
-  sws::util::ChargeGateBytes(static_cast<int64_t>(index->approx_bytes));
-  std::shared_ptr<const Index> result = index;
-  indexes_.insert(indexes_.begin(), std::move(index));
-  // Evict LRU entries past the budget — but never the index just built,
-  // since the caller is about to probe it (an instantly-evicted index
-  // would still be correct via the shared_ptr, just pointlessly cold).
-  auto over_budget = [&] {
-    if (index_budget_.max_indexes != 0 &&
-        indexes_.size() > index_budget_.max_indexes) {
-      return true;
+    Tuple key;
+    for (size_t r = 0; r < rows_; ++r) {
+      key.clear();
+      for (size_t c : index->cols) key.push_back(At(r, c));
+      index->buckets[key].push_back(static_cast<uint32_t>(r));
     }
-    return index_budget_.max_bytes != 0 &&
-           cached_index_bytes_ > index_budget_.max_bytes;
+    return index;
   };
-  while (indexes_.size() > 1 && over_budget()) {
-    const size_t bytes = indexes_.back()->approx_bytes;
-    indexes_.pop_back();
-    cached_index_bytes_ -= bytes;
-    sws::util::ChargeGateBytes(-static_cast<int64_t>(bytes));
-    ++index_evictions_;
+  if (storage_ == nullptr) return build();  // empty: nothing to share
+  std::lock_guard<std::mutex> lock(storage_->index_mu);
+  for (const auto& index : storage_->indexes) {
+    if (index->mask == mask) return index;
   }
-  return result;
+  storage_->indexes.push_back(build());
+  return storage_->indexes.back();
 }
 
 bool operator==(const Relation& a, const Relation& b) {
   if (a.arity_ != b.arity_ || a.rows_ != b.rows_) return false;
+  if (a.storage_ == b.storage_) return true;
   for (size_t c = 0; c < a.arity_; ++c) {
     // Values are canonical packed words, so column equality is memcmp.
     if (a.rows_ != 0 &&

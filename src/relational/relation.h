@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -13,15 +12,6 @@
 #include "relational/value.h"
 
 namespace sws::rel {
-
-/// Caps on a relation's lazy index cache (0 = unlimited). When a cap is
-/// exceeded after building a new index, the least-recently-used cached
-/// indexes are evicted (never the one just built) — the cache stays a
-/// cache: eviction only costs a rebuild on the next probe.
-struct IndexBudget {
-  size_t max_bytes = 0;
-  size_t max_indexes = 0;
-};
 
 /// A relation instance: a set of tuples of a fixed arity.
 ///
@@ -37,30 +27,38 @@ struct IndexBudget {
 /// scans and joins touch dense cache lines of POD ints instead of
 /// chasing set nodes.
 ///
-/// On top of the sorted arena, a relation lazily builds hash indexes
-/// keyed by bound-column masks (see GetIndex) so the join engine in
-/// logic/cq.cc and logic/bytecode.cc can probe matching rows in O(1)
-/// instead of scanning. Indexes are a cache: any mutation invalidates
-/// them and bumps generation().
+/// Sharing: a Relation is a value-semantics handle over reference-
+/// counted column storage. Copying a handle shares the storage (one
+/// atomic increment, no tuple copy); a write through a handle whose
+/// storage is shared first clones it (copy-on-write), so no handle ever
+/// observes another's writes. Shared storage is therefore immutable,
+/// which is what lets it own the index cache: GetIndex builds one hash
+/// index per bound-column mask per storage version, and every handle
+/// sharing that storage — the seed database, each session's copy, each
+/// run's environment, each snapshot image — probes the same index. A
+/// write to unshared storage happens in place and drops its indexes.
 ///
 /// Thread-safety (audited for src/runtime): concurrent const readers are
 /// safe, including concurrent GetIndex calls (the lazy build is guarded
-/// by an internal mutex); mutations must not race with reads, as before.
+/// by the storage's mutex) and concurrent copies of one handle. A write
+/// must not race with reads of the same handle, as before, but may race
+/// with reads of (and writes to) other handles sharing its storage.
 class Relation {
  public:
-  /// An empty relation of the given arity.
+  /// An empty relation of the given arity (allocates nothing).
   explicit Relation(size_t arity = 0) : arity_(arity) {}
 
   /// A relation holding the given tuples; all must share one arity.
   Relation(size_t arity, std::vector<Tuple> tuples);
 
-  /// Copies/moves transfer arity and tuples but not the index cache
-  /// (rebuilt on demand). Assignment bumps the destination's generation
-  /// so callers caching derived state per generation notice the change.
-  Relation(const Relation& other);
-  Relation& operator=(const Relation& other);
+  /// Copies share the storage and with it the index cache. Assignment
+  /// bumps the destination's generation so callers caching derived state
+  /// per generation notice the change.
+  Relation(const Relation& other) noexcept;
+  Relation& operator=(const Relation& other) noexcept;
   Relation(Relation&& other) noexcept;
   Relation& operator=(Relation&& other) noexcept;
+  ~Relation();
 
   size_t arity() const { return arity_; }
   size_t size() const { return rows_; }
@@ -76,12 +74,13 @@ class Relation {
   /// The value at (row, column); rows are in lexicographic tuple order.
   /// The hot accessor for the bytecode executor — one indexed load.
   Value At(size_t row, size_t col) const {
-    return arena_[col * capacity_ + row];
+    return data_[col * capacity_ + row];
   }
   /// The contiguous column vector for column c ([c][0..size())); valid
-  /// until the next mutation.
+  /// until the next write through this handle. Handles sharing storage
+  /// return the same pointer.
   const Value* ColumnData(size_t col) const {
-    return arena_.data() + col * capacity_;
+    return data_ + col * capacity_;
   }
   /// Materializes row r as a boxed tuple.
   Tuple Row(size_t r) const {
@@ -181,85 +180,60 @@ class Relation {
   /// memo cache (sws/execution.cc).
   size_t Hash() const;
 
-  /// Bumped on every mutation (and on assignment); lets callers cache
-  /// derived state — e.g. Database's active domain — per version.
+  /// Bumped on every write through this handle (and on assignment to
+  /// it); lets callers cache derived state — e.g. Database's active
+  /// domain — per version. Per handle: writing a copy leaves the
+  /// original's generation alone.
   uint64_t generation() const { return generation_; }
 
   /// A hash index over the columns set in `mask` (bit i ⇒ column i;
   /// columns ≥ 64 cannot be indexed). The probe key is the tuple of
   /// values at those columns, ascending. Built lazily on first request
-  /// and cached until the next mutation — or until evicted under an
-  /// IndexBudget. Bucket vectors list row ids in row (set) order
-  /// (deterministic). Callers hold the returned shared_ptr for as long
-  /// as they probe it: eviction only drops the cache's reference, so an
-  /// in-flight join plan keeps its index alive even if the pool evicts
-  /// it mid-run. The row ids inside stay valid only until the relation
-  /// is mutated, assigned over, or destroyed (unchanged contract).
+  /// and cached in the storage, so every handle sharing this version
+  /// gets the same index; never evicted — a storage holds at most one
+  /// index per distinct mask its callers probe. Bucket vectors list row
+  /// ids in row (set) order (deterministic). The row ids stay valid only
+  /// while this handle is not written, assigned over, or destroyed.
   struct Index {
     uint64_t mask = 0;
     std::vector<size_t> cols;  // the set bits of mask, ascending
     std::unordered_map<Tuple, std::vector<uint32_t>, TupleHash> buckets;
-    size_t approx_bytes = 0;  // computed once at build time
   };
   std::shared_ptr<const Index> GetIndex(uint64_t mask) const;
-
-  /// Installs index-cache caps. Applies on the next GetIndex (an
-  /// already-oversized cache shrinks then). Mutation-contract: must not
-  /// race with concurrent readers.
-  void set_index_budget(IndexBudget budget) { index_budget_ = budget; }
-  const IndexBudget& index_budget() const { return index_budget_; }
-
-  /// Approximate bytes currently held by cached indexes, and how many
-  /// cache entries were evicted over this relation's lifetime (LRU under
-  /// the budget; invalidation by mutation does not count). Reported to
-  /// the installed util::StepGate as the bytes change.
-  size_t cached_index_bytes() const;
-  uint64_t index_evictions() const;
-
-  /// Drops every cached index (releasing their tracked bytes) without
-  /// bumping the generation. Used by the runtime's memory-pressure
-  /// degradation; safe only under the mutation contract (no concurrent
-  /// readers).
-  void DropIndexCache();
 
   std::string ToString() const;
 
   friend bool operator==(const Relation& a, const Relation& b);
 
-  ~Relation();
-
  private:
-  /// Records a mutation: bumps the generation and drops cached indexes.
-  void Touch();
-  /// Drops all cached indexes and reports the byte release to the
-  /// thread's StepGate. Caller must hold index_mu_ or own the mutation.
-  void ReleaseIndexesLocked();
+  struct Storage;
 
-  /// Grows the arena to hold at least min_rows rows per column,
-  /// re-laying out existing columns at the new stride.
-  void Reserve(size_t min_rows);
+  /// Makes this handle the sole owner of storage with room for
+  /// `min_rows` rows per column and returns the writable arena: shared
+  /// storage is cloned (the clone has no indexes), unshared storage is
+  /// written in place (its indexes are dropped) and grows geometrically.
+  /// Returns null only for min_rows == 0 on a storage-less handle.
+  Value* Writable(size_t min_rows);
+  /// Drops this handle's share of its storage (freeing it if last).
+  void Release();
+
   /// Three-way compare of resident row r against a boxed tuple.
   std::strong_ordering CompareRow(size_t r, const Tuple& t) const;
   /// First row not lexicographically less than t (binary search).
   size_t LowerBound(const Tuple& t) const;
-  /// Appends a row of `arity_` values; caller guarantees capacity and
-  /// that the row sorts strictly after every resident row.
+  /// Appends a row of `arity_` values; caller made the storage writable
+  /// with spare capacity and guarantees the row sorts strictly after
+  /// every resident row.
   void AppendRow(const Value* vals);
 
   size_t arity_;
   size_t rows_ = 0;
+  /// Rows per column slot of the storage's arena; data_ caches the
+  /// arena's base so At/ColumnData stay one indexed load.
   size_t capacity_ = 0;
-  /// Column-major arena: column c at [c*capacity_, c*capacity_+rows_).
-  std::vector<Value> arena_;
+  const Value* data_ = nullptr;
+  Storage* storage_ = nullptr;  // null: empty, nothing allocated
   uint64_t generation_ = 0;
-  IndexBudget index_budget_;
-  /// Lazily-built per-mask indexes in LRU order (front = most recently
-  /// used); guarded so concurrent const readers may trigger the build
-  /// safely. Small (one entry per distinct mask under the budget).
-  mutable std::mutex index_mu_;
-  mutable std::vector<std::shared_ptr<const Index>> indexes_;
-  mutable size_t cached_index_bytes_ = 0;
-  mutable uint64_t index_evictions_ = 0;
 };
 
 /// Approximate heap footprint of a relation's tuple storage (cache-byte

@@ -279,11 +279,11 @@ core::Status ServiceRuntime::SubmitInternal(
     return Status::Error(RunError::kDeadlineExceeded,
                          "deadline already expired at enqueue");
   }
-  // Memory-pressure shedding (degradation level 3): while the ladder is
+  // Memory-pressure shedding (degradation level 2): while the ladder is
   // maxed, low-priority work is refused at the door — the cheapest way
   // to stop feeding a system already shedding caches.
   if (priority == Priority::kLow &&
-      pressure_level_.load(std::memory_order_relaxed) >= 3) {
+      pressure_level_.load(std::memory_order_relaxed) >= 2) {
     stats_.OnRejected();
     stats_.OnShedLowPriority();
     return Status::Error(RunError::kQueueRejected,
@@ -429,7 +429,7 @@ void ServiceRuntime::WatchdogLoop() {
                     std::max<int64_t>(0, root_governor_.tracked_bytes()));
       stats_.OnTrackedBytes(bytes);
       const int level = pressure_level_.load(std::memory_order_relaxed);
-      if (bytes >= gov.memory_pressure_bytes && level < 3) {
+      if (bytes >= gov.memory_pressure_bytes && level < 2) {
         pressure_level_.store(level + 1, std::memory_order_relaxed);
         stats_.OnDegradation();
       } else if (bytes <= static_cast<uint64_t>(

@@ -96,10 +96,11 @@ struct RuntimeOptions {
     double deadline_grace = 2.0;
     /// Global governed-cache-bytes threshold that starts the
     /// degradation ladder; 0 disables pressure handling. Each watchdog
-    /// tick at or above the threshold raises the level (max 3):
+    /// tick at or above the threshold raises the level (max 2):
     ///   1 — new runs stop memoizing (memo caches shed);
-    ///   2 — new runs clamp their index pools to one index/relation;
-    ///   3 — low-priority submissions are shed at admission.
+    ///   2 — low-priority submissions are also shed at admission.
+    /// Governed bytes are memo bytes only: relation indexes belong to
+    /// the relation versions (bounded by D and the service), not to runs.
     /// Ticks at or below recovery_fraction × threshold step back down.
     size_t memory_pressure_bytes = 0;
     /// Hysteresis for stepping the ladder down. Must be in (0, 1].

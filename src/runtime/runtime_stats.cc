@@ -68,7 +68,6 @@ std::string StatsSnapshot::ToString() const {
       << " watchdog_cancels=" << watchdog_cancels
       << " degradations=" << degradations
       << " memo_evictions=" << memo_evictions
-      << " index_evictions=" << index_evictions
       << " tracked_bytes_hwm=" << tracked_bytes_hwm
       << " replication_acks=" << replication_acks
       << " replication_timeouts=" << replication_timeouts
@@ -158,7 +157,6 @@ std::string StatsSnapshot::ToJson() const {
       {"watchdog_cancels", watchdog_cancels},
       {"degradations", degradations},
       {"memo_evictions", memo_evictions},
-      {"index_evictions", index_evictions},
       {"tracked_bytes_hwm", tracked_bytes_hwm},
       {"replication_acks", replication_acks},
       {"replication_timeouts", replication_timeouts},
@@ -226,7 +224,6 @@ StatsSnapshot RuntimeStats::Snapshot(uint64_t queue_depth,
   snap.watchdog_cancels = watchdog_cancels_.load(std::memory_order_relaxed);
   snap.degradations = degradations_.load(std::memory_order_relaxed);
   snap.memo_evictions = memo_evictions_.load(std::memory_order_relaxed);
-  snap.index_evictions = index_evictions_.load(std::memory_order_relaxed);
   snap.tracked_bytes_hwm =
       tracked_bytes_hwm_.load(std::memory_order_relaxed);
   snap.replication_acks = replication_acks_.load(std::memory_order_relaxed);

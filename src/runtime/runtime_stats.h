@@ -50,7 +50,6 @@ struct StatsSnapshot {
   uint64_t watchdog_cancels = 0;   // overrunning runs cancelled externally
   uint64_t degradations = 0;       // pressure-ladder level increases
   uint64_t memo_evictions = 0;     // memo entries evicted by the byte cap
-  uint64_t index_evictions = 0;    // relation indexes evicted by the pool cap
   uint64_t tracked_bytes_hwm = 0;  // high-water mark of governed cache bytes
   uint64_t replication_acks = 0;   // ack barriers satisfied by the quorum
   uint64_t replication_timeouts = 0;  // ack barriers that timed out
@@ -68,7 +67,7 @@ struct StatsSnapshot {
   uint64_t net_frames_rejected = 0;  // malformed/oversize/corrupt wire frames
   uint64_t net_bytes_shed = 0;       // reply bytes dropped on closed/wedged
                                      // connections (backpressure)
-  uint64_t pressure_level = 0;     // current degradation level (gauge, 0-3)
+  uint64_t pressure_level = 0;     // current degradation level (gauge, 0-2)
   uint64_t queue_depth = 0;        // admitted but not yet completed
   /// Per-shard session-run latency histograms (delimiter runs only; the
   /// buffering of a non-delimiter message is not a run).
@@ -142,10 +141,9 @@ class RuntimeStats {
   void OnDegradation() {
     degradations_.fetch_add(1, std::memory_order_relaxed);
   }
-  /// Cache-eviction counters from one session run (bounded caches).
-  void OnEvictions(uint64_t memo, uint64_t index) {
+  /// Memo-cache evictions from one session run (bounded memo).
+  void OnEvictions(uint64_t memo) {
     if (memo > 0) memo_evictions_.fetch_add(memo, std::memory_order_relaxed);
-    if (index > 0) index_evictions_.fetch_add(index, std::memory_order_relaxed);
   }
   void OnReplicationAck() {
     replication_acks_.fetch_add(1, std::memory_order_relaxed);
@@ -203,7 +201,6 @@ class RuntimeStats {
   std::atomic<uint64_t> watchdog_cancels_{0};
   std::atomic<uint64_t> degradations_{0};
   std::atomic<uint64_t> memo_evictions_{0};
-  std::atomic<uint64_t> index_evictions_{0};
   std::atomic<uint64_t> tracked_bytes_hwm_{0};
   std::atomic<uint64_t> replication_acks_{0};
   std::atomic<uint64_t> replication_timeouts_{0};

@@ -83,14 +83,12 @@ void SessionShard::Process(Envelope envelope, RuntimeStats* stats) {
   run_options.deadline = envelope.deadline;
 
   // Graceful degradation under memory pressure (watchdog-driven): level
-  // ≥1 stops new runs from building memo caches, level ≥2 additionally
-  // clamps each run's index pool to one index per relation. Shaping only
-  // *new* runs suffices because all caches are per-run and released at
-  // the end of Execute.
-  if (is_delimiter && config_->pressure_level != nullptr) {
-    const int level = config_->pressure_level->load(std::memory_order_relaxed);
-    if (level >= 1) run_options.memoize = false;
-    if (level >= 2) run_options.index_budget.max_indexes = 1;
+  // ≥1 stops new runs from building memo caches (level 2 sheds low
+  // priority at admission). Shaping only *new* runs suffices because the
+  // memo is per-run and released at the end of Execute.
+  if (is_delimiter && config_->pressure_level != nullptr &&
+      config_->pressure_level->load(std::memory_order_relaxed) >= 1) {
+    run_options.memoize = false;
   }
 
   // Governed runtimes give each delimiter run its own governor, parented
@@ -124,11 +122,15 @@ void SessionShard::Process(Envelope envelope, RuntimeStats* stats) {
     config_->before_process_hook(envelope.session_id);
   }
 
-  auto [it, inserted] = sessions_.try_emplace(
-      envelope.session_id,
-      SessionState{core::SessionRunner(config_->sws, *config_->initial_db),
-                   CircuitBreaker(config_->circuit_breaker)});
-  if (inserted) num_sessions_.fetch_add(1, std::memory_order_relaxed);
+  // Look the session up before building a runner: try_emplace would
+  // construct (and discard) a runner over the seed on every envelope.
+  auto it = sessions_.find(envelope.session_id);
+  if (it == sessions_.end()) {
+    SessionState fresh{core::SessionRunner(config_->sws, *config_->initial_db),
+                       CircuitBreaker(config_->circuit_breaker)};
+    it = sessions_.try_emplace(envelope.session_id, std::move(fresh)).first;
+    num_sessions_.fetch_add(1, std::memory_order_relaxed);
+  }
   SessionState& session = it->second;
 
   // Fast-fail a session whose runs keep tripping: while the breaker is
@@ -236,7 +238,7 @@ void SessionShard::Process(Envelope envelope, RuntimeStats* stats) {
   stats->RecordRunLatency(shard_index_,
                           static_cast<uint64_t>(elapsed.count()));
   SWS_CHECK(outcome.has_value());
-  stats->OnEvictions(outcome->memo_evictions, outcome->index_evictions);
+  stats->OnEvictions(outcome->memo_evictions);
 
   // The ack barrier: the outcome record must be durable before the
   // callback fires, so an acknowledged output is always recoverable (and

@@ -101,9 +101,9 @@ class SessionShard {
     /// roll up to a live global gauge — or null when governance is off.
     core::ExecutionGovernor* root_governor = nullptr;
     /// The runtime watchdog's memory-pressure degradation level (0 =
-    /// healthy). Read per delimiter: ≥1 disables run memoization, ≥2
-    /// additionally clamps the run's index pool to one index per
-    /// relation. Null = no degradation.
+    /// healthy). Read per delimiter: ≥1 disables run memoization (≥2
+    /// sheds low priority at admission, in the runtime). Null = no
+    /// degradation.
     const std::atomic<int>* pressure_level = nullptr;
     /// Primary-side replication (DESIGN.md §11): persisted records are
     /// shipped to followers and delimiter acks wait for the follower

@@ -30,19 +30,18 @@ namespace {
 //
 // One environment database is shared across the run: "In" and "Msg" are
 // overwritten per node *before* any query of that node is evaluated and
-// never read after recursion into children, so the sharing is safe.
+// never read after recursion into children, so the sharing is safe. The
+// environment starts as a copy of D, which shares D's relation storage
+// and so D's cached indexes: the run builds an index only for a
+// (relation version, mask) nobody has probed before, and what it builds
+// stays with that version for later runs.
 // Internal-node synthesis runs against a separate tiny environment
 // holding only the successors' action registers.
 class Engine {
  public:
   Engine(const Sws& sws, const rel::Database& db,
          const rel::InputSequence& input, const RunOptions& options)
-      : sws_(sws), input_(input), options_(options), env_(db) {
-    if (options.index_budget.max_bytes != 0 ||
-        options.index_budget.max_indexes != 0) {
-      env_.SetIndexBudget(options.index_budget);
-    }
-  }
+      : sws_(sws), input_(input), options_(options), env_(db) {}
 
   RunResult Execute(const rel::Relation& initial_msg) {
     RunResult result;
@@ -65,10 +64,8 @@ class Engine {
     bool ok;
     auto root = std::make_unique<ExecNode>();
     {
-      // The gate stays installed until every governed cache is released
-      // below, so the governor's tracked-byte gauge returns to zero even
-      // though env_ itself outlives the scope (~Engine's releases would
-      // otherwise land after the gate is gone and be lost).
+      // The gate stays installed until the memo is released below, so
+      // the governor's tracked-byte gauge returns to zero.
       util::ScopedStepGate scoped(gov);
       if (options_.fault_injector &&
           options_.fault_injector->OnRunAttempt(gov)) {
@@ -92,9 +89,7 @@ class Engine {
       result.memo_entries = memo_.size();
       result.memo_evictions = memo_evictions_;
       result.memo_bytes_peak = memo_bytes_peak_;
-      result.index_evictions = env_.IndexEvictions();
       ReleaseMemo();
-      env_.DropIndexCaches();
     }
     result.output = ok ? root->act : rel::Relation(sws_.rout_arity());
     result.num_nodes = num_nodes_;

@@ -69,13 +69,11 @@ struct RunOptions {
   /// Cap on the run's memo-cache bytes; past it, least-recently-used
   /// entries are evicted (size-accounted LRU). 0 = unlimited.
   size_t max_memo_bytes = 0;
-  /// Cap on total tracked cache bytes (memo + relation indexes)
-  /// attributed to the run's governor; past it, the run aborts with
-  /// kFuelExhausted at its next tick. 0 = unlimited.
+  /// Cap on the tracked cache bytes (the run's memo entries) attributed
+  /// to the run's governor; past it, the run aborts with kFuelExhausted
+  /// at its next tick. 0 = unlimited. Relation indexes are not charged:
+  /// they belong to the relation version, not to the run.
   size_t max_tracked_bytes = 0;
-  /// Per-relation index-pool caps, stamped onto the run's environment
-  /// database (and every relation Set into it). Zeros = unlimited.
-  rel::IndexBudget index_budget;
   /// External governor for this run (not owned): the runtime threads a
   /// per-request governor here so a watchdog can cancel the run
   /// mid-query and so steps/bytes roll up to the runtime root. When
@@ -109,7 +107,6 @@ struct RunResult {
   // Governance counters (see DESIGN.md §10).
   size_t memo_evictions = 0;   // memo entries evicted under max_memo_bytes
   size_t memo_bytes_peak = 0;  // high-water of accounted memo bytes
-  uint64_t index_evictions = 0;  // index-pool LRU evictions in the run env
 };
 
 /// The run of τ on (D, I): builds the execution tree top-down (one input

@@ -85,7 +85,6 @@ std::optional<SessionRunner::SessionOutcome> SessionRunner::Feed(
   outcome.memo_misses = run.memo_misses;
   outcome.logical_nodes = run.logical_nodes;
   outcome.memo_evictions = run.memo_evictions;
-  outcome.index_evictions = run.index_evictions;
   if (run.status.ok()) {
     outcome.output = run.output;
     outcome.commit = rel::CommitOutput(run.output, &db_);

@@ -19,6 +19,11 @@ namespace sws::core {
 /// messages sent, updates applied to the local database. The database
 /// stays fixed *within* a session, per the paper's assumption.
 ///
+/// The runner's database is a copy of the one it was given, so it
+/// shares that instance's relation storage and indexes (relation.h);
+/// a commit clones only the relations it writes. Holding many runners
+/// over one large seed therefore costs O(#relations) each, not O(|D|).
+///
 /// Thread-safety: a SessionRunner is a single conversation and must be
 /// driven by one thread at a time. The pointed-to Sws is only read, so
 /// any number of runners (on any threads) may share one service — the
@@ -61,11 +66,10 @@ class SessionRunner {
     size_t memo_hits = 0;
     size_t memo_misses = 0;
     /// Governance accounting for the final run attempt (see RunResult):
-    /// logical (un-memoized) tree size bounded by max_nodes, and cache
-    /// evictions under the run's memo/index byte caps.
+    /// logical (un-memoized) tree size bounded by max_nodes, and memo
+    /// evictions under the run's memo byte cap.
     size_t logical_nodes = 0;
     size_t memo_evictions = 0;
-    uint64_t index_evictions = 0;
   };
 
   /// Feeds one message. A delimiter closes the current session: the

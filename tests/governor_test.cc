@@ -205,20 +205,6 @@ TEST(GovernorTest, FuelBudgetAbortsRunTyped) {
   EXPECT_TRUE(run.output.empty());
 }
 
-TEST(GovernorTest, TrackedByteBudgetAbortsRunTyped) {
-  // The chain-join plan builds per-relation indexes, whose bytes are
-  // attributed to the governor; a tiny byte budget trips before the
-  // enumeration gets anywhere.
-  core::Sws sws = CqChainService(/*k=*/10);
-  Database db = CompleteDigraph(6);
-  core::RunOptions options;
-  options.max_tracked_bytes = 64;
-  core::RunResult run = core::Run(sws, db, OneMessage(), options);
-  EXPECT_EQ(run.status.code(), RunError::kFuelExhausted)
-      << run.status.ToString();
-  EXPECT_TRUE(run.output.empty());
-}
-
 TEST(GovernorTest, ExternalCancelInterruptsRunMidQuery) {
   // Watchdog shape: a governor owned by the caller, cancelled from
   // another thread while the engine is deep inside the join.
@@ -264,6 +250,30 @@ Database ChainDb(int n) {
   return db;
 }
 
+TEST(GovernorTest, TrackedByteBudgetAbortsRunTyped) {
+  // Tracked bytes are memo bytes (relation indexes belong to the
+  // relation version, not to the run): the memoized sirup tree caches an
+  // entry per distinct label, so a cap far below one entry's size trips
+  // at the first governor check after the first insert.
+  logic::Sirup sirup = RecursiveSirup();
+  core::Sws sws = models::SirupToSws(sirup);
+  Database db = ChainDb(64);
+  rel::InputSequence fuel = models::SirupFuel(sirup, 12);
+  core::RunResult uncapped = core::Run(sws, db, fuel);
+  ASSERT_TRUE(uncapped.status.ok()) << uncapped.status.ToString();
+  ASSERT_GT(uncapped.memo_bytes_peak, 64u);  // the cap is hit mid-run
+
+  core::RunOptions options;
+  options.max_tracked_bytes = 64;
+  const auto start = std::chrono::steady_clock::now();
+  core::RunResult run = core::Run(sws, db, fuel, options);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(run.status.code(), RunError::kFuelExhausted)
+      << run.status.ToString();
+  EXPECT_TRUE(run.output.empty());
+  EXPECT_LT(elapsed, kBound);
+}
+
 TEST(GovernorTest, MemoCacheEvictsUnderByteCapWithIdenticalOutput) {
   logic::Sirup sirup = RecursiveSirup();
   core::Sws sws = models::SirupToSws(sirup);
@@ -286,26 +296,6 @@ TEST(GovernorTest, MemoCacheEvictsUnderByteCapWithIdenticalOutput) {
   EXPECT_LT(run.memo_bytes_peak, capped.max_memo_bytes + 4096);
 }
 
-TEST(GovernorTest, IndexPoolEvictsLruUnderBudget) {
-  Relation r(3);
-  for (int i = 0; i < 32; ++i) {
-    r.Insert({Value::Int(i), Value::Int(i % 5), Value::Int(i % 3)});
-  }
-  r.set_index_budget(rel::IndexBudget{/*max_bytes=*/0, /*max_indexes=*/1});
-  auto a = r.GetIndex(0b001);
-  const size_t one_index_bytes = r.cached_index_bytes();
-  EXPECT_GT(one_index_bytes, 0u);
-  auto b = r.GetIndex(0b010);  // evicts the pool's copy of `a`
-  EXPECT_EQ(r.index_evictions(), 1u);
-  EXPECT_LE(r.cached_index_bytes(), one_index_bytes + b->approx_bytes);
-  // Shared ownership: the evicted index stays valid for this holder.
-  EXPECT_FALSE(a->buckets.empty());
-  // Re-requesting the evicted mask rebuilds (it is genuinely gone).
-  auto a2 = r.GetIndex(0b001);
-  EXPECT_NE(a.get(), a2.get());
-  EXPECT_EQ(r.index_evictions(), 2u);
-}
-
 TEST(GovernorTest, SessionCacheBytesStayBoundedAcross10kMessages) {
   // Acceptance: with caps set, a session's governed cache bytes stay
   // under cap (+ one-entry slack) across ≥10k messages, with evictions
@@ -318,14 +308,12 @@ TEST(GovernorTest, SessionCacheBytesStayBoundedAcross10kMessages) {
   core::RunOptions options;
   options.governor = &gov;
   options.max_memo_bytes = 512;
-  options.index_budget.max_bytes = 1024;
 
   rel::InputSequence fuel = models::SirupFuel(sirup, 3);
   const Relation delim =
       core::SessionRunner::DelimiterMessage(sws.rin_arity());
 
   uint64_t total_memo_evictions = 0;
-  uint64_t total_index_evictions = 0;
   size_t messages = 0;
   while (messages < 10'000) {
     for (size_t j = 1; j <= fuel.size(); ++j) {
@@ -337,18 +325,16 @@ TEST(GovernorTest, SessionCacheBytesStayBoundedAcross10kMessages) {
     ASSERT_TRUE(outcome.has_value());
     ASSERT_TRUE(outcome->status.ok());
     total_memo_evictions += outcome->memo_evictions;
-    total_index_evictions += outcome->index_evictions;
     // Between runs every per-run cache has been released back to the
     // governor — the gauge must return to zero, or it is drifting.
     ASSERT_EQ(gov.tracked_bytes(), 0)
         << "tracked-byte gauge drifted after " << messages << " messages";
   }
   EXPECT_GE(messages, 10'000u);
-  EXPECT_GT(total_memo_evictions + total_index_evictions, 0u);
-  // Peak concurrent cache bytes: both caps plus one-entry overshoot each.
+  EXPECT_GT(total_memo_evictions, 0u);
+  // Peak concurrent cache bytes: the memo cap plus one-entry overshoot.
   EXPECT_LE(gov.tracked_bytes_peak(),
-            static_cast<int64_t>(8 * (options.max_memo_bytes +
-                                      options.index_budget.max_bytes)));
+            static_cast<int64_t>(8 * options.max_memo_bytes));
 }
 
 }  // namespace

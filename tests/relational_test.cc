@@ -366,9 +366,9 @@ TEST(RelationTest, CopyAndMovePreserveContentsAndInvalidate) {
   a.Insert({Value::Int(3), Value::Int(4)});
   std::shared_ptr<const Relation::Index> index = a.GetIndex(0b01);
 
-  Relation copy = a;  // fresh arena, no shared indexes
+  Relation copy = a;  // shares a's storage and its cached index
   EXPECT_EQ(copy, a);
-  EXPECT_NE(copy.GetIndex(0b01).get(), index.get());
+  EXPECT_EQ(copy.GetIndex(0b01).get(), index.get());
 
   // Assigning over an existing relation invalidates its cached indexes.
   Relation b(2);
@@ -389,6 +389,107 @@ TEST(RelationTest, CopyAndMovePreserveContentsAndInvalidate) {
   // The index snapshot taken before all of this still answers from its
   // own generation (shared_ptr keeps it alive past invalidation).
   EXPECT_EQ(index->buckets.count({Value::Int(1)}), 1u);
+}
+
+TEST(RelationTest, CopySharesColumnStorageAndIndexes) {
+  Relation a(2);
+  for (int i = 0; i < 20; ++i) a.Insert({Value::Int(i % 7), Value::Int(i)});
+  std::shared_ptr<const Relation::Index> before = a.GetIndex(0b01);
+
+  const Relation copy = a;
+  EXPECT_EQ(copy.ColumnData(0), a.ColumnData(0));
+  EXPECT_EQ(copy.ColumnData(1), a.ColumnData(1));
+  EXPECT_EQ(copy.GetIndex(0b01).get(), before.get());
+  // An index first built through either handle is the other's too.
+  EXPECT_EQ(copy.GetIndex(0b10).get(), a.GetIndex(0b10).get());
+  // Copy-assignment and Database copies share the same way.
+  Relation assigned(2);
+  assigned = a;
+  EXPECT_EQ(assigned.ColumnData(0), a.ColumnData(0));
+  EXPECT_EQ(assigned.GetIndex(0b01).get(), before.get());
+  Database db;
+  db.Set("A", a);
+  const Database db_copy = db;
+  EXPECT_EQ(db_copy.Get("A").ColumnData(0), a.ColumnData(0));
+  EXPECT_EQ(db_copy.Get("A").GetIndex(0b01).get(), before.get());
+}
+
+TEST(RelationTest, WritingACopyLeavesTheOriginalUntouched) {
+  Relation a(2);
+  for (int i = 0; i < 20; ++i) a.Insert({Value::Int(i % 7), Value::Int(i)});
+  const std::string tuples = a.ToString();
+  const uint64_t generation = a.generation();
+  const Value* column = a.ColumnData(0);
+  std::shared_ptr<const Relation::Index> index = a.GetIndex(0b01);
+  auto expect_untouched = [&] {
+    EXPECT_EQ(a.ToString(), tuples);
+    EXPECT_EQ(a.generation(), generation);
+    EXPECT_EQ(a.ColumnData(0), column);
+    EXPECT_EQ(a.GetIndex(0b01).get(), index.get());
+  };
+
+  Relation inserted = a;
+  ASSERT_TRUE(inserted.Insert({Value::Int(99), Value::Int(99)}));
+  EXPECT_NE(inserted.ColumnData(0), column);  // cloned before the write
+  EXPECT_EQ(inserted.size(), a.size() + 1);
+  // The clone has its own, fresh index reflecting the write.
+  std::shared_ptr<const Relation::Index> fresh = inserted.GetIndex(0b01);
+  EXPECT_NE(fresh.get(), index.get());
+  EXPECT_EQ(fresh->buckets.count({Value::Int(99)}), 1u);
+  EXPECT_EQ(index->buckets.count({Value::Int(99)}), 0u);
+  expect_untouched();
+
+  Relation erased = a;
+  ASSERT_TRUE(erased.Erase({Value::Int(0), Value::Int(0)}));
+  EXPECT_FALSE(a.Erase({Value::Int(42), Value::Int(42)}));  // absent: no-op
+  Relation cleared = a;
+  cleared.Clear();
+  EXPECT_TRUE(cleared.empty());
+  Relation merged = a;
+  Relation extra(2);
+  extra.Insert({Value::Int(50), Value::Int(50)});
+  merged.MergeFrom(std::move(extra));
+  EXPECT_EQ(merged.size(), a.size() + 1);
+  Relation overwritten = a;
+  overwritten = Relation(2);
+  expect_untouched();
+
+  // A failed insert/erase on a shared handle writes nothing, so it must
+  // not clone either.
+  Relation copy = a;
+  EXPECT_FALSE(copy.Insert({Value::Int(0), Value::Int(0)}));
+  EXPECT_FALSE(copy.Erase({Value::Int(42), Value::Int(42)}));
+  EXPECT_EQ(copy.ColumnData(0), column);
+}
+
+TEST(RelationTest, UnsharedHandleWritesInPlace) {
+  Relation a(1);
+  for (int i = 0; i < 10; ++i) a.Insert({Value::Int(i)});
+  const Value* column = a.ColumnData(0);
+  std::shared_ptr<const Relation::Index> index = a.GetIndex(0b1);
+
+  // Sole owner: erase and a within-capacity insert write in place, and
+  // the write drops the storage's stale index.
+  ASSERT_TRUE(a.Erase({Value::Int(3)}));
+  EXPECT_EQ(a.ColumnData(0), column);
+  ASSERT_TRUE(a.Insert({Value::Int(3)}));
+  EXPECT_EQ(a.ColumnData(0), column);
+  std::shared_ptr<const Relation::Index> rebuilt = a.GetIndex(0b1);
+  EXPECT_NE(rebuilt.get(), index.get());
+  EXPECT_EQ(rebuilt->buckets.size(), 10u);
+
+  // While a copy lives the storage is shared, so a write clones; once
+  // the copy is gone the handle is sole owner again.
+  {
+    const Relation copy = a;
+    ASSERT_TRUE(a.Erase({Value::Int(4)}));
+    EXPECT_NE(a.ColumnData(0), column);
+    EXPECT_EQ(copy.ColumnData(0), column);
+    EXPECT_EQ(copy.size(), 10u);
+  }
+  const Value* cloned = a.ColumnData(0);
+  ASSERT_TRUE(a.Erase({Value::Int(5)}));
+  EXPECT_EQ(a.ColumnData(0), cloned);
 }
 
 TEST(InternerTest, InterningIsInjectiveAndStable) {
