@@ -86,7 +86,7 @@ void RpcServer::Stop() {
       conn->closed = true;
       shed = (conn->out.size() - conn->out_off) + conn->staged.size();
     }
-    stats_->OnNetBytesShed(shed);
+    stats_->Add(rt::Counter::kNetBytesShed, shed);
     conn->gone = true;
     close(conn->fd);
   }
@@ -101,11 +101,11 @@ void RpcServer::AcceptReady() {
     int fd = accept4(listen_fd_, nullptr, nullptr,
                      SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN or a transient error — nothing to do
-    stats_->OnNetConnAccepted();
+    stats_->Add(rt::Counter::kNetConnsAccepted);
     if (core_->conns.size() >= options_.max_connections) {
       // Overload: the cheapest honest signal is an immediate close —
       // accepting and holding would hand a flooder our memory.
-      stats_->OnNetConnReaped();
+      stats_->Add(rt::Counter::kNetConnsReaped);
       close(fd);
       continue;
     }
@@ -136,7 +136,7 @@ void RpcServer::ConnReadable(const std::shared_ptr<Connection>& conn) {
     if (n > 0) {
       conn->last_read = std::chrono::steady_clock::now();
       if (!conn->decoder.Feed(std::string_view(buf, static_cast<size_t>(n)))) {
-        stats_->OnNetFramesRejected(1);
+        stats_->Add(rt::Counter::kNetFramesRejected);
         RejectConn(conn, static_cast<uint8_t>(core::RunError::kProtocolError),
                    WireErrorName(conn->decoder.error()));
         return;
@@ -161,7 +161,7 @@ bool RpcServer::DispatchFrames(const std::shared_ptr<Connection>& conn) {
       case FrameDecoder::Result::kNeedMore:
         return true;
       case FrameDecoder::Result::kError:
-        stats_->OnNetFramesRejected(1);
+        stats_->Add(rt::Counter::kNetFramesRejected);
         RejectConn(conn, static_cast<uint8_t>(core::RunError::kProtocolError),
                    WireErrorName(conn->decoder.error()));
         return false;
@@ -173,7 +173,7 @@ bool RpcServer::DispatchFrames(const std::shared_ptr<Connection>& conn) {
                                                  : std::nullopt;
       if (!hello || hello->role != Hello::Role::kClient ||
           hello->protocol_version != kProtocolVersion) {
-        stats_->OnNetFramesRejected(1);
+        stats_->Add(rt::Counter::kNetFramesRejected);
         RejectConn(conn, static_cast<uint8_t>(core::RunError::kProtocolError),
                    "bad hello");
         return false;
@@ -195,7 +195,7 @@ bool RpcServer::DispatchFrames(const std::shared_ptr<Connection>& conn) {
       case MsgType::kInspectRequest: {
         auto request = DecodeInspectRequest(frame.payload);
         if (!request) {
-          stats_->OnNetFramesRejected(1);
+          stats_->Add(rt::Counter::kNetFramesRejected);
           RejectConn(conn,
                      static_cast<uint8_t>(core::RunError::kProtocolError),
                      "bad inspect");
@@ -212,7 +212,7 @@ bool RpcServer::DispatchFrames(const std::shared_ptr<Connection>& conn) {
       default:
         // Server-to-client or replication types arriving at the RPC
         // port: a confused or hostile peer — cut it.
-        stats_->OnNetFramesRejected(1);
+        stats_->Add(rt::Counter::kNetFramesRejected);
         RejectConn(conn, static_cast<uint8_t>(core::RunError::kProtocolError),
                    "unexpected frame type");
         return false;
@@ -225,7 +225,7 @@ void RpcServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
                              std::string_view payload) {
   auto request = DecodeSubmitRequest(payload);
   if (!request) {
-    stats_->OnNetFramesRejected(1);
+    stats_->Add(rt::Counter::kNetFramesRejected);
     RejectConn(conn, static_cast<uint8_t>(core::RunError::kProtocolError),
                "bad submit");
     return;
@@ -235,7 +235,7 @@ void RpcServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
   if (queued > options_.send_hard_bytes) {
     // The peer is not draining its replies; admitting more work would
     // buffer unboundedly. Reject at the door.
-    stats_->OnNetBytesShed(payload.size());
+    stats_->Add(rt::Counter::kNetBytesShed, payload.size());
     SendFrame(conn, MsgType::kError,
               EncodeErrorReply(
                   {request_id,
@@ -256,7 +256,7 @@ void RpcServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
   // The callback runs on a pool worker, possibly after this server is
   // stopped (the runtime outlives it): it touches only the connection's
   // staging island and a weak Core. stats outlives both (runtime-owned).
-  rt::RuntimeStats* stats = stats_;
+  rt::Counters* stats = stats_;
   std::weak_ptr<Core> weak_core = core_;
   sopts.callback = [stats, weak_core, conn, request_id](rt::Outcome outcome) {
     OutcomeReply reply;
@@ -272,7 +272,7 @@ void RpcServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
     {
       std::lock_guard<std::mutex> lock(conn->mu);
       if (conn->closed) {
-        stats->OnNetBytesShed(bytes.size());
+        stats->Add(rt::Counter::kNetBytesShed, bytes.size());
         return;
       }
       conn->staged.append(bytes);
@@ -339,7 +339,7 @@ void RpcServer::SendFrame(const std::shared_ptr<Connection>& conn,
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     if (conn->closed) {
-      stats_->OnNetBytesShed(bytes.size());
+      stats_->Add(rt::Counter::kNetBytesShed, bytes.size());
       return;
     }
     conn->staged.append(bytes);
@@ -411,7 +411,7 @@ void RpcServer::CloseConn(const std::shared_ptr<Connection>& conn) {
     shed = (conn->out.size() - conn->out_off) + conn->staged.size();
     conn->queued.store(0, std::memory_order_relaxed);
   }
-  stats_->OnNetBytesShed(shed);
+  stats_->Add(rt::Counter::kNetBytesShed, shed);
   core_->loop.DelFd(conn->fd);
   close(conn->fd);
   core_->conns.erase(conn->fd);
@@ -431,12 +431,12 @@ void RpcServer::Sweep() {
     if (has_backlog && now - conn->last_progress > options_.write_timeout) {
       // Writer wedged: the peer took our acks' TCP window to zero and
       // sat on it. Classic slow-loris read variant.
-      stats_->OnNetConnReaped();
+      stats_->Add(rt::Counter::kNetConnsReaped);
       CloseConn(conn);
       continue;
     }
     if (now - last_activity > options_.idle_timeout) {
-      stats_->OnNetConnReaped();
+      stats_->Add(rt::Counter::kNetConnsReaped);
       CloseConn(conn);
     }
   }

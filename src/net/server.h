@@ -57,7 +57,7 @@ class RpcServer {
     std::chrono::milliseconds sweep_interval{250};
   };
 
-  /// `runtime` must outlive Stop(). The server stamps its counters into
+  /// `runtime` must outlive Stop(). The server ticks its counters on
   /// runtime->stats_sink().
   RpcServer(rt::ServiceRuntime* runtime, Options options);
   ~RpcServer();
@@ -111,7 +111,7 @@ class RpcServer {
   void FlushConn(const std::shared_ptr<Connection>& conn);
 
   rt::ServiceRuntime* const runtime_;
-  rt::RuntimeStats* const stats_;
+  rt::Counters* const stats_;
   const Options options_;
   std::shared_ptr<Core> core_;
   int listen_fd_ = -1;

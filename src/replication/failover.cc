@@ -47,7 +47,7 @@ FailoverCoordinator::FailoverCoordinator(
     std::string self, ReplicaGroup* group, ReplicationTransport* transport,
     FencingEpoch* fence, ReplicationOptions options,
     std::chrono::nanoseconds suspicion_timeout, FailoverHooks hooks,
-    rt::ReplicationCounters* counters)
+    rt::Counters* counters)
     : self_(std::move(self)),
       group_(group),
       transport_(transport),
@@ -300,7 +300,7 @@ void FailoverCoordinator::WorkerLoop() {
     if (still_dead && !group_->IsDeposed(dead)) {
       promoted = hooks_.promote(dead, target).ok();
       if (promoted && counters_ != nullptr) {
-        counters_->auto_promotions.fetch_add(1, std::memory_order_relaxed);
+        counters_->Add(rt::Counter::kAutoPromotions);
       }
     }
     lock.lock();

@@ -107,7 +107,7 @@ class FailoverCoordinator {
                       ReplicationTransport* transport, FencingEpoch* fence,
                       ReplicationOptions options,
                       std::chrono::nanoseconds suspicion_timeout,
-                      FailoverHooks hooks, rt::ReplicationCounters* counters);
+                      FailoverHooks hooks, rt::Counters* counters);
   ~FailoverCoordinator();
 
   FailoverCoordinator(const FailoverCoordinator&) = delete;
@@ -151,7 +151,7 @@ class FailoverCoordinator {
   const ReplicationOptions options_;
   const std::chrono::nanoseconds suspicion_timeout_;
   const FailoverHooks hooks_;
-  rt::ReplicationCounters* const counters_;
+  rt::Counters* const counters_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -12,7 +12,7 @@ FollowerApplier::FollowerApplier(std::string node_id, Options options,
                                  uint64_t incarnation,
                                  core::FaultInjector* injector,
                                  FencingEpoch* fence,
-                                 rt::ReplicationCounters* counters)
+                                 rt::Counters* counters)
     : node_id_(std::move(node_id)),
       options_(std::move(options)),
       transport_(transport),
@@ -130,8 +130,7 @@ void FollowerApplier::OnShipment(const Shipment& shipment) {
         // carries our current epoch, which fences the sender.
         ++fencing_rejects_;
         if (counters_ != nullptr) {
-          counters_->epoch_fencing_rejects.fetch_add(
-              1, std::memory_order_relaxed);
+          counters_->Add(rt::Counter::kEpochFencingRejects);
         }
         rejected = true;
         ack = link.applied_seq;

@@ -68,7 +68,7 @@ class FollowerApplier : public rt::FailoverMonitor {
                   ReplicationTransport* transport, uint64_t incarnation,
                   core::FaultInjector* injector,
                   FencingEpoch* fence = nullptr,
-                  rt::ReplicationCounters* counters = nullptr);
+                  rt::Counters* counters = nullptr);
 
   /// Record shipments journal under the source's replica shard; a
   /// snapshot-flagged shipment (catch-up bootstrap) instead persists its
@@ -130,7 +130,7 @@ class FollowerApplier : public rt::FailoverMonitor {
   const uint64_t incarnation_;
   core::FaultInjector* const injector_;
   FencingEpoch* const fence_;
-  rt::ReplicationCounters* const counters_;
+  rt::Counters* const counters_;
 
   mutable std::mutex mu_;
   std::map<std::string, SourceLink> sources_;

@@ -115,9 +115,9 @@ core::Status ReplicatedNode::StartLife() {
     // its first heartbeat lands must still become suspect.
     applier_->ExpectPeers(group_->nodes());
   }
-  replicator_ = std::make_unique<Replicator>(options_.id, group_,
-                                             options_.replication, transport_,
-                                             incarnation, &fence_);
+  replicator_ = std::make_unique<Replicator>(
+      options_.id, group_, options_.replication, transport_, incarnation,
+      &fence_, &counters_);
 
   if (options_.auto_failover && coordinator_ == nullptr) {
     // Created once, on the first life: election state and liveness
@@ -140,7 +140,6 @@ core::Status ReplicatedNode::StartLife() {
       options_.replication.replicas > 0 ? replicator_.get() : nullptr;
   runtime_options.replication.monitor = applier_.get();
   runtime_options.replication.failover_timeout = failover_timeout;
-  runtime_options.replication.promotions = promotions_;
   runtime_options.replication.counters = &counters_;
   if (options_.auto_failover) {
     // Self-healing needs the suspicion signal; the watchdog is its pump.
@@ -418,7 +417,7 @@ core::Status ReplicatedNode::PromoteLocked(const std::string& dead,
   // Take ownership *before* the next life recovers, so the re-emission
   // filter sees the dead node's sessions as ours.
   group_->Promote(dead, options_.id);
-  ++promotions_;
+  counters_.Add(rt::Counter::kPromotions);
   return StartLife();
 }
 
@@ -494,8 +493,7 @@ void ReplicatedNode::ServeCatchup(const std::string& requester) {
   // position anchors the graduation fence.
   std::string payload;
   persistence::EncodeSnapshotPayload(bootstrap, &payload);
-  counters_.catchup_bytes_shipped.fetch_add(payload.size(),
-                                            std::memory_order_relaxed);
+  counters_.Add(rt::Counter::kCatchupBytesShipped, payload.size());
   replicator_->ShipSnapshotTo(requester, std::move(payload));
   for (const TailRecord& entry : tail) {
     replicator_->ShipRecordTo(requester, entry.record, entry.shard,

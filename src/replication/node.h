@@ -151,8 +151,9 @@ class ReplicatedNode : public ReplicationEndpoint {
   Replicator* replicator() { return replicator_.get(); }
   FencingEpoch* fence() { return &fence_; }
   FailoverCoordinator* coordinator() { return coordinator_.get(); }
-  rt::ReplicationCounters* counters() { return &counters_; }
-  uint64_t promotions() const { return promotions_; }
+  /// The node-owned counter set (promotions, shipping and failover
+  /// metrics), which outlives every runtime life.
+  rt::Counters* counters() { return &counters_; }
   uint64_t incarnation() const { return incarnation_; }
   /// Replayed outcomes the last Start()/Promote() withheld because their
   /// re-emission ack barrier failed (a follower was unreachable, or this
@@ -224,7 +225,7 @@ class ReplicatedNode : public ReplicationEndpoint {
   mutable std::shared_mutex life_mu_;
   FencingEpoch fence_;
   bool fence_loaded_ = false;
-  rt::ReplicationCounters counters_;
+  rt::Counters counters_;
 
   std::unique_ptr<core::FaultInjector> injector_;
   std::unique_ptr<FollowerApplier> applier_;
@@ -232,7 +233,6 @@ class ReplicatedNode : public ReplicationEndpoint {
   std::shared_ptr<rt::ServiceRuntime> runtime_;
   std::vector<persistence::ReplayedOutcome> replayed_;
   uint64_t incarnation_ = 0;
-  uint64_t promotions_ = 0;
   uint64_t suppressed_reemissions_ = 0;
   std::atomic<bool> running_{false};
 

@@ -10,13 +10,14 @@ namespace sws::replication {
 Replicator::Replicator(std::string node_id, const ReplicaGroup* group,
                        ReplicationOptions options,
                        ReplicationTransport* transport, uint64_t incarnation,
-                       FencingEpoch* fence)
+                       FencingEpoch* fence, rt::Counters* counters)
     : node_id_(std::move(node_id)),
       group_(group),
       options_(options),
       transport_(transport),
       incarnation_(incarnation),
       fence_(fence),
+      counters_(counters),
       background_([this] { BackgroundLoop(); }) {}
 
 Replicator::~Replicator() {
@@ -49,7 +50,9 @@ uint64_t Replicator::BufferLocked(const std::string& dest,
   shipment.frame = frame;
   link.unacked.push_back(shipment);
   link.last_send = std::chrono::steady_clock::now();
-  follower_lag_hwm_ = std::max<uint64_t>(follower_lag_hwm_, link.unacked.size());
+  if (counters_ != nullptr) {
+    counters_->Max(rt::Counter::kFollowerLagHwm, link.unacked.size());
+  }
   to_send->push_back(std::move(shipment));
   return link.next_link_seq - 1;
 }
@@ -58,7 +61,7 @@ void Replicator::NoteSegmentLocked(uint64_t shard, uint64_t segment_n) {
   auto it = last_segment_.find(shard);
   if (it == last_segment_.end() || it->second != segment_n) {
     last_segment_[shard] = segment_n;
-    ++segments_shipped_;
+    if (counters_ != nullptr) counters_->Add(rt::Counter::kSegmentsShipped);
   }
 }
 
@@ -200,16 +203,6 @@ uint64_t Replicator::MinUnackedSegment(uint64_t shard) const {
     }
   }
   return min_segment;
-}
-
-uint64_t Replicator::segments_shipped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return segments_shipped_;
-}
-
-uint64_t Replicator::follower_lag_hwm() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return follower_lag_hwm_;
 }
 
 bool Replicator::fenced() const {

@@ -65,9 +65,11 @@ class Replicator : public rt::ReplicationClient {
  public:
   /// `fence` may be null (tests exercising the pre-fencing link
   /// protocol): shipments then carry epoch 0 and acks never fence.
+  /// `counters` (segments_shipped, follower_lag_hwm) may be null.
   Replicator(std::string node_id, const ReplicaGroup* group,
              ReplicationOptions options, ReplicationTransport* transport,
-             uint64_t incarnation, FencingEpoch* fence = nullptr);
+             uint64_t incarnation, FencingEpoch* fence = nullptr,
+             rt::Counters* counters = nullptr);
   ~Replicator() override;
 
   // rt::ReplicationClient
@@ -77,8 +79,6 @@ class Replicator : public rt::ReplicationClient {
                                   uint64_t shard,
                                   uint64_t segment_n) override;
   uint64_t MinUnackedSegment(uint64_t shard) const override;
-  uint64_t segments_shipped() const override;
-  uint64_t follower_lag_hwm() const override;
 
   /// Ships one persisted record to a single explicit destination,
   /// bypassing placement — the catch-up serve path, which replays the
@@ -178,6 +178,7 @@ class Replicator : public rt::ReplicationClient {
   ReplicationTransport* const transport_;
   const uint64_t incarnation_;
   FencingEpoch* const fence_;
+  rt::Counters* const counters_;
 
   mutable std::mutex mu_;
   std::condition_variable ack_cv_;
@@ -189,10 +190,8 @@ class Replicator : public rt::ReplicationClient {
   uint64_t reconciled_epoch_ = 0;
   std::map<std::string, Link> links_;
   /// Last journal segment seen per shard (counts segment transitions
-  /// into segments_shipped_).
+  /// into segments_shipped).
   std::map<uint64_t, uint64_t> last_segment_;
-  uint64_t segments_shipped_ = 0;
-  uint64_t follower_lag_hwm_ = 0;
   int catchup_pins_ = 0;
   /// Sources this joiner still awaits a catch-up serve from.
   std::set<std::string> pending_catchup_;

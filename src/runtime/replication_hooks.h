@@ -1,7 +1,6 @@
 #ifndef SWS_RUNTIME_REPLICATION_HOOKS_H_
 #define SWS_RUNTIME_REPLICATION_HOOKS_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -9,6 +8,7 @@
 #include <vector>
 
 #include "persistence/journal.h"
+#include "runtime/runtime_stats.h"
 #include "sws/status.h"
 
 namespace sws::rt {
@@ -47,10 +47,6 @@ class ReplicationClient {
   /// snapshotting), or persistence::ShardDurability::kNoSegmentPin when
   /// every shipment of that shard has been acknowledged.
   virtual uint64_t MinUnackedSegment(uint64_t shard) const = 0;
-
-  // Pulled into StatsSnapshot by ServiceRuntime::Stats().
-  virtual uint64_t segments_shipped() const = 0;
-  virtual uint64_t follower_lag_hwm() const = 0;
 };
 
 /// Follower-side failover signal, implemented by
@@ -65,20 +61,6 @@ class FailoverMonitor {
   virtual std::vector<std::string> SuspectPeers(
       std::chrono::steady_clock::time_point now,
       std::chrono::nanoseconds timeout) = 0;
-};
-
-/// Self-healing-failover counters (DESIGN.md §13), owned by whoever
-/// owns the replication layer (a ReplicatedNode) so they survive the
-/// runtime rebuilds that promotions and restarts perform — the same
-/// reason ReplicationRuntimeOptions::promotions is a stamp, not a
-/// RuntimeStats atomic. The watchdog ticks peer_suspicions through the
-/// options pointer; the replication layer ticks the rest; Stats()
-/// stamps all four into the snapshot.
-struct ReplicationCounters {
-  std::atomic<uint64_t> peer_suspicions{0};
-  std::atomic<uint64_t> auto_promotions{0};
-  std::atomic<uint64_t> epoch_fencing_rejects{0};
-  std::atomic<uint64_t> catchup_bytes_shipped{0};
 };
 
 /// Replication wiring carried by RuntimeOptions::replication. All
@@ -97,13 +79,12 @@ struct ReplicationRuntimeOptions {
   /// Fired from the watchdog thread, once per silence episode per peer.
   /// Must not block: promotion work belongs on the caller's own thread.
   std::function<void(const std::string& peer)> on_peer_suspected;
-  /// Completed promotions this node has performed (stamped into
-  /// StatsSnapshot::promotions — the counter survives the runtime
-  /// rebuild a promotion performs, so the node passes it back in).
-  uint64_t promotions = 0;
-  /// Failover counters shared across this node's lives; null = none
-  /// (their snapshot fields stay zero). Must outlive the runtime.
-  ReplicationCounters* counters = nullptr;
+  /// The node-owned counter set ("node:" metrics in runtime_stats.h),
+  /// shared across the node's lives so it survives the runtime rebuilds
+  /// promotions and restarts perform. The watchdog ticks peer_suspicions
+  /// here; Stats() adds the set to the runtime's own. Null = none (those
+  /// fields stay zero). Must outlive the runtime.
+  Counters* counters = nullptr;
 };
 
 }  // namespace sws::rt

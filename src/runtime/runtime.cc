@@ -258,7 +258,7 @@ core::Status ServiceRuntime::SubmitInternal(
   using core::Status;
   // Failed-state runtime (durable startup failed): nothing is admitted.
   if (!init_error_.ok()) {
-    stats_.OnRejected();
+    stats_.Add(Counter::kRejected);
     return init_error_;
   }
   // The one admission check on message content, before the queue and
@@ -266,7 +266,7 @@ core::Status ServiceRuntime::SubmitInternal(
   // the session's run, and once journaled every recovery replay with it.
   if (message.arity() != sws().rin_arity() &&
       !core::SessionRunner::IsDelimiter(message)) {
-    stats_.OnRejected();
+    stats_.Add(Counter::kRejected);
     return Status::Error(RunError::kInvalidInput,
                          "message arity " + std::to_string(message.arity()) +
                              " differs from the service's input arity " +
@@ -275,7 +275,7 @@ core::Status ServiceRuntime::SubmitInternal(
   // Dead on arrival: fast-fail without admitting or running anything.
   if (deadline != std::chrono::steady_clock::time_point::max() &&
       std::chrono::steady_clock::now() > deadline) {
-    stats_.OnExpiredAtEnqueue();
+    stats_.Add(Counter::kExpiredAtEnqueue);
     return Status::Error(RunError::kDeadlineExceeded,
                          "deadline already expired at enqueue");
   }
@@ -284,8 +284,8 @@ core::Status ServiceRuntime::SubmitInternal(
   // to stop feeding a system already shedding caches.
   if (priority == Priority::kLow &&
       pressure_level_.load(std::memory_order_relaxed) >= 2) {
-    stats_.OnRejected();
-    stats_.OnShedLowPriority();
+    stats_.Add(Counter::kRejected);
+    stats_.Add(Counter::kShedLowPriority);
     return Status::Error(RunError::kQueueRejected,
                          "shed under memory pressure");
   }
@@ -301,15 +301,15 @@ core::Status ServiceRuntime::SubmitInternal(
     }
     if (stopped_) {
       lock.unlock();
-      stats_.OnRejected();
+      stats_.Add(Counter::kRejected);
       return Status::Error(RunError::kShutdown, "runtime is shut down");
     }
     if (pending_ >= limit) {
       const bool shed_before_full = pending_ < options_.queue_capacity;
       lock.unlock();
-      stats_.OnRejected();
+      stats_.Add(Counter::kRejected);
       if (priority == Priority::kLow && shed_before_full) {
-        stats_.OnShedLowPriority();
+        stats_.Add(Counter::kShedLowPriority);
       }
       return Status::Error(RunError::kQueueRejected,
                            shed_before_full ? "shed by priority policy"
@@ -317,7 +317,7 @@ core::Status ServiceRuntime::SubmitInternal(
     }
     ++pending_;
   }
-  stats_.OnSubmitted();
+  stats_.Add(Counter::kSubmitted);
 
   SessionShard& shard = *shards_[ShardOf(session_id)];
   const bool needs_scheduling = shard.Enqueue(Envelope{
@@ -399,7 +399,7 @@ void ServiceRuntime::WatchdogLoop() {
           run->governor->Cancel(core::RunError::kDeadlineExceeded,
                                 "cancelled by watchdog: run overran its "
                                 "deadline past the grace factor")) {
-        stats_.OnWatchdogCancel();
+        stats_.Add(Counter::kWatchdogCancels);
       }
     }
     // Failover trigger: a peer whose replication stream has gone silent
@@ -413,8 +413,7 @@ void ServiceRuntime::WatchdogLoop() {
       for (const std::string& peer :
            repl.monitor->SuspectPeers(now, repl.failover_timeout)) {
         if (repl.counters != nullptr) {
-          repl.counters->peer_suspicions.fetch_add(1,
-                                                   std::memory_order_relaxed);
+          repl.counters->Add(Counter::kPeerSuspicions);
         }
         repl.on_peer_suspected(peer);
       }
@@ -427,11 +426,11 @@ void ServiceRuntime::WatchdogLoop() {
               ? gov.pressure_probe()
               : static_cast<uint64_t>(
                     std::max<int64_t>(0, root_governor_.tracked_bytes()));
-      stats_.OnTrackedBytes(bytes);
+      stats_.Max(Counter::kTrackedBytesHwm, bytes);
       const int level = pressure_level_.load(std::memory_order_relaxed);
       if (bytes >= gov.memory_pressure_bytes && level < 2) {
         pressure_level_.store(level + 1, std::memory_order_relaxed);
-        stats_.OnDegradation();
+        stats_.Add(Counter::kDegradations);
       } else if (bytes <= static_cast<uint64_t>(
                               gov.recovery_fraction *
                               static_cast<double>(gov.memory_pressure_bytes)) &&
@@ -448,28 +447,9 @@ StatsSnapshot ServiceRuntime::Stats() const {
     std::lock_guard<std::mutex> lock(admission_mu_);
     depth = pending_;
   }
-  StatsSnapshot snap = stats_.Snapshot(
-      depth, static_cast<uint64_t>(
-                 pressure_level_.load(std::memory_order_relaxed)));
-  // Replication-layer gauges live outside RuntimeStats: the promotion
-  // counter survives the runtime rebuild a promotion performs, and the
-  // shipping counters are owned by the replicator.
-  snap.promotions = options_.replication.promotions;
-  if (const ReplicationClient* client = options_.replication.client) {
-    snap.segments_shipped = client->segments_shipped();
-    snap.follower_lag_hwm = client->follower_lag_hwm();
-  }
-  if (const ReplicationCounters* counters = options_.replication.counters) {
-    snap.peer_suspicions =
-        counters->peer_suspicions.load(std::memory_order_relaxed);
-    snap.auto_promotions =
-        counters->auto_promotions.load(std::memory_order_relaxed);
-    snap.epoch_fencing_rejects =
-        counters->epoch_fencing_rejects.load(std::memory_order_relaxed);
-    snap.catchup_bytes_shipped =
-        counters->catchup_bytes_shipped.load(std::memory_order_relaxed);
-  }
-  return snap;
+  return stats_.Snapshot(
+      options_.replication.counters, depth,
+      static_cast<uint64_t>(pressure_level_.load(std::memory_order_relaxed)));
 }
 
 size_t ServiceRuntime::ShardOf(const std::string& session_id) const {

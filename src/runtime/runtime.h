@@ -206,10 +206,10 @@ class ServiceRuntime {
   StatsSnapshot Stats() const;
 
   /// The live counter sink. The network front door (net::RpcServer)
-  /// stamps its connection/frame counters here so one Stats() call
+  /// ticks its connection/frame counters here so one Stats() call
   /// covers the whole serving stack. Valid for the runtime's lifetime;
   /// all mutators are relaxed atomics, safe from any thread.
-  RuntimeStats* stats_sink() { return &stats_; }
+  Counters* stats_sink() { return &stats_; }
 
   /// Which shard a session id maps to (stable for the runtime's life) —
   /// introspection for tests, benches and placement debugging.

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <sstream>
 #include <string_view>
-#include <utility>
 
 #include "util/common.h"
 
@@ -41,8 +42,10 @@ uint64_t StatsSnapshot::ApproxLatencyMicros(double quantile) const {
   for (const auto& shard : shard_latency) {
     for (size_t i = 0; i < merged.size(); ++i) merged[i] += shard[i];
   }
-  const uint64_t rank =
-      std::max<uint64_t>(1, static_cast<uint64_t>(quantile * total));
+  // Nearest rank: the ceil(q*N)-th smallest sample, clamped to [1, N].
+  const uint64_t rank = std::clamp<uint64_t>(
+      static_cast<uint64_t>(std::ceil(quantile * static_cast<double>(total))),
+      1, total);
   uint64_t seen = 0;
   for (size_t i = 0; i < merged.size(); ++i) {
     seen += merged[i];
@@ -51,48 +54,10 @@ uint64_t StatsSnapshot::ApproxLatencyMicros(double quantile) const {
   return uint64_t{1} << LatencyHistogram::kBuckets;
 }
 
-std::string StatsSnapshot::ToString() const {
-  std::ostringstream out;
-  out << "submitted=" << submitted << " completed=" << completed
-      << " rejected=" << rejected << " sessions_closed=" << sessions_closed
-      << " deadline_exceeded=" << deadline_exceeded
-      << " budget_exceeded=" << budget_exceeded
-      << " injected_faults=" << injected_faults
-      << " circuit_open=" << circuit_open << " retries=" << retries
-      << " shed_low_priority=" << shed_low_priority
-      << " expired_at_enqueue=" << expired_at_enqueue
-      << " memo_hits=" << memo_hits << " memo_misses=" << memo_misses
-      << " storage_failures=" << storage_failures
-      << " journal_appends=" << journal_appends << " snapshots=" << snapshots
-      << " fuel_exhausted=" << fuel_exhausted
-      << " watchdog_cancels=" << watchdog_cancels
-      << " degradations=" << degradations
-      << " memo_evictions=" << memo_evictions
-      << " tracked_bytes_hwm=" << tracked_bytes_hwm
-      << " replication_acks=" << replication_acks
-      << " replication_timeouts=" << replication_timeouts
-      << " promotions=" << promotions
-      << " segments_shipped=" << segments_shipped
-      << " follower_lag_hwm=" << follower_lag_hwm
-      << " peer_suspicions=" << peer_suspicions
-      << " auto_promotions=" << auto_promotions
-      << " epoch_fencing_rejects=" << epoch_fencing_rejects
-      << " catchup_bytes_shipped=" << catchup_bytes_shipped
-      << " net_conns_accepted=" << net_conns_accepted
-      << " net_conns_reaped=" << net_conns_reaped
-      << " net_frames_rejected=" << net_frames_rejected
-      << " net_bytes_shed=" << net_bytes_shed
-      << " pressure_level=" << pressure_level
-      << " queue_depth=" << queue_depth << " runs=" << total_runs()
-      << " p50_us<=" << ApproxLatencyMicros(0.5)
-      << " p99_us<=" << ApproxLatencyMicros(0.99);
-  return out.str();
-}
-
 namespace {
 
 /// RFC 8259 string escaping: quotes, backslashes and control characters.
-/// The keys below are all plain identifiers today, but the escaping is
+/// The keys are all plain identifiers today, but the escaping is
 /// unconditional so the emitter can never produce invalid JSON (the
 /// output feeds scripts/bench_diff.py's strict parser).
 void AppendJsonString(std::string_view s, std::string* out) {
@@ -133,59 +98,42 @@ void AppendJsonString(std::string_view s, std::string* out) {
   out->push_back('"');
 }
 
+/// The list as a table, in export order: key and snapshot field.
+struct CounterField {
+  std::string_view key;
+  uint64_t StatsSnapshot::*field;
+};
+constexpr CounterField kCounterFields[] = {
+#define SWS_COUNTER_TABLE(id, name) {#name, &StatsSnapshot::name},
+    SWS_STATS_COUNTERS(SWS_COUNTER_TABLE)
+#undef SWS_COUNTER_TABLE
+};
+static_assert(std::size(kCounterFields) == kNumCounters);
+
 }  // namespace
 
+std::string StatsSnapshot::ToString() const {
+  std::ostringstream out;
+  for (const auto& [key, field] : kCounterFields) {
+    out << key << '=' << this->*field << ' ';
+  }
+  out << "runs=" << total_runs() << " p50_us<=" << ApproxLatencyMicros(0.5)
+      << " p99_us<=" << ApproxLatencyMicros(0.99);
+  return out.str();
+}
+
 std::string StatsSnapshot::ToJson() const {
-  const std::pair<std::string_view, uint64_t> fields[] = {
-      {"submitted", submitted},
-      {"completed", completed},
-      {"rejected", rejected},
-      {"sessions_closed", sessions_closed},
-      {"deadline_exceeded", deadline_exceeded},
-      {"budget_exceeded", budget_exceeded},
-      {"injected_faults", injected_faults},
-      {"circuit_open", circuit_open},
-      {"retries", retries},
-      {"shed_low_priority", shed_low_priority},
-      {"expired_at_enqueue", expired_at_enqueue},
-      {"memo_hits", memo_hits},
-      {"memo_misses", memo_misses},
-      {"storage_failures", storage_failures},
-      {"journal_appends", journal_appends},
-      {"snapshots", snapshots},
-      {"fuel_exhausted", fuel_exhausted},
-      {"watchdog_cancels", watchdog_cancels},
-      {"degradations", degradations},
-      {"memo_evictions", memo_evictions},
-      {"tracked_bytes_hwm", tracked_bytes_hwm},
-      {"replication_acks", replication_acks},
-      {"replication_timeouts", replication_timeouts},
-      {"promotions", promotions},
-      {"segments_shipped", segments_shipped},
-      {"follower_lag_hwm", follower_lag_hwm},
-      {"peer_suspicions", peer_suspicions},
-      {"auto_promotions", auto_promotions},
-      {"epoch_fencing_rejects", epoch_fencing_rejects},
-      {"catchup_bytes_shipped", catchup_bytes_shipped},
-      {"net_conns_accepted", net_conns_accepted},
-      {"net_conns_reaped", net_conns_reaped},
-      {"net_frames_rejected", net_frames_rejected},
-      {"net_bytes_shed", net_bytes_shed},
-      {"pressure_level", pressure_level},
-      {"queue_depth", queue_depth},
-      {"runs", total_runs()},
-      {"p50_us", ApproxLatencyMicros(0.5)},
-      {"p99_us", ApproxLatencyMicros(0.99)},
-  };
   std::string out = "{";
-  bool first = true;
-  for (const auto& [key, value] : fields) {
-    if (!first) out.push_back(',');
-    first = false;
+  auto append = [&out](std::string_view key, uint64_t value) {
+    if (out.size() > 1) out.push_back(',');
     AppendJsonString(key, &out);
     out.push_back(':');
     out += std::to_string(value);
-  }
+  };
+  for (const auto& [key, field] : kCounterFields) append(key, this->*field);
+  append("runs", total_runs());
+  append("p50_us", ApproxLatencyMicros(0.5));
+  append("p99_us", ApproxLatencyMicros(0.99));
   out.push_back('}');
   return out;
 }
@@ -199,46 +147,15 @@ void RuntimeStats::RecordRunLatency(size_t shard, uint64_t micros) {
   shard_latency_[shard].Record(micros);
 }
 
-StatsSnapshot RuntimeStats::Snapshot(uint64_t queue_depth,
+StatsSnapshot RuntimeStats::Snapshot(const Counters* node,
+                                     uint64_t queue_depth,
                                      uint64_t pressure_level) const {
   StatsSnapshot snap;
-  snap.submitted = submitted_.load(std::memory_order_relaxed);
-  snap.rejected = rejected_.load(std::memory_order_relaxed);
-  snap.completed = completed_.load(std::memory_order_relaxed);
-  snap.sessions_closed = sessions_closed_.load(std::memory_order_relaxed);
-  snap.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
-  snap.budget_exceeded = budget_exceeded_.load(std::memory_order_relaxed);
-  snap.injected_faults = injected_faults_.load(std::memory_order_relaxed);
-  snap.circuit_open = circuit_open_.load(std::memory_order_relaxed);
-  snap.retries = retries_.load(std::memory_order_relaxed);
-  snap.shed_low_priority =
-      shed_low_priority_.load(std::memory_order_relaxed);
-  snap.expired_at_enqueue =
-      expired_at_enqueue_.load(std::memory_order_relaxed);
-  snap.memo_hits = memo_hits_.load(std::memory_order_relaxed);
-  snap.memo_misses = memo_misses_.load(std::memory_order_relaxed);
-  snap.storage_failures = storage_failures_.load(std::memory_order_relaxed);
-  snap.journal_appends = journal_appends_.load(std::memory_order_relaxed);
-  snap.snapshots = snapshots_.load(std::memory_order_relaxed);
-  snap.fuel_exhausted = fuel_exhausted_.load(std::memory_order_relaxed);
-  snap.watchdog_cancels = watchdog_cancels_.load(std::memory_order_relaxed);
-  snap.degradations = degradations_.load(std::memory_order_relaxed);
-  snap.memo_evictions = memo_evictions_.load(std::memory_order_relaxed);
-  snap.tracked_bytes_hwm =
-      tracked_bytes_hwm_.load(std::memory_order_relaxed);
-  snap.replication_acks = replication_acks_.load(std::memory_order_relaxed);
-  snap.replication_timeouts =
-      replication_timeouts_.load(std::memory_order_relaxed);
-  snap.net_conns_accepted =
-      net_conns_accepted_.load(std::memory_order_relaxed);
-  snap.net_conns_reaped = net_conns_reaped_.load(std::memory_order_relaxed);
-  snap.net_frames_rejected =
-      net_frames_rejected_.load(std::memory_order_relaxed);
-  snap.net_bytes_shed = net_bytes_shed_.load(std::memory_order_relaxed);
-  // promotions / segments_shipped / follower_lag_hwm and the failover
-  // counters (peer_suspicions, auto_promotions, epoch_fencing_rejects,
-  // catchup_bytes_shipped) are owned by the replication layer;
-  // ServiceRuntime::Stats() stamps them afterwards.
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    const auto c = static_cast<Counter>(i);
+    snap.*kCounterFields[i].field =
+        Load(c) + (node != nullptr ? node->Load(c) : 0);
+  }
   snap.pressure_level = pressure_level;
   snap.queue_depth = queue_depth;
   snap.shard_latency.reserve(shard_latency_.size());

@@ -59,7 +59,7 @@ void SessionShard::Drain(RuntimeStats* stats,
     if (durability_ != nullptr && durability_->ShouldSnapshot()) {
       MaybeSnapshot(stats);
     }
-    stats->OnCompleted();
+    stats->Add(Counter::kCompleted);
     if (on_done) on_done();
   }
 }
@@ -67,7 +67,7 @@ void SessionShard::Drain(RuntimeStats* stats,
 void SessionShard::Process(Envelope envelope, RuntimeStats* stats) {
   const auto now = std::chrono::steady_clock::now();
   if (now > envelope.deadline) {
-    stats->OnDeadlineExceeded();
+    stats->Add(Counter::kDeadlineExceeded);
     if (envelope.callback) {
       envelope.callback(
           Outcome{core::Status::Error(core::RunError::kDeadlineExceeded,
@@ -150,7 +150,7 @@ void SessionShard::Process(Envelope envelope, RuntimeStats* stats) {
       discard.session_id = envelope.session_id;
       discard.seq = session.next_seq;
       persistence::AppendResult journaled = durability_->AppendDiscard(discard);
-      if (!journaled.ok()) stats->OnStorageFailure();
+      if (!journaled.ok()) stats->Add(Counter::kStorageFailures);
       if (!journaled.persisted) {
         if (!is_delimiter) return;
         if (envelope.callback) {
@@ -160,7 +160,7 @@ void SessionShard::Process(Envelope envelope, RuntimeStats* stats) {
         }
         return;
       }
-      stats->OnJournalAppends(1);
+      stats->Add(Counter::kJournalAppends);
       // A discard changes what replay reproduces, so followers must see
       // it too (same order as the primary's journal).
       if (config_->replication != nullptr) {
@@ -170,7 +170,7 @@ void SessionShard::Process(Envelope envelope, RuntimeStats* stats) {
     }
     session.runner.DiscardPending();
     if (!is_delimiter) return;
-    stats->OnCircuitOpen();
+    stats->Add(Counter::kCircuitOpen);
     if (envelope.callback) {
       envelope.callback(
           Outcome{core::Status::Error(core::RunError::kCircuitOpen,
@@ -207,7 +207,7 @@ void SessionShard::Process(Envelope envelope, RuntimeStats* stats) {
                   .count();
     input.payload = envelope.message;
     persistence::AppendResult journaled = durability_->AppendInput(input);
-    if (!journaled.ok()) stats->OnStorageFailure();
+    if (!journaled.ok()) stats->Add(Counter::kStorageFailures);
     if (!journaled.persisted) {
       session.breaker.OnRunFailure(std::chrono::steady_clock::now());
       if (envelope.callback) {
@@ -217,7 +217,7 @@ void SessionShard::Process(Envelope envelope, RuntimeStats* stats) {
       }
       return;
     }
-    stats->OnJournalAppends(1);
+    stats->Add(Counter::kJournalAppends);
     seq = session.next_seq++;
     // Ship the persisted input to the session's followers (async; the
     // quorum is only awaited at the delimiter's ack barrier below).
@@ -238,7 +238,12 @@ void SessionShard::Process(Envelope envelope, RuntimeStats* stats) {
   stats->RecordRunLatency(shard_index_,
                           static_cast<uint64_t>(elapsed.count()));
   SWS_CHECK(outcome.has_value());
-  stats->OnEvictions(outcome->memo_evictions);
+  stats->Add(Counter::kMemoEvictions, outcome->memo_evictions);
+  // Counted here, before the ack barrier below can bail out: a run that
+  // retried and then failed its ack still made those attempts.
+  if (outcome->attempts > 1) {
+    stats->Add(Counter::kRetries, outcome->attempts - 1);
+  }
 
   // The ack barrier: the outcome record must be durable before the
   // callback fires, so an acknowledged output is always recoverable (and
@@ -263,9 +268,9 @@ void SessionShard::Process(Envelope envelope, RuntimeStats* stats) {
     if (outcome->status.ok()) record.payload = outcome->output;
     persistence::AppendResult journaled =
         durability_->AppendOutcomeAndAck(record);
-    if (journaled.persisted) stats->OnJournalAppends(1);
+    if (journaled.persisted) stats->Add(Counter::kJournalAppends);
     if (!journaled.ok()) {
-      stats->OnStorageFailure();
+      stats->Add(Counter::kStorageFailures);
       session.breaker.OnRunFailure(std::chrono::steady_clock::now());
       if (envelope.callback) {
         const uint32_t attempts = outcome->attempts;
@@ -287,9 +292,9 @@ void SessionShard::Process(Envelope envelope, RuntimeStats* stats) {
       core::Status replicated = config_->replication->ShipOutcomeAndWait(
           record, shard_index_, durability_->current_segment_n());
       if (replicated.ok()) {
-        stats->OnReplicationAck();
+        stats->Add(Counter::kReplicationAcks);
       } else {
-        stats->OnReplicationTimeout();
+        stats->Add(Counter::kReplicationTimeouts);
         session.breaker.OnRunFailure(std::chrono::steady_clock::now());
         if (envelope.callback) {
           const uint32_t attempts = outcome->attempts;
@@ -302,21 +307,20 @@ void SessionShard::Process(Envelope envelope, RuntimeStats* stats) {
     }
   }
 
-  if (outcome->attempts > 1) stats->OnRetries(outcome->attempts - 1);
   if (!outcome->status.ok()) {
     session.breaker.OnRunFailure(std::chrono::steady_clock::now());
     switch (outcome->status.code()) {
       case core::RunError::kBudgetExceeded:
-        stats->OnBudgetExceeded();
+        stats->Add(Counter::kBudgetExceeded);
         break;
       case core::RunError::kInjectedFault:
-        stats->OnInjectedFault();
+        stats->Add(Counter::kInjectedFaults);
         break;
       case core::RunError::kDeadlineExceeded:  // in-run, watchdog, or retry
-        stats->OnDeadlineExceeded();
+        stats->Add(Counter::kDeadlineExceeded);
         break;
       case core::RunError::kFuelExhausted:  // eval-step / byte budget
-        stats->OnFuelExhausted();
+        stats->Add(Counter::kFuelExhausted);
         break;
       default:
         SWS_CHECK(false) << "unexpected run error: "
@@ -331,8 +335,9 @@ void SessionShard::Process(Envelope envelope, RuntimeStats* stats) {
     return;
   }
   session.breaker.OnRunSuccess();
-  stats->OnSessionClosed();
-  stats->OnMemo(outcome->memo_hits, outcome->memo_misses);
+  stats->Add(Counter::kSessionsClosed);
+  stats->Add(Counter::kMemoHits, outcome->memo_hits);
+  stats->Add(Counter::kMemoMisses, outcome->memo_misses);
   if (envelope.callback) {
     const uint32_t attempts = outcome->attempts;
     envelope.callback(Outcome{core::Status::Ok(),
@@ -363,9 +368,9 @@ void SessionShard::MaybeSnapshot(RuntimeStats* stats) {
   }
   core::Status status = durability_->WriteShardSnapshot(std::move(images));
   if (status.ok()) {
-    stats->OnSnapshot();
+    stats->Add(Counter::kSnapshots);
   } else {
-    stats->OnStorageFailure();
+    stats->Add(Counter::kStorageFailures);
   }
 }
 

@@ -287,7 +287,7 @@ TEST(FollowerFencingTest, RejectsStaleEpochAndAdoptsHigher) {
   InProcessTransport transport(nullptr);
   AckRecordingEndpoint primary;
   transport.Bind("p", &primary);
-  rt::ReplicationCounters counters;
+  rt::Counters counters;
   FollowerApplier applier("f", ApplierOptions(dir.path()), &transport,
                           /*incarnation=*/1, nullptr, &fence, &counters);
 
@@ -298,7 +298,7 @@ TEST(FollowerFencingTest, RejectsStaleEpochAndAdoptsHigher) {
       MakeShipment("p", "f", 1, 1, /*epoch=*/3, InputRecord("s", 0, Msg(1))));
   EXPECT_EQ(applier.applied(), 0u);
   EXPECT_EQ(applier.fencing_rejects(), 1u);
-  EXPECT_EQ(counters.epoch_fencing_rejects.load(), 1u);
+  EXPECT_EQ(counters.Load(rt::Counter::kEpochFencingRejects), 1u);
   ASSERT_TRUE(WaitFor([&] { return !primary.acks().empty(); }));
   EXPECT_EQ(primary.acks()[0].first, 0u);   // nothing applied
   EXPECT_EQ(primary.acks()[0].second, 5u);  // the fencing news
@@ -636,7 +636,7 @@ TEST(CoordinatorVoteTest, GrantsRequireSilenceAndOneVotePerEpoch) {
   InProcessTransport transport(nullptr);
   GrantRecordingEndpoint candidate;
   transport.Bind("n0", &candidate);
-  rt::ReplicationCounters counters;
+  rt::Counters counters;
   FailoverHooks hooks;
   hooks.ready = [] { return false; };
   hooks.promote = [](const std::string&, uint64_t) {
@@ -789,7 +789,9 @@ TEST(AutoFailoverNodeTest, QuorumElectionPromotesHeirNoHarnessPromote) {
       << "no automatic promotion deposed the killed node";
   ASSERT_TRUE(WaitFor([&] {
     for (auto& node : cluster.nodes) {
-      if (node->id() != "n0" && node->promotions() >= 1 && node->running()) {
+      if (node->id() != "n0" &&
+          node->counters()->Load(rt::Counter::kPromotions) >= 1 &&
+          node->running()) {
         return true;
       }
     }
@@ -798,8 +800,8 @@ TEST(AutoFailoverNodeTest, QuorumElectionPromotesHeirNoHarnessPromote) {
   uint64_t auto_promotions = 0;
   uint64_t suspicions = 0;
   for (auto& node : cluster.nodes) {
-    auto_promotions += node->counters()->auto_promotions.load();
-    suspicions += node->counters()->peer_suspicions.load();
+    auto_promotions += node->counters()->Load(rt::Counter::kAutoPromotions);
+    suspicions += node->counters()->Load(rt::Counter::kPeerSuspicions);
   }
   EXPECT_GE(auto_promotions, 1u);
   EXPECT_GE(suspicions, 1u);
@@ -843,8 +845,8 @@ TEST(AutoFailoverNodeTest, JoinerBootstrapsViaCatchupBeforeQuorum) {
   }
   ASSERT_EQ(sessions.size(), 6u);
   const uint64_t served_before =
-      cluster.node("n0")->counters()->catchup_bytes_shipped.load() +
-      cluster.node("n1")->counters()->catchup_bytes_shipped.load();
+      cluster.node("n0")->counters()->Load(rt::Counter::kCatchupBytesShipped) +
+      cluster.node("n1")->counters()->Load(rt::Counter::kCatchupBytesShipped);
 
   // The fresh node joins: its first life broadcasts catch-up requests
   // and bootstraps from each primary's snapshot + journal tail over the
@@ -857,8 +859,8 @@ TEST(AutoFailoverNodeTest, JoinerBootstrapsViaCatchupBeforeQuorum) {
       std::chrono::seconds(15)))
       << "joiner was never served by every live primary";
   const uint64_t served_after =
-      cluster.node("n0")->counters()->catchup_bytes_shipped.load() +
-      cluster.node("n1")->counters()->catchup_bytes_shipped.load();
+      cluster.node("n0")->counters()->Load(rt::Counter::kCatchupBytesShipped) +
+      cluster.node("n1")->counters()->Load(rt::Counter::kCatchupBytesShipped);
   EXPECT_GT(served_after, served_before);
   // Every missed record lands durably (via the serve's tail and/or the
   // links' retransmit backlog): both primaries' retransmit buffers fully

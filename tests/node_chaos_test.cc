@@ -572,13 +572,15 @@ class AutoTrial {
   }
   uint64_t auto_promotions() const {
     uint64_t n = 0;
-    for (auto& node : nodes_) n += node->counters()->auto_promotions.load();
+    for (auto& node : nodes_) {
+      n += node->counters()->Load(rt::Counter::kAutoPromotions);
+    }
     return n;
   }
   uint64_t fencing_rejects() const {
     uint64_t n = 0;
     for (auto& node : nodes_) {
-      n += node->counters()->epoch_fencing_rejects.load();
+      n += node->counters()->Load(rt::Counter::kEpochFencingRejects);
     }
     return n;
   }
@@ -890,9 +892,11 @@ class AutoTrial {
                 " catchup=" +
                 std::to_string(n->replicator()->pending_catchup_count()) +
                 " susp=" +
-                std::to_string(n->counters()->peer_suspicions.load()) +
+                std::to_string(
+                    n->counters()->Load(rt::Counter::kPeerSuspicions)) +
                 " promo=" +
-                std::to_string(n->counters()->auto_promotions.load()) +
+                std::to_string(
+                    n->counters()->Load(rt::Counter::kAutoPromotions)) +
                 " elect=" +
                 std::to_string(n->coordinator()->elections_started()) +
                 " suspects=[" + n->coordinator()->SuspectIds() + "]";

@@ -491,9 +491,11 @@ struct ReplicatorRig {
                                                 nullptr)
       : group({"p", "f1", "f2"}),
         transport(injector),
-        replicator("p", &group, options, &transport, /*incarnation=*/1) {}
+        replicator("p", &group, options, &transport, /*incarnation=*/1,
+                   /*fence=*/nullptr, &counters) {}
   ReplicaGroup group;
   InProcessTransport transport;
+  rt::Counters counters;
   Replicator replicator;
 };
 
@@ -591,7 +593,7 @@ TEST(ReplicatorTest, BarrierTimesOutWithoutQuorum) {
             std::chrono::milliseconds(150));
   // The unacknowledged outcome pins its segment.
   EXPECT_EQ(rig.replicator.MinUnackedSegment(0), 7u);
-  EXPECT_GE(rig.replicator.follower_lag_hwm(), 1u);
+  EXPECT_GE(rig.counters.Load(rt::Counter::kFollowerLagHwm), 1u);
 }
 
 TEST(ReplicatorTest, RetransmissionCoversAHealedPartition) {
@@ -653,7 +655,7 @@ TEST(ReplicatorTest, CountsSegmentTransitions) {
   rig.replicator.ShipRecord(InputRecord("s1", 1, Msg(2)), 0, 0);  // same seg
   rig.replicator.ShipRecord(InputRecord("s1", 2, Msg(3)), 0, 1);  // rotated
   rig.replicator.ShipRecord(InputRecord("s1", 3, Msg(4)), 1, 5);  // new shard
-  EXPECT_EQ(rig.replicator.segments_shipped(), 3u);
+  EXPECT_EQ(rig.counters.Load(rt::Counter::kSegmentsShipped), 3u);
 }
 
 // ---------------------------------------------------------------------
@@ -817,7 +819,8 @@ TEST(ReplicatedNodeTest, PromotionRecoversAckedSessionsWithoutDoubleAck) {
       {cluster.node("n1"), cluster.node("n2")}, &cluster.sws, LoggerDb());
   ASSERT_FALSE(heir.empty());
   ASSERT_TRUE(cluster.node(heir)->Promote("n0").ok());
-  EXPECT_EQ(cluster.node(heir)->promotions(), 1u);
+  EXPECT_EQ(cluster.node(heir)->counters()->Load(rt::Counter::kPromotions),
+            1u);
   EXPECT_EQ(cluster.node(heir)->runtime()->Stats().promotions, 1u);
   EXPECT_EQ(cluster.group.PrimaryOf(acked_id), heir);
 
@@ -1039,6 +1042,61 @@ TEST(ReplicatedNodeTest, ReplicasZeroLeavesTheSingleNodePathAlone) {
   node.Stop();
 }
 
+// A run that retried and then failed its replicated ack barrier still
+// made its attempts: retries are counted when the run ends, before the
+// ack barrier can bail out.
+TEST(ReplicationRuntimeOptionsTest, RetriesCountedWhenAckBarrierTimesOut) {
+  class TimeoutClient : public rt::ReplicationClient {
+   public:
+    void ShipRecord(const persistence::JournalRecord&, uint64_t,
+                    uint64_t) override {}
+    core::Status ShipOutcomeAndWait(const persistence::JournalRecord&,
+                                    uint64_t, uint64_t) override {
+      return core::Status::Error(RunError::kReplicationTimeout,
+                                 "no follower answered");
+    }
+    uint64_t MinUnackedSegment(uint64_t) const override {
+      return persistence::ShardDurability::kNoSegmentPin;
+    }
+  };
+  TimeoutClient client;
+  core::FaultOptions faults;
+  faults.fail_first_runs = 1;
+  core::FaultInjector injector(faults);
+  TempDir dir;
+  Sws sws = MakeTwoLevelLogger();
+  rt::RuntimeOptions options;
+  options.num_workers = 1;
+  options.num_shards = 1;
+  options.durability.dir = dir.path();
+  options.replication.client = &client;
+  options.run_options.fault_injector = &injector;
+  options.run_options.retry.max_attempts = 2;
+  options.run_options.retry.initial_backoff = std::chrono::microseconds(1);
+  options.run_options.retry.max_backoff = std::chrono::microseconds(10);
+  rt::ServiceRuntime runtime(&sws, LoggerDb(), options);
+  ASSERT_TRUE(runtime.init_status().ok()) << runtime.init_status().ToString();
+
+  std::atomic<int> timeouts{0};
+  ASSERT_TRUE(runtime.Submit("s", Msg(1)).ok());
+  ASSERT_TRUE(runtime
+                  .Submit("s", SessionRunner::DelimiterMessage(1),
+                          [&](rt::Outcome outcome) {
+                            if (outcome.status.code() ==
+                                    RunError::kReplicationTimeout &&
+                                outcome.attempts == 2) {
+                              timeouts.fetch_add(1);
+                            }
+                          })
+                  .ok());
+  runtime.Drain();
+  EXPECT_EQ(timeouts.load(), 1);
+  const rt::StatsSnapshot stats = runtime.Stats();
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.replication_timeouts, 1u);
+  runtime.Shutdown();
+}
+
 // Replication wiring is rejected without its prerequisites.
 TEST(ReplicationRuntimeOptionsTest, ValidationRequiresDurabilityAndWatchdog) {
   class NullClient : public rt::ReplicationClient {
@@ -1052,8 +1110,6 @@ TEST(ReplicationRuntimeOptionsTest, ValidationRequiresDurabilityAndWatchdog) {
     uint64_t MinUnackedSegment(uint64_t) const override {
       return persistence::ShardDurability::kNoSegmentPin;
     }
-    uint64_t segments_shipped() const override { return 0; }
-    uint64_t follower_lag_hwm() const override { return 0; }
   };
   class NullMonitor : public rt::FailoverMonitor {
    public:

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <string>
@@ -1051,6 +1052,8 @@ TEST(RuntimeStatsTest, ToJsonIsStrictlyValidAndComplete) {
   EXPECT_EQ(stats.sessions_closed, 5u);
   EXPECT_EQ(fields.count("p50_us"), 1u);
   EXPECT_EQ(fields.count("p99_us"), 1u);
+  // ...and nothing else: the listed keys plus the two quantiles.
+  EXPECT_EQ(fields.size(), std::size(expected) + 2);
   // ToString carries the replication counters too (all zero here —
   // replicas=0 leaves the single-node path alone).
   const std::string text = stats.ToString();
@@ -1062,6 +1065,98 @@ TEST(RuntimeStatsTest, ToJsonIsStrictlyValidAndComplete) {
         "net_conns_reaped=0", "net_frames_rejected=0", "net_bytes_shed=0"}) {
     EXPECT_NE(text.find(field), std::string::npos) << "missing: " << field;
   }
+}
+
+// The exported bytes are a contract: the kStatsRequest admin RPC returns
+// ToJson() and its readers parse it by key. Every counter gets a
+// distinct value (1..36 in export order) so a swapped key, a dropped key
+// or a reordering all show up as a byte difference.
+TEST(RuntimeStatsTest, ExportedBytesArePinned) {
+  StatsSnapshot s;
+  uint64_t StatsSnapshot::*const fields[] = {
+      &StatsSnapshot::submitted,         &StatsSnapshot::completed,
+      &StatsSnapshot::rejected,          &StatsSnapshot::sessions_closed,
+      &StatsSnapshot::deadline_exceeded, &StatsSnapshot::budget_exceeded,
+      &StatsSnapshot::injected_faults,   &StatsSnapshot::circuit_open,
+      &StatsSnapshot::retries,           &StatsSnapshot::shed_low_priority,
+      &StatsSnapshot::expired_at_enqueue, &StatsSnapshot::memo_hits,
+      &StatsSnapshot::memo_misses,       &StatsSnapshot::storage_failures,
+      &StatsSnapshot::journal_appends,   &StatsSnapshot::snapshots,
+      &StatsSnapshot::fuel_exhausted,    &StatsSnapshot::watchdog_cancels,
+      &StatsSnapshot::degradations,      &StatsSnapshot::memo_evictions,
+      &StatsSnapshot::tracked_bytes_hwm, &StatsSnapshot::replication_acks,
+      &StatsSnapshot::replication_timeouts, &StatsSnapshot::promotions,
+      &StatsSnapshot::segments_shipped,  &StatsSnapshot::follower_lag_hwm,
+      &StatsSnapshot::peer_suspicions,   &StatsSnapshot::auto_promotions,
+      &StatsSnapshot::epoch_fencing_rejects,
+      &StatsSnapshot::catchup_bytes_shipped,
+      &StatsSnapshot::net_conns_accepted, &StatsSnapshot::net_conns_reaped,
+      &StatsSnapshot::net_frames_rejected, &StatsSnapshot::net_bytes_shed,
+      &StatsSnapshot::pressure_level,    &StatsSnapshot::queue_depth,
+  };
+  ASSERT_EQ(std::size(fields), 36u);
+  uint64_t next = 1;
+  for (uint64_t StatsSnapshot::*field : fields) s.*field = next++;
+
+  EXPECT_EQ(s.ToJson(),
+            "{\"submitted\":1,\"completed\":2,\"rejected\":3,"
+            "\"sessions_closed\":4,\"deadline_exceeded\":5,"
+            "\"budget_exceeded\":6,\"injected_faults\":7,\"circuit_open\":8,"
+            "\"retries\":9,\"shed_low_priority\":10,\"expired_at_enqueue\":11,"
+            "\"memo_hits\":12,\"memo_misses\":13,\"storage_failures\":14,"
+            "\"journal_appends\":15,\"snapshots\":16,\"fuel_exhausted\":17,"
+            "\"watchdog_cancels\":18,\"degradations\":19,\"memo_evictions\":20,"
+            "\"tracked_bytes_hwm\":21,\"replication_acks\":22,"
+            "\"replication_timeouts\":23,\"promotions\":24,"
+            "\"segments_shipped\":25,\"follower_lag_hwm\":26,"
+            "\"peer_suspicions\":27,\"auto_promotions\":28,"
+            "\"epoch_fencing_rejects\":29,\"catchup_bytes_shipped\":30,"
+            "\"net_conns_accepted\":31,\"net_conns_reaped\":32,"
+            "\"net_frames_rejected\":33,\"net_bytes_shed\":34,"
+            "\"pressure_level\":35,\"queue_depth\":36,\"runs\":0,\"p50_us\":0,"
+            "\"p99_us\":0}");
+  EXPECT_EQ(s.ToString(),
+            "submitted=1 completed=2 rejected=3 sessions_closed=4 "
+            "deadline_exceeded=5 budget_exceeded=6 injected_faults=7 "
+            "circuit_open=8 retries=9 shed_low_priority=10 "
+            "expired_at_enqueue=11 memo_hits=12 memo_misses=13 "
+            "storage_failures=14 journal_appends=15 snapshots=16 "
+            "fuel_exhausted=17 watchdog_cancels=18 degradations=19 "
+            "memo_evictions=20 tracked_bytes_hwm=21 replication_acks=22 "
+            "replication_timeouts=23 promotions=24 segments_shipped=25 "
+            "follower_lag_hwm=26 peer_suspicions=27 auto_promotions=28 "
+            "epoch_fencing_rejects=29 catchup_bytes_shipped=30 "
+            "net_conns_accepted=31 net_conns_reaped=32 net_frames_rejected=33 "
+            "net_bytes_shed=34 pressure_level=35 queue_depth=36 runs=0 "
+            "p50_us<=0 p99_us<=0");
+}
+
+// Latency quantiles are nearest-rank: the q-quantile of N runs is the
+// ceil(q*N)-th smallest, so with fewer than 100 runs p99 is the slowest
+// one. Buckets report their upper bound (bucket b covers [2^b, 2^(b+1))).
+TEST(RuntimeStatsTest, LatencyQuantilesUseNearestRank) {
+  auto with_runs = [](std::initializer_list<std::pair<size_t, uint64_t>>
+                          bucket_counts) {
+    StatsSnapshot s;
+    s.shard_latency.resize(1);
+    for (const auto& [bucket, count] : bucket_counts) {
+      s.shard_latency[0][bucket] = count;
+    }
+    return s;
+  };
+  // 9 runs of ~100us (bucket 6) and one of 10ms (bucket 13).
+  const StatsSnapshot ten = with_runs({{6, 9}, {13, 1}});
+  EXPECT_EQ(ten.total_runs(), 10u);
+  EXPECT_EQ(ten.ApproxLatencyMicros(0.99), 16384u);
+  EXPECT_EQ(ten.ApproxLatencyMicros(0.5), 128u);
+  // 99 fast runs and one slow: the 99th of 100 is still fast.
+  const StatsSnapshot hundred = with_runs({{6, 99}, {13, 1}});
+  EXPECT_EQ(hundred.ApproxLatencyMicros(0.99), 128u);
+  // Three runs in distinct buckets: the median is the second.
+  const StatsSnapshot three = with_runs({{2, 1}, {5, 1}, {9, 1}});
+  EXPECT_EQ(three.ApproxLatencyMicros(0.5), 64u);
+  EXPECT_EQ(three.ApproxLatencyMicros(0.99), 1024u);
+  EXPECT_EQ(StatsSnapshot{}.ApproxLatencyMicros(0.99), 0u);
 }
 
 // Regression for the durable submit path: Drain() (and the shard
