@@ -112,8 +112,9 @@ void BM_UnfoldPruning(benchmark::State& state) {
 }
 BENCHMARK(BM_UnfoldPruning);
 
-// Composition search with identity-only identifications (the default for
-// one-level composition) vs. the full merge search on the same instance.
+// One-level composition of Example 5.1, whose search always uses
+// identity-only identifications, with the candidate cap set to the
+// argument.
 void BM_CompositionIdentityOnly(benchmark::State& state) {
   auto goal = sws::models::MakeTravelServiceCqUcq();
   auto ta = sws::models::MakeTravelComponentAirfare();
@@ -126,7 +127,7 @@ void BM_CompositionIdentityOnly(benchmark::State& state) {
       static_cast<uint64_t>(state.range(0));  // cap the search effort
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        sws::med::ComposeCqOneLevel(goal.sws, components).found);
+        sws::med::ComposeCqOneLevel(goal.sws, components, options).found);
   }
 }
 BENCHMARK(BM_CompositionIdentityOnly)->Arg(100000);

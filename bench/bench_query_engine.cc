@@ -1,7 +1,8 @@
 // Query-engine benchmarks (PR 3): the indexed join planner vs the
 // naive nested-loop evaluator on a chain join, execution-tree
 // memoization vs raw re-evaluation on the non-linear sirup embedding,
-// and one service run's cost as the catalog grows.
+// one service run's cost as the catalog grows, and Klug equivalence
+// over a prepared right-hand side.
 // The checked-in baseline is BENCH_query_engine.json; regenerate with
 //   scripts/check.sh bench
 // after any change to the relational layer, the CQ planner or the run
@@ -14,12 +15,14 @@
 #include <string>
 #include <vector>
 
+#include "logic/containment.h"
 #include "logic/cq.h"
 #include "logic/datalog.h"
 #include "models/sirup_sws.h"
 #include "models/travel.h"
 #include "relational/database.h"
 #include "sws/execution.h"
+#include "sws/unfold.h"
 
 namespace {
 
@@ -189,6 +192,23 @@ void BM_UcqCatalogScaling(benchmark::State& state) {
   state.counters["output_tuples"] = static_cast<double>(out);
 }
 BENCHMARK(BM_UcqCatalogScaling)->Arg(0)->Arg(256)->Arg(4096)->Arg(65536);
+
+// Klug equivalence of the Example 5.1 goal's unfolding at n = 2 with
+// itself: each direction prepares the right-hand union once and checks
+// every left disjunct against it (the containment inside composition and
+// SWS_nr(CQ, UCQ) equivalence).
+void BM_UcqEquivalentTravel(benchmark::State& state) {
+  const sws::logic::UnionQuery goal = sws::core::UnfoldToUcq(
+      sws::models::MakeTravelServiceCqUcq().sws, 2);
+  bool equivalent = false;
+  for (auto _ : state) {
+    equivalent = sws::logic::UcqEquivalent(goal, goal);
+    benchmark::DoNotOptimize(equivalent);
+  }
+  if (!equivalent) state.SkipWithError("a query must equal itself");
+  state.counters["disjuncts"] = static_cast<double>(goal.size());
+}
+BENCHMARK(BM_UcqEquivalentTravel);
 
 }  // namespace
 

@@ -22,7 +22,9 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 san_targets=(runtime_test session_test sws_run_test fault_test chaos_test
              persistence_test crash_recovery_test governor_test serde_fuzz
              replication_test node_chaos_test failover_test relational_test
-             query_engine_test net_test fo_compile_test sharing_test)
+             query_engine_test net_test fo_compile_test sharing_test
+             containment_test cq_test property_test rewriting_test
+             unfold_test analysis_cq_test prepared_query_test)
 
 run_release() {
   echo "== Release build + full ctest =="

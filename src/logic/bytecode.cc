@@ -1,145 +1,116 @@
 #include "logic/bytecode.h"
 
 #include <algorithm>
-#include <set>
 
 #include "util/common.h"
 
 namespace sws::logic::bytecode {
 
-std::vector<Atom> OrderAtomsGreedily(const std::vector<Atom>& body,
-                                     const rel::Database& db,
-                                     const std::map<int, int>& preloaded) {
-  std::vector<Atom> ordered;
-  std::vector<bool> used(body.size(), false);
-  std::set<int> bound;
-  for (const auto& [var, reg] : preloaded) bound.insert(var);
-  auto relation_size = [&db](const Atom& a) -> size_t {
-    if (!db.Contains(a.relation)) return 0;  // matches nothing: run it first
-    const rel::Relation& r = db.Get(a.relation);
-    return r.arity() == a.args.size() ? r.size() : 0;
+JoinProgram Lower(const Body& body, const rel::Database& db,
+                  size_t first_group, size_t last_group) {
+  JoinProgram program;
+  const uint16_t num_slots = body.num_slots;
+  program.num_var_regs = num_slots;
+  program.num_preloaded = body.num_preloaded;
+  program.comparison_failed = body.comparison_failed;
+  program.var_reg.assign(num_slots, -1);
+  for (uint16_t s = 0; s < body.num_preloaded; ++s) program.var_reg[s] = s;
+
+  // nullptr: absent, or present with another arity.
+  auto relation_of = [&db](const Body::Atom& atom) -> const rel::Relation* {
+    auto it = db.relations().find(atom.relation);
+    if (it == db.relations().end()) return nullptr;
+    return it->second.arity() == atom.regs.size() ? &it->second : nullptr;
   };
-  for (size_t step = 0; step < body.size(); ++step) {
-    size_t best = body.size();
-    int best_bound = -1;
-    size_t best_size = 0;
-    for (size_t i = 0; i < body.size(); ++i) {
-      if (used[i]) continue;
-      int bound_args = 0;
-      for (const Term& t : body[i].args) {
-        if (t.is_const() || (t.is_var() && bound.count(t.var()) > 0)) {
-          ++bound_args;
+  const uint32_t begin =
+      first_group == 0 ? 0 : body.group_ends[first_group - 1];
+  const uint32_t end =
+      last_group == first_group ? begin : body.group_ends[last_group - 1];
+  std::vector<const rel::Relation*> relations(end - begin);
+  size_t columns = 0;
+  for (uint32_t i = begin; i < end; ++i) {
+    relations[i - begin] = relation_of(body.atoms[i]);
+    columns += body.atoms[i].regs.size();
+  }
+  program.levels.reserve(end - begin);
+  program.key_templates.reserve(end - begin);
+  program.ops.reserve(columns + body.checks.size() + body.negated.size());
+  program.keys.reserve(columns);
+
+  // Greedy order within each group, over a bitmask of bound slots.
+  std::vector<bool> bound(num_slots, false);
+  for (uint16_t s = 0; s < body.num_preloaded; ++s) bound[s] = true;
+  std::vector<uint32_t> order;
+  order.reserve(end - begin);
+  std::vector<bool> used(end - begin, false);
+  for (size_t g = first_group; g < last_group; ++g) {
+    const uint32_t gb = g == 0 ? 0 : body.group_ends[g - 1];
+    const uint32_t ge = body.group_ends[g];
+    for (uint32_t step = gb; step < ge; ++step) {
+      uint32_t best = ge;
+      int best_bound = -1;
+      size_t best_size = 0;
+      for (uint32_t i = gb; i < ge; ++i) {
+        if (used[i - begin]) continue;
+        int bound_args = 0;
+        for (uint16_t r : body.atoms[i].regs) {
+          if (r >= num_slots || bound[r]) ++bound_args;
+        }
+        // An atom that matches nothing has size 0: it runs first.
+        const rel::Relation* relation = relations[i - begin];
+        const size_t size = relation != nullptr ? relation->size() : 0;
+        if (best == ge || bound_args > best_bound ||
+            (bound_args == best_bound && size < best_size)) {
+          best = i;
+          best_bound = bound_args;
+          best_size = size;
         }
       }
-      size_t size = relation_size(body[i]);
-      if (best == body.size() || bound_args > best_bound ||
-          (bound_args == best_bound && size < best_size)) {
-        best = i;
-        best_bound = bound_args;
-        best_size = size;
+      used[best - begin] = true;
+      for (uint16_t r : body.atoms[best].regs) {
+        if (r < num_slots) bound[r] = true;
       }
-    }
-    used[best] = true;
-    for (const Term& t : body[best].args) {
-      if (t.is_var()) bound.insert(t.var());
-    }
-    ordered.push_back(body[best]);
-  }
-  return ordered;
-}
-
-JoinProgram Compile(const std::vector<Atom>& ordered,
-                    const std::vector<Comparison>& comparisons,
-                    const rel::Database& db, const std::vector<Atom>& negated,
-                    const std::map<int, int>& preloaded) {
-  JoinProgram program;
-
-  // Pass 1: preloaded variables keep the caller's registers; the rest
-  // get registers in first-occurrence order.
-  program.var_reg = preloaded;
-  for (const Atom& atom : ordered) {
-    for (const Term& term : atom.args) {
-      if (term.is_var() && program.var_reg.count(term.var()) == 0) {
-        const int reg = static_cast<int>(program.var_reg.size());
-        program.var_reg.emplace(term.var(), reg);
-      }
-    }
-  }
-  SWS_CHECK_LE(program.var_reg.size(), size_t{UINT16_MAX});
-  program.num_var_regs = static_cast<uint16_t>(program.var_reg.size());
-  program.num_preloaded = static_cast<uint16_t>(preloaded.size());
-
-  std::vector<rel::Value> constants;
-  std::map<rel::Value, uint16_t> const_reg_of;
-  auto const_reg = [&](const rel::Value& v) -> uint16_t {
-    auto it = const_reg_of.find(v);
-    if (it != const_reg_of.end()) return it->second;
-    const uint16_t reg =
-        static_cast<uint16_t>(program.num_var_regs + constants.size());
-    constants.push_back(v);
-    const_reg_of.emplace(v, reg);
-    return reg;
-  };
-  // nullptr: absent, or present with another arity.
-  auto relation_of = [&db](const Atom& atom) -> const rel::Relation* {
-    if (!db.Contains(atom.relation)) return nullptr;
-    const rel::Relation& r = db.Get(atom.relation);
-    return r.arity() == atom.args.size() ? &r : nullptr;
-  };
-
-  // Constant-vs-constant comparisons resolve at compile time.
-  std::vector<bool> attached(comparisons.size(), false);
-  for (size_t ci = 0; ci < comparisons.size(); ++ci) {
-    const Comparison& c = comparisons[ci];
-    if (c.lhs.is_const() && c.rhs.is_const()) {
-      attached[ci] = true;
-      if ((c.lhs.value() == c.rhs.value()) != c.is_equality) {
-        program.comparison_failed = true;
-      }
+      order.push_back(best);
     }
   }
 
-  std::set<int> loaded;       // vars with their kLoad already emitted
-  std::set<int> bound_prior;  // vars bound at fully-compiled levels
-  for (const auto& [var, reg] : preloaded) {
-    loaded.insert(var);
-    bound_prior.insert(var);
-  }
-  auto is_bound = [&loaded](const Term& t) {
-    return t.is_const() || loaded.count(t.var()) > 0;
+  // A slot is unbound, loaded by the level being lowered, or bound by an
+  // earlier level (or preloaded).
+  enum : uint8_t { kUnbound, kLoadedHere, kBoundBefore };
+  std::vector<uint8_t> state(num_slots, kUnbound);
+  for (uint16_t s = 0; s < body.num_preloaded; ++s) state[s] = kBoundBefore;
+  auto is_bound = [&](uint16_t r) {
+    return r >= num_slots || state[r] != kUnbound;
   };
-  auto reg_of = [&](const Term& t) {
-    return t.is_const() ? const_reg(t.value())
-                        : static_cast<uint16_t>(program.var_reg.at(t.var()));
-  };
-  // Attaches every comparison and negated atom whose operands are all
-  // bound by now; it then costs exactly one check per candidate row. A
-  // negated atom over an absent relation holds trivially: no op at all.
-  std::vector<bool> anti_attached(negated.size(), false);
+  // Attaches every check and negated atom whose operands are all bound
+  // by now; it then costs exactly one test per candidate row. A negated
+  // atom over an absent relation holds trivially: no op at all.
+  std::vector<bool> attached(body.checks.size(), false);
+  std::vector<bool> anti_attached(body.negated.size(), false);
   auto attach_checks = [&]() {
-    for (size_t ci = 0; ci < comparisons.size(); ++ci) {
-      const Comparison& c = comparisons[ci];
+    for (size_t ci = 0; ci < body.checks.size(); ++ci) {
+      const Body::Check& c = body.checks[ci];
       if (attached[ci] || !is_bound(c.lhs) || !is_bound(c.rhs)) continue;
       attached[ci] = true;
-      program.ops.push_back({c.is_equality ? Op::kCmpEq : Op::kCmpNe,
-                             reg_of(c.lhs), reg_of(c.rhs)});
+      program.ops.push_back(
+          {c.is_equality ? Op::kCmpEq : Op::kCmpNe, c.lhs, c.rhs});
     }
-    for (size_t ni = 0; ni < negated.size(); ++ni) {
-      const std::vector<Term>& args = negated[ni].args;
+    for (size_t ni = 0; ni < body.negated.size(); ++ni) {
+      const std::vector<uint16_t>& regs = body.negated[ni].regs;
       if (anti_attached[ni] ||
-          !std::all_of(args.begin(), args.end(), is_bound)) {
+          !std::all_of(regs.begin(), regs.end(), is_bound)) {
         continue;
       }
       anti_attached[ni] = true;
       Level anti;
-      anti.relation = relation_of(negated[ni]);
+      anti.relation = relation_of(body.negated[ni]);
       if (anti.relation == nullptr) continue;
-      SWS_CHECK_LE(args.size(), 64u);
+      SWS_CHECK_LE(regs.size(), 64u);
       anti.index = anti.relation->GetIndex(
-          args.size() == 64 ? ~uint64_t{0} : (uint64_t{1} << args.size()) - 1);
+          regs.size() == 64 ? ~uint64_t{0} : (uint64_t{1} << regs.size()) - 1);
       anti.keys_begin = static_cast<uint32_t>(program.keys.size());
-      for (uint32_t col = 0; col < args.size(); ++col) {
-        program.keys.push_back({col, reg_of(args[col])});
+      for (uint32_t col = 0; col < regs.size(); ++col) {
+        program.keys.push_back({col, regs[col]});
       }
       anti.keys_end = static_cast<uint32_t>(program.keys.size());
       program.ops.push_back({Op::kAntiProbe, 0,
@@ -150,9 +121,10 @@ JoinProgram Compile(const std::vector<Atom>& ordered,
   attach_checks();  // the prologue: checks over preloaded registers only
   program.prologue_end = static_cast<uint32_t>(program.ops.size());
 
-  // Pass 2: one Level per atom.
-  for (const Atom& atom : ordered) {
-    const rel::Relation* relation = relation_of(atom);
+  // One Level per atom, in join order.
+  for (uint32_t i : order) {
+    const Body::Atom& atom = body.atoms[i];
+    const rel::Relation* relation = relations[i - begin];
     if (relation == nullptr) {  // no facts: the whole body matches nothing
       program.never_matches = true;
       return program;
@@ -163,51 +135,41 @@ JoinProgram Compile(const std::vector<Atom>& ordered,
     level.keys_begin = static_cast<uint32_t>(program.keys.size());
     uint64_t mask = 0;
     rel::Tuple key_template;  // parallel to the masked columns, ascending
-    for (size_t col = 0; col < atom.args.size(); ++col) {
-      const Term& term = atom.args[col];
-      if (term.is_const()) {
+    for (uint32_t col = 0; col < atom.regs.size(); ++col) {
+      const uint16_t r = atom.regs[col];
+      if (r >= num_slots) {  // a constant
         if (col < 64) {
           mask |= uint64_t{1} << col;
-          key_template.push_back(term.value());  // prefilled, never rewritten
+          key_template.push_back(body.reg_init[r]);  // never rewritten
         } else {
-          program.ops.push_back({Op::kCheckCol, const_reg(term.value()),
-                                 static_cast<uint32_t>(col)});
+          program.ops.push_back({Op::kCheckCol, r, col});
         }
-        continue;
-      }
-      const uint16_t reg =
-          static_cast<uint16_t>(program.var_reg.at(term.var()));
-      if (loaded.count(term.var()) == 0) {  // first occurrence: bind here
-        loaded.insert(term.var());
-        program.ops.push_back({Op::kLoad, reg, static_cast<uint32_t>(col)});
-      } else if (bound_prior.count(term.var()) > 0 && col < 64) {
+      } else if (state[r] == kUnbound) {  // first occurrence: bind here
+        state[r] = kLoadedHere;
+        program.var_reg[r] = r;
+        program.ops.push_back({Op::kLoad, r, col});
+      } else if (state[r] == kBoundBefore && col < 64) {
         mask |= uint64_t{1} << col;  // bound earlier: probe key component
         program.keys.push_back(
-            {static_cast<uint32_t>(key_template.size()), reg});
+            {static_cast<uint32_t>(key_template.size()), r});
         key_template.push_back(rel::Value());  // rewritten per probe
       } else {
         // Repeated within this atom (its register is written by an
         // earlier kLoad of the same level) or beyond indexable columns.
-        program.ops.push_back(
-            {Op::kCheckCol, reg, static_cast<uint32_t>(col)});
+        program.ops.push_back({Op::kCheckCol, r, col});
       }
     }
-    if (mask != 0) {
-      level.index = relation->GetIndex(mask);
-    }
+    if (mask != 0) level.index = relation->GetIndex(mask);
     level.keys_end = static_cast<uint32_t>(program.keys.size());
     attach_checks();
-    for (const Term& t : atom.args) {
-      if (t.is_var()) bound_prior.insert(t.var());
+    for (uint16_t r : atom.regs) {
+      if (r < num_slots) state[r] = kBoundBefore;
     }
     level.ops_end = static_cast<uint32_t>(program.ops.size());
     program.key_templates.push_back(std::move(key_template));
     program.levels.push_back(std::move(level));
   }
-
-  program.reg_init.assign(program.num_var_regs, rel::Value());
-  program.reg_init.insert(program.reg_init.end(), constants.begin(),
-                          constants.end());
+  program.reg_init = body.reg_init;
   return program;
 }
 
@@ -238,10 +200,10 @@ rel::Relation Emit(const JoinProgram& program, const std::vector<Term>& head,
   for (const Term& term : head) {
     HeadPart part;
     if (term.is_var()) {
-      auto it = program.var_reg.find(term.var());
-      SWS_CHECK(it != program.var_reg.end())
+      SWS_CHECK(static_cast<size_t>(term.var()) < program.var_reg.size() &&
+                program.var_reg[term.var()] >= 0)
           << "unsafe head variable " << term.ToString();
-      part.reg = it->second;
+      part.reg = program.var_reg[term.var()];
     } else {
       part.constant = term.value();
     }

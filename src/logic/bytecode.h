@@ -4,11 +4,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "logic/cq.h"
+#include "logic/term.h"
 #include "relational/database.h"
 #include "relational/relation.h"
 #include "util/cancellation.h"
@@ -17,17 +17,17 @@ namespace sws::logic::bytecode {
 
 /// Register-bytecode join execution (the PR 7 tentpole, stage 3).
 ///
-/// A greedily-ordered CQ body is lowered once into a JoinProgram: a flat
+/// A prepared Body is lowered onto a database into a JoinProgram: a flat
 /// register machine whose state is a vector of packed 8-byte rel::Value
-/// words ("registers") — variables in first-occurrence order, then the
-/// program's constants, preloaded. One Level per atom either scans its
+/// words ("registers") — one per variable slot, then the body's
+/// constants, preloaded. One Level per atom either scans its
 /// relation's rows or probes a bound-column-mask hash index
 /// (rel::Relation::GetIndex), and each candidate row is vetted by a
 /// straight-line span of three-operand ops over registers and columnar
 /// loads. No virtual dispatch, no per-probe allocation: the executor is
 /// an iterative cursor stack driven by one switch loop, and probe keys
-/// reuse per-level buffers whose constant components are prefilled at
-/// compile time.
+/// reuse per-level buffers whose constant components are prefilled when
+/// the program is lowered.
 ///
 /// ISA (see DESIGN.md §12 for the op table):
 ///   kLoad      regs[a] = row[b]        bind a first-occurrence variable
@@ -66,6 +66,38 @@ struct Level {
   uint32_t keys_begin = 0, keys_end = 0;  // span into JoinProgram::keys
 };
 
+/// A join body prepared once, before any database is seen (DESIGN.md
+/// §8): variables are numbered densely as *slots*, and slot s lives in
+/// register s. Constants get the registers after the slots.
+struct Body {
+  /// An atom as per-column registers: a slot (< num_slots) that the
+  /// column binds or must match, or a constant register.
+  struct Atom {
+    std::string relation;
+    std::vector<uint16_t> regs;
+  };
+  /// A '=' / '≠' comparison between two registers.
+  struct Check {
+    uint16_t lhs;
+    uint16_t rhs;
+    bool is_equality;
+  };
+  std::vector<Atom> atoms;
+  /// Atoms [group_ends[g-1], group_ends[g]) form group g (a connected
+  /// component); each group is ordered on its own, and a program lowers
+  /// a run of consecutive groups in sequence.
+  std::vector<uint32_t> group_ends;
+  std::vector<Check> checks;
+  std::vector<Atom> negated;  // ¬R(t̄): a kAntiProbe once t̄ is bound
+  /// Zeroed slot registers, then the constants.
+  std::vector<rel::Value> reg_init;
+  uint16_t num_slots = 0;
+  /// Slots [0, num_preloaded) are bound by the caller before level 0
+  /// (a nested body reading its enclosing body's registers).
+  uint16_t num_preloaded = 0;
+  bool comparison_failed = false;  // a constant-vs-constant check is false
+};
+
 struct JoinProgram {
   std::vector<Level> levels;
   std::vector<Op> ops;        // prologue ops, then all levels' ops
@@ -85,33 +117,31 @@ struct JoinProgram {
   /// Per-level probe-key buffers with constant components prefilled;
   /// copied once per execution, reused across every probe.
   std::vector<rel::Tuple> key_templates;
-  /// Variable id -> register, for resolving head terms / bindings.
-  std::map<int, int> var_reg;
+  /// Slot -> register, or -1 when the program binds no value to the
+  /// slot; resolves head terms.
+  std::vector<int> var_reg;
   bool never_matches = false;      // an atom's relation absent/mismatched
   bool comparison_failed = false;  // a const-vs-const comparison is false
 };
 
-/// Greedy join ordering: repeatedly picks the atom with the most
-/// constant/already-bound argument positions, breaking ties toward the
-/// smallest relation instance. Variables in `preloaded` count as bound
-/// from the start.
-std::vector<Atom> OrderAtomsGreedily(const std::vector<Atom>& body,
-                                     const rel::Database& db,
-                                     const std::map<int, int>& preloaded = {});
+/// Lowers groups [first_group, last_group) of a prepared body onto the
+/// given database: the one routine behind every CQ, UCQ, FO-body and
+/// containment evaluation. Each atom's relation is looked up once by
+/// name (absent, or present with another arity: the body matches
+/// nothing). Within each group, atoms are ordered greedily: the most
+/// constant or already-bound arguments first, ties going to the smaller
+/// relation instance. Each level then probes a hash index over its
+/// bound columns, and each check and negated atom (all of whose
+/// variables the body binds) attaches at the first level where its
+/// operands are bound, so it costs one test per candidate row; negated
+/// atoms over absent relations hold trivially and are dropped.
+JoinProgram Lower(const Body& body, const rel::Database& db,
+                  size_t first_group, size_t last_group);
 
-/// Lowers a body (atoms already join-ordered, e.g. by OrderAtomsGreedily)
-/// into a JoinProgram against the given database. Each comparison and
-/// each negated atom (all of whose variables the body binds) is attached
-/// at the first level where its operands are bound, so it costs one
-/// check per candidate row; negated atoms over relations absent from the
-/// database hold trivially and are dropped. `preloaded` (variable ->
-/// register, dense from 0) makes a nested program: those variables are
-/// bound before level 0 to the caller's registers (see Run's `preload`).
-JoinProgram Compile(const std::vector<Atom>& ordered,
-                    const std::vector<Comparison>& comparisons,
-                    const rel::Database& db,
-                    const std::vector<Atom>& negated = {},
-                    const std::map<int, int>& preloaded = {});
+/// Lowers every group of the body.
+inline JoinProgram Lower(const Body& body, const rel::Database& db) {
+  return Lower(body, db, 0, body.group_ends.size());
+}
 
 /// Runs the program; `sink(regs)` fires once per complete match and may
 /// return false to stop enumeration. Returns false iff stopped early —
@@ -237,10 +267,10 @@ bool HasMatch(const JoinProgram& p,
               const std::vector<rel::Value>* preload = nullptr,
               const MatchFilter& keep = {});
 
-/// The emit/dedupe path shared by ConjunctiveQuery::Evaluate and the
-/// compiled FO path: the distinct rows of `head` (variables read through
-/// var_reg, constants as themselves) over every match that `keep`, when
-/// set, accepts.
+/// The emit/dedupe path shared by CQ and compiled FO evaluation: the
+/// distinct rows of `head` (variables are slots, read through var_reg;
+/// constants as themselves) over every match that `keep`, when set,
+/// accepts.
 rel::Relation Emit(const JoinProgram& program, const std::vector<Term>& head,
                    const MatchFilter& keep = {});
 

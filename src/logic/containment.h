@@ -33,9 +33,16 @@ struct ContainmentStats {
 /// fast path. An unsatisfiable Q1 is contained in everything.
 bool CqContainedIn(const ConjunctiveQuery& q1, const UnionQuery& q2,
                    ContainmentStats* stats = nullptr);
+/// The same against a right-hand side prepared once, for callers that
+/// test many left-hand sides against one union.
+bool CqContainedIn(const ConjunctiveQuery& q1, const PreparedUcq& q2,
+                   ContainmentStats* stats = nullptr);
 
-/// Q1 ⊆ Q2 for UCQs: every disjunct of Q1 must be contained in Q2.
+/// Q1 ⊆ Q2 for UCQs: every disjunct of Q1 must be contained in Q2,
+/// which is prepared once per call.
 bool UcqContainedIn(const UnionQuery& q1, const UnionQuery& q2,
+                    ContainmentStats* stats = nullptr);
+bool UcqContainedIn(const UnionQuery& q1, const PreparedUcq& q2,
                     ContainmentStats* stats = nullptr);
 
 /// Logical equivalence of UCQs (containment both ways).
@@ -49,12 +56,14 @@ bool CqContainedIn(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
 /// Enumerates all partitions of `terms` into identification blocks:
 /// constants are pre-placed in singleton blocks that variables may join
 /// (two constants never share a block); variables may join any existing
-/// block or start a new one. `on_partition` receives, for each variable
-/// id, the representative term of its block; returning false stops the
-/// enumeration. Returns false iff stopped early.
+/// block or start a new one. `on_partition` receives, indexed by variable
+/// id, the representative term of each variable's block (ids up to the
+/// largest variable of `terms`, which must be non-negative; ids not
+/// among them map to themselves); returning false stops the enumeration.
+/// Returns false iff stopped early.
 bool EnumerateIdentifications(
     const std::vector<Term>& terms,
-    const std::function<bool(const std::map<int, Term>&)>& on_partition);
+    const std::function<bool(const std::vector<Term>&)>& on_partition);
 
 }  // namespace sws::logic
 

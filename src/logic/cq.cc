@@ -1,9 +1,9 @@
 #include "logic/cq.h"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 
-#include "logic/bytecode.h"
 #include "util/cancellation.h"
 #include "util/common.h"
 
@@ -123,139 +123,10 @@ bool MatchFrom(const std::vector<Atom>& body,
   return true;
 }
 
-// Splits body atoms and comparisons into connected components by shared
-// variables. Comparisons join the components of their variables.
-struct QueryComponents {
-  // Parallel vectors: one entry per component.
-  std::vector<std::vector<Atom>> atoms;
-  std::vector<std::vector<Comparison>> comparisons;
-  std::vector<bool> touches_head;
-  bool constant_comparison_failed = false;  // a const-vs-const check failed
-};
-
-QueryComponents SplitComponents(const std::vector<Atom>& body,
-                                const std::vector<Comparison>& comparisons,
-                                const std::vector<Term>& head) {
-  QueryComponents out;
-  // Union-find over variables.
-  std::map<int, int> parent;
-  std::function<int(int)> find = [&](int x) -> int {
-    auto it = parent.find(x);
-    if (it == parent.end()) {
-      parent.emplace(x, x);
-      return x;
-    }
-    if (it->second == x) return x;
-    int root = find(it->second);
-    it->second = root;  // path compression
-    return root;
-  };
-  auto unite = [&](int a, int b) { parent[find(a)] = find(b); };
-  auto unite_terms = [&](const std::vector<Term>& terms) {
-    int first = -1;
-    for (const Term& t : terms) {
-      if (!t.is_var()) continue;
-      if (first < 0) {
-        first = t.var();
-        find(first);
-      } else {
-        unite(first, t.var());
-      }
-    }
-  };
-  for (const Atom& a : body) unite_terms(a.args);
-  for (const Comparison& c : comparisons) unite_terms({c.lhs, c.rhs});
-
-  // Assign atoms/comparisons to components keyed by variable roots;
-  // variable-free atoms each form their own component.
-  std::map<int, size_t> root_to_component;
-  auto component_of_var = [&](int var) {
-    int root = find(var);
-    auto [it, inserted] =
-        root_to_component.emplace(root, out.atoms.size());
-    if (inserted) {
-      out.atoms.emplace_back();
-      out.comparisons.emplace_back();
-      out.touches_head.push_back(false);
-    }
-    return it->second;
-  };
-  for (const Atom& a : body) {
-    size_t component = out.atoms.size();
-    bool has_var = false;
-    for (const Term& t : a.args) {
-      if (t.is_var()) {
-        component = component_of_var(t.var());
-        has_var = true;
-        break;
-      }
-    }
-    if (!has_var) {
-      out.atoms.emplace_back();
-      out.comparisons.emplace_back();
-      out.touches_head.push_back(false);
-    }
-    out.atoms[component].push_back(a);
-  }
-  for (const Comparison& c : comparisons) {
-    if (c.lhs.is_var()) {
-      out.comparisons[component_of_var(c.lhs.var())].push_back(c);
-    } else if (c.rhs.is_var()) {
-      out.comparisons[component_of_var(c.rhs.var())].push_back(c);
-    } else if ((c.lhs.value() == c.rhs.value()) != c.is_equality) {
-      out.constant_comparison_failed = true;
-    }
-  }
-  for (const Term& t : head) {
-    if (t.is_var()) {
-      // Safe queries guarantee head vars occur in the body, hence have a
-      // component.
-      out.touches_head[component_of_var(t.var())] = true;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
-bool EnumerateMatches(const std::vector<Atom>& body,
-                      const std::vector<Comparison>& comparisons,
-                      const rel::Database& db,
-                      const std::function<bool(const Binding&)>& on_match) {
-  bytecode::JoinProgram program = bytecode::Compile(
-      bytecode::OrderAtomsGreedily(body, db), comparisons, db);
-  return bytecode::Run(program, [&](const std::vector<rel::Value>& regs) {
-    Binding binding;
-    for (const auto& [var, reg] : program.var_reg) {
-      binding.emplace(var, regs[reg]);
-    }
-    return on_match(binding);
-  });
-}
-
 rel::Relation ConjunctiveQuery::Evaluate(const rel::Database& db) const {
-  QueryComponents components = SplitComponents(body_, comparisons_, head_);
-  if (components.constant_comparison_failed) {
-    return rel::Relation(head_.size());
-  }
-  // Existential components (no head variable): one witness suffices.
-  std::vector<Atom> head_atoms;
-  std::vector<Comparison> head_comparisons;
-  for (size_t i = 0; i < components.atoms.size(); ++i) {
-    std::vector<Atom> ordered =
-        bytecode::OrderAtomsGreedily(components.atoms[i], db);
-    if (components.touches_head[i]) {
-      head_atoms.insert(head_atoms.end(), ordered.begin(), ordered.end());
-      head_comparisons.insert(head_comparisons.end(),
-                              components.comparisons[i].begin(),
-                              components.comparisons[i].end());
-    } else if (!bytecode::HasMatch(bytecode::Compile(
-                   ordered, components.comparisons[i], db))) {
-      return rel::Relation(head_.size());
-    }
-  }
-  return bytecode::Emit(bytecode::Compile(head_atoms, head_comparisons, db),
-                        head_);
+  return PreparedCq(*this).Evaluate(db);
 }
 
 rel::Relation ConjunctiveQuery::EvaluateNaive(const rel::Database& db) const {
@@ -276,15 +147,31 @@ rel::Relation ConjunctiveQuery::EvaluateNaive(const rel::Database& db) const {
 }
 
 bool ConjunctiveQuery::EvaluatesNonempty(const rel::Database& db) const {
-  // With a nullary head every component is existential: Evaluate stops
-  // at each component's first witness.
-  return !ConjunctiveQuery({}, body_, comparisons_).Evaluate(db).empty();
+  return PreparedCq(*this).EvaluatesNonempty(db);
 }
 
-std::set<int> ConjunctiveQuery::Vars() const {
-  std::set<int> vars;
+namespace {
+
+// Calls f on every term of the query, in place: the head, the body
+// atoms, then the comparisons.
+template <typename F>
+void RewriteTerms(ConjunctiveQuery* q, F f) {
+  for (Term& t : *q->mutable_head()) f(t);
+  for (Atom& a : *q->mutable_body()) {
+    for (Term& t : a.args) f(t);
+  }
+  for (Comparison& c : *q->mutable_comparisons()) {
+    f(c.lhs);
+    f(c.rhs);
+  }
+}
+
+}  // namespace
+
+std::vector<int> ConjunctiveQuery::Vars() const {
+  std::vector<int> vars;
   auto add = [&vars](const Term& t) {
-    if (t.is_var()) vars.insert(t.var());
+    if (t.is_var()) vars.push_back(t.var());
   };
   for (const Term& t : head_) add(t);
   for (const Atom& a : body_) {
@@ -294,20 +181,23 @@ std::set<int> ConjunctiveQuery::Vars() const {
     add(c.lhs);
     add(c.rhs);
   }
+  std::sort(vars.begin(), vars.end());
+  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
   return vars;
 }
 
 std::vector<Term> ConjunctiveQuery::AllTerms() const {
-  std::set<Term> terms;
-  for (const Term& t : head_) terms.insert(t);
+  std::vector<Term> terms = head_;
   for (const Atom& a : body_) {
-    for (const Term& t : a.args) terms.insert(t);
+    terms.insert(terms.end(), a.args.begin(), a.args.end());
   }
   for (const Comparison& c : comparisons_) {
-    terms.insert(c.lhs);
-    terms.insert(c.rhs);
+    terms.push_back(c.lhs);
+    terms.push_back(c.rhs);
   }
-  return std::vector<Term>(terms.begin(), terms.end());
+  std::sort(terms.begin(), terms.end());
+  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+  return terms;
 }
 
 std::set<std::string> ConjunctiveQuery::BodyRelations() const {
@@ -316,98 +206,131 @@ std::set<std::string> ConjunctiveQuery::BodyRelations() const {
   return names;
 }
 
-ConjunctiveQuery ConjunctiveQuery::Substitute(
-    const std::map<int, Term>& map) const {
-  auto sub = [&map](const Term& t) {
-    if (t.is_const()) return t;
-    auto it = map.find(t.var());
-    return it == map.end() ? t : it->second;
-  };
+ConjunctiveQuery ConjunctiveQuery::ShiftVars(int offset) const {
   ConjunctiveQuery out = *this;
-  for (Term& t : *out.mutable_head()) t = sub(t);
-  for (Atom& a : *out.mutable_body()) {
-    for (Term& t : a.args) t = sub(t);
-  }
-  for (Comparison& c : *out.mutable_comparisons()) {
-    c.lhs = sub(c.lhs);
-    c.rhs = sub(c.rhs);
-  }
+  RewriteTerms(&out, [offset](Term& t) {
+    if (t.is_var()) t = Term::Var(t.var() + offset);
+  });
   return out;
 }
 
-ConjunctiveQuery ConjunctiveQuery::ShiftVars(int offset) const {
-  std::map<int, Term> map;
-  for (int v : Vars()) map.emplace(v, Term::Var(v + offset));
-  return Substitute(map);
+ConjunctiveQuery ConjunctiveQuery::Renumbered(int first) const {
+  SlotMap rank;  // slot = rank, as the ids are numbered in ascending order
+  rank.Extend(Vars());
+  ConjunctiveQuery out = *this;
+  RewriteTerms(&out, [&rank, first](Term& t) {
+    if (t.is_var()) t = Term::Var(first + rank[t.var()]);
+  });
+  return out;
 }
 
 int ConjunctiveQuery::MaxVar() const {
-  std::set<int> vars = Vars();
-  return vars.empty() ? -1 : *vars.rbegin();
+  std::optional<int> max_var;
+  auto see = [&max_var](const Term& t) {
+    if (t.is_var() && (!max_var.has_value() || t.var() > *max_var)) {
+      max_var = t.var();
+    }
+  };
+  for (const Term& t : head_) see(t);
+  for (const Atom& a : body_) {
+    for (const Term& t : a.args) see(t);
+  }
+  for (const Comparison& c : comparisons_) {
+    see(c.lhs);
+    see(c.rhs);
+  }
+  return max_var.value_or(-1);
 }
 
 std::optional<ConjunctiveQuery> ConjunctiveQuery::Normalize() const {
-  // Union-find over terms driven by the '=' comparisons.
-  std::vector<Term> terms = AllTerms();
-  std::map<Term, size_t> index;
-  for (size_t i = 0; i < terms.size(); ++i) index.emplace(terms[i], i);
-  std::vector<size_t> parent(terms.size());
+  if (comparisons_.empty()) return *this;
+  // Union-find over the variables, numbered densely by rank; a class's
+  // root carries the constant the class equals, if any.
+  const std::vector<int> ids = Vars();
+  SlotMap rank;
+  rank.Extend(ids);
+  std::vector<size_t> parent(ids.size());
   for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
-  std::function<size_t(size_t)> find = [&](size_t x) {
+  auto find = [&parent](size_t x) {
     while (parent[x] != x) {
       parent[x] = parent[parent[x]];
       x = parent[x];
     }
     return x;
   };
+  std::vector<std::optional<rel::Value>> constant(ids.size());
+  // Pins class `root` to `value`; false if it already holds another.
+  auto pin = [&constant](size_t root, const rel::Value& value) {
+    if (!constant[root].has_value()) constant[root] = value;
+    return *constant[root] == value;
+  };
+  bool has_equalities = false;
   for (const Comparison& c : comparisons_) {
     if (!c.is_equality) continue;
-    size_t a = find(index.at(c.lhs));
-    size_t b = find(index.at(c.rhs));
-    if (a != b) parent[a] = b;
-  }
-  // Pick a representative per class: a constant if present; two distinct
-  // constants in one class make the query unsatisfiable.
-  std::map<size_t, Term> rep;
-  for (size_t i = 0; i < terms.size(); ++i) {
-    size_t root = find(i);
-    auto it = rep.find(root);
-    if (it == rep.end()) {
-      rep.emplace(root, terms[i]);
-    } else if (terms[i].is_const()) {
-      if (it->second.is_const()) {
-        if (!(it->second.value() == terms[i].value())) return std::nullopt;
-      } else {
-        it->second = terms[i];
+    has_equalities = true;
+    if (c.lhs.is_const() && c.rhs.is_const()) {
+      if (!(c.lhs.value() == c.rhs.value())) return std::nullopt;
+    } else if (c.lhs.is_const() || c.rhs.is_const()) {
+      const Term& var = c.lhs.is_var() ? c.lhs : c.rhs;
+      const Term& value = c.lhs.is_var() ? c.rhs : c.lhs;
+      if (!pin(find(rank[var.var()]), value.value())) {
+        return std::nullopt;
+      }
+    } else {
+      const size_t a = find(rank[c.lhs.var()]);
+      const size_t b = find(rank[c.rhs.var()]);
+      if (a == b) continue;
+      parent[a] = b;
+      if (constant[a].has_value() && !pin(b, *constant[a])) {
+        return std::nullopt;
       }
     }
   }
-  std::map<int, Term> substitution;
-  for (size_t i = 0; i < terms.size(); ++i) {
-    if (terms[i].is_var()) {
-      substitution[terms[i].var()] = rep.at(find(i));
+  ConjunctiveQuery out = *this;
+  if (has_equalities) {
+    // A class's representative: its constant, else its smallest
+    // variable (the first met, as ids ascend).
+    std::vector<std::optional<int>> smallest(ids.size());
+    std::vector<Term> rep(ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const size_t root = find(i);
+      if (constant[root].has_value()) {
+        rep[i] = Term::Const(*constant[root]);
+        continue;
+      }
+      if (!smallest[root].has_value()) smallest[root] = ids[i];
+      rep[i] = Term::Var(*smallest[root]);
     }
+    RewriteTerms(&out, [&](Term& t) {
+      if (t.is_var()) t = rep[rank[t.var()]];
+    });
   }
-  ConjunctiveQuery out = Substitute(substitution);
-  // Keep only inequalities; drop duplicates; fail on t != t; drop
-  // trivially-true constant inequalities.
-  std::set<Comparison> kept;
+  // Keep only inequalities, oriented, sorted and deduplicated; fail on
+  // t != t; drop trivially-true constant inequalities.
+  std::vector<Comparison> kept;
   for (const Comparison& c : out.comparisons_) {
     if (c.is_equality) continue;
     if (c.lhs == c.rhs) return std::nullopt;
     if (c.lhs.is_const() && c.rhs.is_const()) continue;  // distinct: true
     Comparison norm = c;
     if (norm.rhs < norm.lhs) std::swap(norm.lhs, norm.rhs);
-    kept.insert(norm);
+    kept.push_back(std::move(norm));
   }
-  out.comparisons_.assign(kept.begin(), kept.end());
+  std::sort(kept.begin(), kept.end());
+  kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
+  out.comparisons_ = std::move(kept);
   return out;
 }
 
 rel::Database ConjunctiveQuery::CanonicalDatabase(
-    rel::Tuple* frozen_head) const {
-  auto freeze = [](const Term& t) {
-    return t.is_const() ? t.value() : rel::Value::Null(t.var());
+    rel::Tuple* frozen_head, const std::vector<Term>* identify) const {
+  auto freeze = [identify](const Term& t) {
+    const Term& image =
+        t.is_var() && identify != nullptr &&
+                static_cast<size_t>(t.var()) < identify->size()
+            ? (*identify)[t.var()]
+            : t;
+    return image.is_const() ? image.value() : rel::Value::Null(image.var());
   };
   rel::Database db;
   for (const Atom& a : body_) {
@@ -452,6 +375,234 @@ std::string ConjunctiveQuery::ToString(
   }
   if (first) out << "true";
   return out.str();
+}
+
+void SlotMap::Extend(std::vector<int> vars) {
+  std::sort(vars.begin(), vars.end());
+  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+  const size_t numbered = by_id_.size();
+  for (int v : vars) {
+    auto it = std::lower_bound(by_id_.begin(), by_id_.begin() + numbered,
+                               std::make_pair(v, uint16_t{0}));
+    if (it != by_id_.begin() + numbered && it->first == v) continue;
+    SWS_CHECK_LT(by_id_.size(), size_t{UINT16_MAX});
+    by_id_.emplace_back(v, static_cast<uint16_t>(by_id_.size()));
+  }
+  std::inplace_merge(by_id_.begin(), by_id_.begin() + numbered,
+                     by_id_.end());
+  table_.clear();
+  if (by_id_.empty()) return;
+  // Ids may span the whole int range: offsets are taken in 64 bits.
+  const int64_t base = by_id_.front().first;
+  const int64_t span = int64_t{by_id_.back().first} - base + 1;
+  if (span > static_cast<int64_t>(4 * by_id_.size() + 64)) return;
+  table_.assign(static_cast<size_t>(span), 0);
+  for (const auto& [id, slot] : by_id_) {
+    table_[static_cast<size_t>(id - base)] = static_cast<uint16_t>(slot + 1);
+  }
+}
+
+uint16_t SlotMap::operator[](int var) const {
+  if (!table_.empty()) {
+    const int64_t i = int64_t{var} - by_id_.front().first;
+    SWS_CHECK(i >= 0 && i < static_cast<int64_t>(table_.size()) &&
+              table_[static_cast<size_t>(i)] > 0)
+        << "variable X" << var << " has no slot";
+    return table_[static_cast<size_t>(i)] - 1;
+  }
+  auto it = std::lower_bound(by_id_.begin(), by_id_.end(),
+                             std::make_pair(var, uint16_t{0}));
+  SWS_CHECK(it != by_id_.end() && it->first == var)
+      << "variable X" << var << " has no slot";
+  return it->second;
+}
+
+bytecode::Body PrepareBody(const SlotMap& slots, size_t num_preloaded,
+                           const std::vector<Atom>& atoms,
+                           std::vector<uint32_t> group_ends,
+                           const std::vector<Comparison>& comparisons,
+                           const std::vector<Atom>& negated) {
+  bytecode::Body body;
+  body.num_slots = static_cast<uint16_t>(slots.size());
+  body.num_preloaded = static_cast<uint16_t>(num_preloaded);
+  body.group_ends = std::move(group_ends);
+  body.reg_init.assign(body.num_slots, rel::Value());
+  auto reg = [&](const Term& t) -> uint16_t {
+    if (t.is_var()) return slots[t.var()];
+    for (size_t r = body.num_slots; r < body.reg_init.size(); ++r) {
+      if (body.reg_init[r] == t.value()) return static_cast<uint16_t>(r);
+    }
+    SWS_CHECK_LT(body.reg_init.size(), size_t{UINT16_MAX});
+    body.reg_init.push_back(t.value());
+    return static_cast<uint16_t>(body.reg_init.size() - 1);
+  };
+  auto prepare = [&reg](const Atom& a) {
+    bytecode::Body::Atom out{a.relation, {}};
+    out.regs.reserve(a.args.size());
+    for (const Term& t : a.args) out.regs.push_back(reg(t));
+    return out;
+  };
+  for (const Atom& a : atoms) body.atoms.push_back(prepare(a));
+  for (const Atom& a : negated) body.negated.push_back(prepare(a));
+  for (const Comparison& c : comparisons) {
+    if (c.lhs.is_const() && c.rhs.is_const()) {
+      if ((c.lhs.value() == c.rhs.value()) != c.is_equality) {
+        body.comparison_failed = true;
+      }
+      continue;
+    }
+    body.checks.push_back({reg(c.lhs), reg(c.rhs), c.is_equality});
+  }
+  return body;
+}
+
+PreparedCq::PreparedCq(const ConjunctiveQuery& q)
+    : head_arity_(q.head_arity()) {
+  std::optional<ConjunctiveQuery> normalized = q.Normalize();
+  if (!normalized.has_value()) {
+    satisfiable_ = false;
+    return;
+  }
+  std::vector<Atom>& atoms = *normalized->mutable_body();
+  const std::vector<Comparison>& comparisons = normalized->comparisons();
+  has_comparisons_ = !comparisons.empty();
+  auto add_constant = [this](const Term& t) {
+    if (t.is_const()) constants_.push_back(t.value());
+  };
+  for (const Term& t : normalized->head()) add_constant(t);
+  for (const Atom& a : atoms) {
+    for (const Term& t : a.args) add_constant(t);
+  }
+  for (const Comparison& c : comparisons) {
+    add_constant(c.lhs);
+    add_constant(c.rhs);
+  }
+  std::sort(constants_.begin(), constants_.end());
+  constants_.erase(std::unique(constants_.begin(), constants_.end()),
+                   constants_.end());
+  SlotMap slots;
+  slots.Extend(normalized->Vars());
+
+  // Connected components: union-find over slots, joined by the atoms
+  // and the comparisons.
+  std::vector<size_t> parent(slots.size());
+  for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
+  auto find = [&parent](size_t x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
+  auto unite = [&](const Term& a, const Term& b) {
+    if (a.is_var() && b.is_var()) {
+      parent[find(slots[a.var()])] = find(slots[b.var()]);
+    }
+  };
+  for (const Atom& a : atoms) {
+    auto first = std::find_if(a.args.begin(), a.args.end(),
+                              [](const Term& t) { return t.is_var(); });
+    for (auto it = first; it != a.args.end(); ++it) unite(*first, *it);
+  }
+  for (const Comparison& c : comparisons) unite(c.lhs, c.rhs);
+  // Number the components by first appearance in the body; each
+  // variable-free atom is a component of its own. A comparison or head
+  // variable in no atom (an unsafe query) joins no component.
+  std::vector<int> component_of_root(slots.size(), -1);
+  int num_components = 0;
+  auto component_of = [&](const Term& t) {
+    return t.is_var() ? component_of_root[find(slots[t.var()])] : -1;
+  };
+  std::vector<int> atom_component(atoms.size());
+  for (size_t i = 0; i < atoms.size(); ++i) {
+    auto var = std::find_if(atoms[i].args.begin(), atoms[i].args.end(),
+                            [](const Term& t) { return t.is_var(); });
+    if (var == atoms[i].args.end()) {
+      atom_component[i] = num_components++;
+      continue;
+    }
+    int& component = component_of_root[find(slots[var->var()])];
+    if (component < 0) component = num_components++;
+    atom_component[i] = component;
+  }
+  std::vector<bool> touches_head(num_components, false);
+  for (const Term& t : normalized->head()) {
+    if (component_of(t) >= 0) touches_head[component_of(t)] = true;
+  }
+  // Groups: the head components, then the existential ones, each in
+  // component order; atoms and comparisons keep their body order.
+  std::vector<int> group_order;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int c = 0; c < num_components; ++c) {
+      if (touches_head[c] == (pass == 0)) group_order.push_back(c);
+    }
+    if (pass == 0) head_groups_ = group_order.size();
+  }
+  std::vector<Atom> grouped;
+  std::vector<uint32_t> group_ends;
+  std::vector<Comparison> checks;
+  for (int c : group_order) {
+    for (size_t i = 0; i < atoms.size(); ++i) {
+      if (atom_component[i] == c) grouped.push_back(std::move(atoms[i]));
+    }
+    group_ends.push_back(static_cast<uint32_t>(grouped.size()));
+    for (const Comparison& cmp : comparisons) {
+      const int lhs = component_of(cmp.lhs);
+      if ((lhs >= 0 ? lhs : component_of(cmp.rhs)) == c) checks.push_back(cmp);
+    }
+  }
+  body_ = PrepareBody(slots, 0, grouped, std::move(group_ends), checks);
+  for (const Term& t : normalized->head()) {
+    head_.push_back(t.is_var() ? Term::Var(slots[t.var()]) : t);
+  }
+}
+
+bool PreparedCq::GroupsMatch(const rel::Database& db, size_t first,
+                             size_t last) const {
+  for (size_t g = first; g < last; ++g) {
+    if (!bytecode::HasMatch(bytecode::Lower(body_, db, g, g + 1))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+rel::Relation PreparedCq::Evaluate(const rel::Database& db) const {
+  // Existential components: one witness each suffices.
+  if (!satisfiable_ ||
+      !GroupsMatch(db, head_groups_, body_.group_ends.size())) {
+    return rel::Relation(head_arity_);
+  }
+  return bytecode::Emit(bytecode::Lower(body_, db, 0, head_groups_), head_);
+}
+
+bool PreparedCq::EvaluatesNonempty(const rel::Database& db) const {
+  return satisfiable_ && GroupsMatch(db, 0, body_.group_ends.size());
+}
+
+bool PreparedCq::Produces(const rel::Database& db,
+                          const rel::Tuple& tuple) const {
+  if (!satisfiable_) return false;
+  for (size_t i = 0; i < head_.size(); ++i) {
+    if (head_[i].is_const() && !(head_[i].value() == tuple[i])) return false;
+  }
+  if (!GroupsMatch(db, head_groups_, body_.group_ends.size())) return false;
+  const bytecode::JoinProgram program =
+      bytecode::Lower(body_, db, 0, head_groups_);
+  for (const Term& t : head_) {
+    // A head variable no atom binds matches no value (unsafe query).
+    if (t.is_var() && program.var_reg[t.var()] < 0) return false;
+  }
+  return bytecode::HasMatch(
+      program, nullptr, [&](const std::vector<rel::Value>& regs) {
+        for (size_t i = 0; i < head_.size(); ++i) {
+          if (head_[i].is_var() &&
+              !(regs[program.var_reg[head_[i].var()]] == tuple[i])) {
+            return false;
+          }
+        }
+        return true;
+      });
 }
 
 }  // namespace sws::logic

@@ -2,13 +2,13 @@
 #define SWS_LOGIC_CQ_H_
 
 #include <initializer_list>
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "logic/bytecode.h"
 #include "logic/term.h"
 #include "relational/database.h"
 #include "relational/relation.h"
@@ -45,10 +45,11 @@ struct Comparison {
 /// where the A_i are positive atoms and the c_j are (in)equalities.
 ///
 /// Safety: every variable in the head or in a comparison must occur in
-/// some body atom (checked by Validate()). Evaluate splits the body into
-/// connected components and runs each on the join bytecode
-/// (logic/bytecode.h): greedily ordered atoms probing hash indexes over
-/// their bound columns, each comparison checked once.
+/// some body atom (checked by Validate()). Evaluate runs the query's
+/// PreparedCq (below) on the join bytecode (logic/bytecode.h): greedily
+/// ordered atoms probing hash indexes over their bound columns, each
+/// comparison checked once. Callers that evaluate one query repeatedly
+/// hold a PreparedCq instead of re-preparing it on every call.
 class ConjunctiveQuery {
  public:
   ConjunctiveQuery() = default;
@@ -86,32 +87,41 @@ class ConjunctiveQuery {
   /// True iff Evaluate(db) would be nonempty (stops at first match).
   bool EvaluatesNonempty(const rel::Database& db) const;
 
-  /// All variable ids occurring anywhere in the query.
-  std::set<int> Vars() const;
-  /// All terms (variables and constants) occurring anywhere.
+  /// The distinct variable ids occurring anywhere in the query,
+  /// ascending.
+  std::vector<int> Vars() const;
+  /// All terms (variables and constants) occurring anywhere: distinct,
+  /// variables first (ascending ids), then constants (ascending).
   std::vector<Term> AllTerms() const;
   /// All relation names occurring in the body.
   std::set<std::string> BodyRelations() const;
 
-  /// Applies a variable substitution to every term.
-  ConjunctiveQuery Substitute(const std::map<int, Term>& map) const;
-
   /// Renames all variables by adding `offset` (for making queries
   /// variable-disjoint before unfolding or containment tests).
   ConjunctiveQuery ShiftVars(int offset) const;
+  /// Renames the variables, in ascending id order, to first, first + 1,
+  /// ... (a variable-disjoint copy numbered from `first`).
+  ConjunctiveQuery Renumbered(int first) const;
   /// Largest variable id used, or -1 if none.
   int MaxVar() const;
 
   /// Eliminates '=' comparisons by unification. Returns nullopt if the
   /// equalities are unsatisfiable (two distinct constants equated) or an
-  /// inequality became trivially false (t != t). The result has only
-  /// '≠' comparisons, with duplicates removed.
+  /// inequality became trivially false (t != t). Each '=' class becomes
+  /// its representative: the class's constant if it has one, otherwise
+  /// its smallest variable. The result has only '≠' comparisons, each
+  /// oriented lhs < rhs, sorted and deduplicated; a query with no
+  /// comparisons is returned as it is.
   std::optional<ConjunctiveQuery> Normalize() const;
 
   /// Canonical ("frozen") database: every variable v becomes the labeled
   /// null _N{v}. Requires a normalized query. Also returns the frozen
-  /// head through `frozen_head` if non-null.
-  rel::Database CanonicalDatabase(rel::Tuple* frozen_head = nullptr) const;
+  /// head through `frozen_head` if non-null. With `identify` set, each
+  /// variable v < identify->size() is first replaced by (*identify)[v]
+  /// (the canonical database of an identification of the variables).
+  rel::Database CanonicalDatabase(
+      rel::Tuple* frozen_head = nullptr,
+      const std::vector<Term>* identify = nullptr) const;
 
   /// A consistent normalized CQ is satisfiable (its canonical database is
   /// a witness); convenience wrapper over Normalize().
@@ -187,13 +197,70 @@ class Binding {
 /// Resolves a term under a binding; nullopt if an unbound variable.
 std::optional<rel::Value> ResolveTerm(const Term& term, const Binding& binding);
 
-/// Enumerates all bindings of `body` atoms (plus comparisons) against the
-/// database, invoking `on_match` for each complete binding. If `on_match`
-/// returns false, enumeration stops early. Returns false iff stopped early.
-bool EnumerateMatches(const std::vector<Atom>& body,
-                      const std::vector<Comparison>& comparisons,
-                      const rel::Database& db,
-                      const std::function<bool(const Binding&)>& on_match);
+/// A dense numbering of variable ids as slots, for preparing join bodies
+/// (bytecode::Body): slot s is register s of the lowered program.
+class SlotMap {
+ public:
+  /// Numbers the ids of `vars` not numbered yet, ascending, after the
+  /// ones already numbered (a nested body extends its enclosing map).
+  void Extend(std::vector<int> vars);
+  /// The slot of a numbered id.
+  uint16_t operator[](int var) const;
+  size_t size() const { return by_id_.size(); }
+
+ private:
+  std::vector<std::pair<int, uint16_t>> by_id_;  // sorted by id
+  /// Slot + 1 of id by_id_.front().first + i (0: none), when the ids are
+  /// dense enough for a table; empty otherwise.
+  std::vector<uint16_t> table_;
+};
+
+/// Prepares atoms and comparisons over numbered variables as a join body
+/// whose slots [0, num_preloaded) are bound by the caller. `group_ends`
+/// splits the atoms into independently ordered groups (see
+/// bytecode::Body).
+bytecode::Body PrepareBody(const SlotMap& slots, size_t num_preloaded,
+                           const std::vector<Atom>& atoms,
+                           std::vector<uint32_t> group_ends,
+                           const std::vector<Comparison>& comparisons,
+                           const std::vector<Atom>& negated = {});
+
+/// A conjunctive query prepared once for repeated evaluation (DESIGN.md
+/// §8): normalized, its variables numbered densely, and its body split
+/// into connected components that each become a group of one prepared
+/// join body, the head-touching components first. An evaluation only
+/// binds relations, orders each component and lowers it
+/// (bytecode::Lower): an existential component needs one witness, and
+/// the head components run as one program. Immutable, so copies may be
+/// shared and read concurrently.
+class PreparedCq {
+ public:
+  explicit PreparedCq(const ConjunctiveQuery& q);
+
+  /// False iff Normalize() found the query unsatisfiable.
+  bool satisfiable() const { return satisfiable_; }
+  /// Whether the normalized query has comparisons, and its constants
+  /// (ascending, distinct): what Klug's test reads of a right-hand side.
+  bool has_comparisons() const { return has_comparisons_; }
+  const std::vector<rel::Value>& constants() const { return constants_; }
+
+  rel::Relation Evaluate(const rel::Database& db) const;
+  bool EvaluatesNonempty(const rel::Database& db) const;
+  /// True iff `tuple` is in Evaluate(db) (stops at the first witness).
+  bool Produces(const rel::Database& db, const rel::Tuple& tuple) const;
+
+ private:
+  /// True iff each group in [first, last) has a match on its own.
+  bool GroupsMatch(const rel::Database& db, size_t first, size_t last) const;
+
+  size_t head_arity_ = 0;
+  bool satisfiable_ = true;
+  bool has_comparisons_ = false;
+  std::vector<rel::Value> constants_;
+  std::vector<Term> head_;  // over slots
+  bytecode::Body body_;
+  size_t head_groups_ = 0;  // groups [0, head_groups_) touch the head
+};
 
 }  // namespace sws::logic
 

@@ -80,14 +80,18 @@ DatalogProgram::FixpointResult DatalogProgram::Evaluate(
     work.GetMutable(f.relation)->Insert(std::move(t));
   }
 
+  // Each rule body is prepared once for the whole fixpoint.
+  std::vector<PreparedCq> bodies;
+  for (const DatalogRule& r : rules_) {
+    bodies.emplace_back(ConjunctiveQuery(r.head.args, r.body));
+  }
   bool changed = true;
   while (changed && result.iterations < max_iterations) {
     changed = false;
     ++result.iterations;
-    for (const DatalogRule& r : rules_) {
-      ConjunctiveQuery q(r.head.args, r.body);
-      rel::Relation derived = q.Evaluate(work);
-      rel::Relation* target = work.GetMutable(r.head.relation);
+    for (size_t i = 0; i < rules_.size(); ++i) {
+      rel::Relation derived = bodies[i].Evaluate(work);
+      rel::Relation* target = work.GetMutable(rules_[i].head.relation);
       for (const rel::Tuple& t : derived) {
         if (target->Insert(t)) changed = true;
       }

@@ -349,6 +349,12 @@ struct FoBody {
   ConjunctiveQuery cq;
   std::vector<Atom> negated;   // ¬R(t̄), every variable bound: kAntiProbe
   std::vector<FoBody> nested;  // ¬∃ȳ φ: HasMatch, enclosing regs preloaded
+  /// cq's atoms and comparisons and the negated atoms as one join body,
+  /// and cq's head over its slots. A nested body that reads enclosing
+  /// variables numbers its slots after the enclosing body's and preloads
+  /// them.
+  bytecode::Body prepared;
+  std::vector<Term> slot_head;
 };
 
 namespace {
@@ -536,39 +542,57 @@ bool LowerConj(const Conj& c, const std::map<int, Term>& outer,
   return true;
 }
 
-// A body compiled against one database, once per Evaluate.
-struct CompiledBody {
-  bytecode::JoinProgram program;
-  std::vector<CompiledBody> nested;
-};
-
-bool Matches(const CompiledBody& c, const std::vector<rel::Value>* preload);
-
-// True iff no nested body matches under `regs`.
-bool Keep(const CompiledBody& c, const std::vector<rel::Value>& regs) {
-  return std::none_of(
-      c.nested.begin(), c.nested.end(),
-      [&regs](const CompiledBody& n) { return Matches(n, &regs); });
+// Prepares `b` and its nested bodies, numbering b's variables after the
+// enclosing slots (none for a top-level body or a closed sentence).
+void Prepare(FoBody* b, SlotMap slots) {
+  const size_t enclosing = slots.size();
+  std::vector<int> vars = b->cq.Vars();
+  for (const Atom& a : b->negated) {
+    for (const Term& t : a.args) {
+      if (t.is_var()) vars.push_back(t.var());
+    }
+  }
+  slots.Extend(std::move(vars));
+  const std::vector<Atom>& atoms = b->cq.body();
+  b->prepared = PrepareBody(slots, enclosing, atoms,
+                            {static_cast<uint32_t>(atoms.size())},
+                            b->cq.comparisons(), b->negated);
+  for (const Term& t : b->cq.head()) {
+    b->slot_head.push_back(t.is_var() ? Term::Var(slots[t.var()]) : t);
+  }
+  for (FoBody& n : b->nested) {
+    Prepare(&n, n.cq.head().empty() ? SlotMap() : slots);
+  }
 }
 
-bool Matches(const CompiledBody& c, const std::vector<rel::Value>* preload) {
+// A body lowered onto one database, once per Evaluate.
+struct LoweredBody {
+  bytecode::JoinProgram program;
+  std::vector<LoweredBody> nested;
+};
+
+bool Matches(const LoweredBody& c, const std::vector<rel::Value>* preload);
+
+// True iff no nested body matches under `regs`.
+bool Keep(const LoweredBody& c, const std::vector<rel::Value>& regs) {
+  return std::none_of(
+      c.nested.begin(), c.nested.end(),
+      [&regs](const LoweredBody& n) { return Matches(n, &regs); });
+}
+
+bool Matches(const LoweredBody& c, const std::vector<rel::Value>* preload) {
   return bytecode::HasMatch(
       c.program, preload,
       [&c](const std::vector<rel::Value>& regs) { return Keep(c, regs); });
 }
 
-CompiledBody CompileBody(const FoBody& b, const rel::Database& db,
-                         const std::map<int, int>& preloaded) {
-  CompiledBody c{
-      bytecode::Compile(
-          bytecode::OrderAtomsGreedily(b.cq.body(), db, preloaded),
-          b.cq.comparisons(), db, b.negated, preloaded),
-      {}};
+LoweredBody LowerBody(const FoBody& b, const rel::Database& db) {
+  LoweredBody c{bytecode::Lower(b.prepared, db), {}};
   for (const FoBody& n : b.nested) {
     if (c.program.never_matches) break;
     if (!n.cq.head().empty()) {
-      c.nested.push_back(CompileBody(n, db, c.program.var_reg));
-    } else if (Matches(CompileBody(n, db, {}), nullptr)) {
+      c.nested.push_back(LowerBody(n, db));
+    } else if (Matches(LowerBody(n, db), nullptr)) {
       c.program.never_matches = true;  // a closed ¬∃ sentence is false
     }
   }
@@ -590,6 +614,7 @@ std::shared_ptr<const std::vector<FoBody>> Lower(const std::vector<Term>& head,
   for (const Conj& c : *dnf) {
     if (!LowerConj(c, {}, &head, bodies.get())) return nullptr;
   }
+  for (FoBody& b : *bodies) Prepare(&b, SlotMap());
   return bodies;
 }
 
@@ -604,9 +629,9 @@ rel::Relation FoQuery::Evaluate(const rel::Database& db) const {
   if (lowered_ == nullptr) return EvaluateNaive(db);
   rel::Relation out(head_.size());
   for (const FoBody& body : *lowered_) {
-    const CompiledBody c = CompileBody(body, db, {});
+    const LoweredBody c = LowerBody(body, db);
     out.MergeFrom(bytecode::Emit(
-        c.program, body.cq.head(),
+        c.program, body.slot_head,
         [&c](const std::vector<rel::Value>& regs) { return Keep(c, regs); }));
   }
   return out;

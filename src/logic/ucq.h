@@ -55,6 +55,37 @@ class UnionQuery {
   std::vector<ConjunctiveQuery> disjuncts_;
 };
 
+/// A UCQ prepared once for repeated evaluation and as the right-hand
+/// side of containment tests: each satisfiable disjunct as a PreparedCq
+/// (unsatisfiable ones are dropped), plus what Klug's test reads of the
+/// union. Immutable once built, so copies may be shared and read
+/// concurrently.
+class PreparedUcq {
+ public:
+  explicit PreparedUcq(size_t head_arity) : head_arity_(head_arity) {}
+  explicit PreparedUcq(const UnionQuery& q);
+
+  /// Prepares and adds a disjunct (nothing if it is unsatisfiable).
+  void Add(const ConjunctiveQuery& cq);
+
+  size_t head_arity() const { return head_arity_; }
+  /// True iff some (normalized) disjunct has a comparison.
+  bool has_comparisons() const { return has_comparisons_; }
+  /// The constants of the normalized disjuncts, ascending and distinct.
+  const std::vector<rel::Value>& constants() const { return constants_; }
+
+  rel::Relation Evaluate(const rel::Database& db) const;
+  bool EvaluatesNonempty(const rel::Database& db) const;
+  /// True iff `tuple` is in Evaluate(db) (stops at the first witness).
+  bool Produces(const rel::Database& db, const rel::Tuple& tuple) const;
+
+ private:
+  size_t head_arity_ = 0;
+  std::vector<PreparedCq> disjuncts_;
+  bool has_comparisons_ = false;
+  std::vector<rel::Value> constants_;
+};
+
 }  // namespace sws::logic
 
 #endif  // SWS_LOGIC_UCQ_H_

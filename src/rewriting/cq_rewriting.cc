@@ -82,23 +82,27 @@ bool EnumerateCandidates(
     }
     bool keep_going = true;
     logic::EnumerateIdentifications(
-        items, [&](const std::map<int, Term>& ident) {
+        items, [&](const std::vector<Term>& ident) {
           // Build the candidate body.
           std::vector<Atom> body;
           size_t pos = 0;
-          std::set<Term> blocks;
+          std::vector<Term> block_list;
           for (size_t v : chosen) {
             std::vector<Term> args;
             for (size_t i = 0; i < views[v].definition.head_arity(); ++i) {
-              Term rep = ident.at(static_cast<int>(pos++));
-              blocks.insert(rep);
+              Term rep = ident[pos++];
+              block_list.push_back(rep);
               args.push_back(rep);
             }
             body.push_back(Atom{views[v].name, std::move(args)});
           }
-          for (const rel::Value& c : constants) blocks.insert(Term::Const(c));
+          for (const rel::Value& c : constants) {
+            block_list.push_back(Term::Const(c));
+          }
           // Head assignments: every head position takes any block.
-          std::vector<Term> block_list(blocks.begin(), blocks.end());
+          std::sort(block_list.begin(), block_list.end());
+          block_list.erase(std::unique(block_list.begin(), block_list.end()),
+                           block_list.end());
           std::vector<Term> head(head_arity, Term::Int(0));
           std::function<bool(size_t)> assign_head = [&](size_t i) -> bool {
             if (i == head_arity) {
@@ -164,12 +168,13 @@ CqRewriteResult FindEquivalentCqRewriting(const ConjunctiveQuery& goal,
   size_t max_atoms =
       options.max_atoms > 0 ? options.max_atoms : goal.body().size();
   uint64_t budget = options.max_candidates;
+  const logic::PreparedUcq prepared_goal(UnionQuery::Single(goal));
   bool completed = EnumerateCandidates(
       goal.head_arity(), QueryConstants(goal), views, max_atoms, &budget,
       [&](const ConjunctiveQuery& candidate) {
         ++result.candidates_tried;
         ConjunctiveQuery expansion = ExpandViewAtoms(candidate, views);
-        if (logic::CqContainedIn(expansion, goal) &&
+        if (logic::CqContainedIn(expansion, prepared_goal) &&
             logic::CqContainedIn(goal, expansion)) {
           result.found = true;
           result.rewriting = candidate;
@@ -196,12 +201,13 @@ namespace {
 // candidate *body* over the views, candidate heads are read off the goal
 // evaluated on the canonical database of the body's expansion (exact for
 // comparison-free queries; every head is re-verified by containment, so
-// soundness never depends on the shortcut).
+// soundness never depends on the shortcut). The goal is prepared once
+// per search, and the union of accepted expansions grows prepared.
 class UnionRewriter {
  public:
   UnionRewriter(const UnionQuery& goal, const std::vector<View>& views,
                 const CqRewriteOptions& options)
-      : goal_(goal), views_(views), options_(options),
+      : goal_(goal), prepared_goal_(goal), views_(views), options_(options),
         rewriting_(goal.head_arity()), expansion_union_(goal.head_arity()) {}
 
   UnionQuery Run() {
@@ -241,9 +247,9 @@ class UnionRewriter {
     for (size_t v : chosen) positions += views_[v].definition.head_arity();
     if (!options_.merge_variables) {
       // Identity pattern only: all positions distinct fresh variables.
-      std::map<int, Term> ident;
+      std::vector<Term> ident;
       for (size_t i = 0; i < positions; ++i) {
-        ident.emplace(static_cast<int>(i), Term::Var(static_cast<int>(i)));
+        ident.push_back(Term::Var(static_cast<int>(i)));
       }
       if (budget_ == 0) return false;
       --budget_;
@@ -256,7 +262,7 @@ class UnionRewriter {
     }
     bool keep_going = true;
     logic::EnumerateIdentifications(
-        items, [&](const std::map<int, Term>& ident) {
+        items, [&](const std::vector<Term>& ident) {
           if (budget_ == 0) {
             keep_going = false;
             return false;
@@ -272,14 +278,14 @@ class UnionRewriter {
   }
 
   bool TryIdentification(const std::vector<size_t>& chosen,
-                         const std::map<int, Term>& ident) {
+                         const std::vector<Term>& ident) {
     std::vector<Atom> body;
     size_t pos = 0;
     std::vector<Term> blocks;
     for (size_t v : chosen) {
       std::vector<Term> args;
       for (size_t i = 0; i < views_[v].definition.head_arity(); ++i) {
-        Term rep = ident.at(static_cast<int>(pos++));
+        Term rep = ident[pos++];
         if (std::find(blocks.begin(), blocks.end(), rep) == blocks.end()) {
           blocks.push_back(rep);
         }
@@ -298,7 +304,7 @@ class UnionRewriter {
     if (!expanded.has_value()) return true;  // unsatisfiable body
     rel::Tuple frozen_blocks;
     rel::Database canon = expanded->CanonicalDatabase(&frozen_blocks);
-    rel::Relation heads = goal_.Evaluate(canon);
+    rel::Relation heads = prepared_goal_.Evaluate(canon);
     for (const rel::Tuple& h : heads) {
       std::vector<Term> head;
       bool ok = true;
@@ -318,7 +324,7 @@ class UnionRewriter {
       if (!ok) continue;
       ConjunctiveQuery candidate(head, body);
       ConjunctiveQuery expansion = ExpandViewAtoms(candidate, views_);
-      if (!logic::CqContainedIn(expansion, goal_)) continue;
+      if (!logic::CqContainedIn(expansion, prepared_goal_)) continue;
       if (logic::CqContainedIn(expansion, expansion_union_)) continue;
       rewriting_.Add(candidate);
       expansion_union_.Add(expansion);
@@ -331,10 +337,11 @@ class UnionRewriter {
   }
 
   const UnionQuery& goal_;
+  const logic::PreparedUcq prepared_goal_;
   const std::vector<View>& views_;
   const CqRewriteOptions& options_;
   UnionQuery rewriting_;
-  UnionQuery expansion_union_;
+  logic::PreparedUcq expansion_union_;  // the accepted expansions
   uint64_t budget_ = 0;
 };
 

@@ -226,7 +226,10 @@ core::Status ServiceRuntime::Submit(std::string session_id,
                                             ? options.deadline
                                             : options_.default_deadline;
     if (relative.count() > 0) {
-      deadline = std::chrono::steady_clock::now() + relative;
+      // Saturate: now() + relative would overflow past time_point::max()
+      // (a client may send any positive deadline_ns).
+      const auto now = std::chrono::steady_clock::now();
+      if (relative < deadline - now) deadline = now + relative;
     }
   }
   return SubmitInternal(std::move(session_id), std::move(message),

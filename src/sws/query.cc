@@ -9,6 +9,15 @@ std::string ActRelation(size_t successor_index_1based) {
   return "Act" + std::to_string(successor_index_1based);
 }
 
+RelQuery::RelQuery(logic::ConjunctiveQuery q)
+    : query_(std::move(q)),
+      prepared_(std::make_shared<const logic::PreparedUcq>(
+          logic::UnionQuery::Single(cq()))) {}
+
+RelQuery::RelQuery(logic::UnionQuery q)
+    : query_(std::move(q)),
+      prepared_(std::make_shared<const logic::PreparedUcq>(ucq())) {}
+
 RelQuery::Language RelQuery::language() const {
   if (std::holds_alternative<logic::ConjunctiveQuery>(query_)) {
     return Language::kCq;
@@ -133,27 +142,12 @@ std::optional<std::string> RelQuery::Validate() const {
 }
 
 rel::Relation RelQuery::Evaluate(const rel::Database& env) const {
-  switch (language()) {
-    case Language::kCq:
-      return cq().Evaluate(env);
-    case Language::kUcq:
-      return ucq().Evaluate(env);
-    case Language::kFo:
-      return fo().Evaluate(env);
-  }
-  return rel::Relation(0);
+  return is_fo() ? fo().Evaluate(env) : prepared_->Evaluate(env);
 }
 
 bool RelQuery::EvaluatesNonempty(const rel::Database& env) const {
-  switch (language()) {
-    case Language::kCq:
-      return cq().EvaluatesNonempty(env);
-    case Language::kUcq:
-      return ucq().EvaluatesNonempty(env);
-    case Language::kFo:
-      return !fo().Evaluate(env).empty();
-  }
-  return false;
+  return is_fo() ? !fo().Evaluate(env).empty()
+                 : prepared_->EvaluatesNonempty(env);
 }
 
 std::string RelQuery::ToString() const {

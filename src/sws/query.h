@@ -1,6 +1,7 @@
 #ifndef SWS_SWS_QUERY_H_
 #define SWS_SWS_QUERY_H_
 
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -27,11 +28,15 @@ std::string ActRelation(size_t successor_index_1based);
 /// A relational query usable in SWS transition/synthesis rules: a CQ, a
 /// UCQ, or an FO query. The variant kind determines which SWS class
 /// (Section 2) a service belongs to.
+///
+/// A CQ or UCQ is prepared once, at construction (logic::PreparedUcq),
+/// as an FO query lowers its bodies at construction; copies share the
+/// immutable prepared form, so Evaluate only binds relations and runs.
 class RelQuery {
  public:
   enum class Language { kCq, kUcq, kFo };
 
-  RelQuery() : query_(logic::ConjunctiveQuery()) {}
+  RelQuery() : RelQuery(logic::ConjunctiveQuery()) {}
 
   static RelQuery Cq(logic::ConjunctiveQuery q) { return RelQuery(std::move(q)); }
   static RelQuery Ucq(logic::UnionQuery q) { return RelQuery(std::move(q)); }
@@ -65,12 +70,14 @@ class RelQuery {
   std::string ToString() const;
 
  private:
-  explicit RelQuery(logic::ConjunctiveQuery q) : query_(std::move(q)) {}
-  explicit RelQuery(logic::UnionQuery q) : query_(std::move(q)) {}
+  explicit RelQuery(logic::ConjunctiveQuery q);
+  explicit RelQuery(logic::UnionQuery q);
   explicit RelQuery(logic::FoQuery q) : query_(std::move(q)) {}
 
   std::variant<logic::ConjunctiveQuery, logic::UnionQuery, logic::FoQuery>
       query_;
+  /// The CQ/UCQ prepared for evaluation; null for FO.
+  std::shared_ptr<const logic::PreparedUcq> prepared_;
 };
 
 }  // namespace sws::core

@@ -1,6 +1,6 @@
 #include "sws/unfold.h"
 
-#include <map>
+#include <algorithm>
 #include <optional>
 
 #include "util/common.h"
@@ -26,7 +26,6 @@ namespace {
 using logic::Atom;
 using logic::Comparison;
 using logic::ConjunctiveQuery;
-using logic::Term;
 using logic::UnionQuery;
 
 // Parses "Act<i>" into i; 0 if the name is not an Act register.
@@ -50,11 +49,12 @@ class Unfolder {
   }
 
  private:
-  // Rewrites q's variables to globally fresh ones.
+  // Rewrites q's variables, in ascending id order, to globally fresh
+  // ones.
   ConjunctiveQuery Freshen(const ConjunctiveQuery& q) {
-    std::map<int, Term> map;
-    for (int v : q.Vars()) map.emplace(v, Term::Var(next_var_++));
-    return q.Substitute(map);
+    ConjunctiveQuery fresh = q.Renumbered(next_var_);
+    next_var_ = std::max(next_var_, fresh.MaxVar() + 1);
+    return fresh;
   }
 
   // Inlines a rule CQ written over R ∪ {In, Msg} reading input message

@@ -158,7 +158,7 @@ TEST(EnumerateIdentificationsTest, CountsBellNumbers) {
   // 3 variables, no constants: Bell(3) = 5 partitions.
   std::vector<Term> terms = {Term::Var(0), Term::Var(1), Term::Var(2)};
   int count = 0;
-  EnumerateIdentifications(terms, [&count](const std::map<int, Term>&) {
+  EnumerateIdentifications(terms, [&count](const std::vector<Term>&) {
     ++count;
     return true;
   });
@@ -171,7 +171,7 @@ TEST(EnumerateIdentificationsTest, ConstantsArePreplacedBlocks) {
   std::vector<Term> terms = {Term::Int(1), Term::Int(2), Term::Var(0)};
   int count = 0;
   int joined_constant = 0;
-  EnumerateIdentifications(terms, [&](const std::map<int, Term>& ident) {
+  EnumerateIdentifications(terms, [&](const std::vector<Term>& ident) {
     ++count;
     if (ident.at(0).is_const()) ++joined_constant;
     return true;

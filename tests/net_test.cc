@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstring>
 #include <mutex>
 #include <string>
@@ -485,6 +486,27 @@ TEST_F(NetServerTest, WrongAritySubmitGetsTypedRejection) {
   EXPECT_TRUE(outcome.output.Contains(
       {Value::Str("ins"), Value::Str("Log"), Value::Int(5)}));
   EXPECT_EQ(runtime_->Stats().rejected, 1u);
+}
+
+TEST_F(NetServerTest, HugeDeadlineSubmitRunsNormally) {
+  // A kSubmit frame's deadline_ns is any positive i64; INT64_MAX must
+  // saturate in the runtime instead of overflowing now() + deadline, and
+  // the session must complete as if it had no deadline.
+  StartAll();
+  RpcClient client = MakeClient();
+  const std::chrono::nanoseconds huge(INT64_MAX);
+  ASSERT_TRUE(
+      client.Submit(client.NextRequestId(), "alice", Msg(9), 1, huge).ok());
+  const uint64_t delim_id = client.NextRequestId();
+  ASSERT_TRUE(client.Submit(delim_id, "alice", Delim(), 1, huge).ok());
+  OutcomeReply outcome;
+  ASSERT_TRUE(client.WaitOutcome(delim_id, &outcome).ok());
+  EXPECT_EQ(outcome.status_code, 0u);
+  EXPECT_TRUE(outcome.output.Contains(
+      {Value::Str("ins"), Value::Str("Log"), Value::Int(9)}))
+      << outcome.output.ToString();
+  EXPECT_EQ(runtime_->Stats().deadline_exceeded, 0u);
+  EXPECT_EQ(runtime_->Stats().expired_at_enqueue, 0u);
 }
 
 TEST_F(NetServerTest, HelloIsEnforcedFirst) {

@@ -9,6 +9,8 @@
 #include <random>
 #include <vector>
 
+#include "cq_fuzzer.h"
+#include "cq_oracles.h"
 #include "logic/cq.h"
 #include "logic/fo.h"
 #include "models/sirup_sws.h"
@@ -30,110 +32,7 @@ using rel::Relation;
 using rel::Tuple;
 using rel::Value;
 
-// ---------------------------------------------------------------------------
-// Random CQ workloads: small domains force dense joins, repeated
-// variables, and empty results with roughly equal probability.
-// ---------------------------------------------------------------------------
-
-struct RandomCq {
-  ConjunctiveQuery query;
-  Database db;
-};
-
-class CqFuzzer {
- public:
-  explicit CqFuzzer(uint64_t seed) : rng_(seed) {}
-
-  RandomCq Next() {
-    RandomCq out;
-    const int num_relations = Int(1, 3);
-    std::vector<size_t> arities;
-    for (int r = 0; r < num_relations; ++r) {
-      size_t arity = static_cast<size_t>(Int(1, 3));
-      arities.push_back(arity);
-      Relation rel(arity);
-      const int tuples = Int(0, 12);
-      for (int t = 0; t < tuples; ++t) {
-        Tuple tuple;
-        for (size_t c = 0; c < arity; ++c) tuple.push_back(RandomValue());
-        rel.Insert(std::move(tuple));
-      }
-      out.db.Set("R" + std::to_string(r), std::move(rel));
-    }
-
-    const int num_atoms = Int(1, 4);
-    std::vector<Atom> body;
-    int max_var = Int(1, 5);  // small pools force shared variables
-    for (int a = 0; a < num_atoms; ++a) {
-      int r = Int(0, num_relations - 1);
-      Atom atom;
-      atom.relation = "R" + std::to_string(r);
-      for (size_t c = 0; c < arities[static_cast<size_t>(r)]; ++c) {
-        if (Int(0, 4) == 0) {
-          atom.args.push_back(Term::Const(RandomValue()));
-        } else {
-          atom.args.push_back(Term::Var(Int(0, max_var)));
-        }
-      }
-      body.push_back(std::move(atom));
-    }
-    // Head: a random subset of the body's variables plus maybe a constant.
-    std::set<int> body_vars;
-    for (const Atom& a : body) {
-      for (const Term& t : a.args) {
-        if (t.is_var()) body_vars.insert(t.var());
-      }
-    }
-    std::vector<Term> head;
-    for (int v : body_vars) {
-      if (Int(0, 2) == 0) head.push_back(Term::Var(v));
-    }
-    if (head.empty() || Int(0, 4) == 0) {
-      head.push_back(Term::Const(Value::Int(99)));
-    }
-    // Comparisons among body variables and constants (always safe).
-    std::vector<Comparison> comparisons;
-    std::vector<int> var_pool(body_vars.begin(), body_vars.end());
-    const int num_comparisons = Int(0, 2);
-    for (int c = 0; c < num_comparisons && !var_pool.empty(); ++c) {
-      Comparison cmp;
-      cmp.lhs = Term::Var(var_pool[static_cast<size_t>(
-          Int(0, static_cast<int>(var_pool.size()) - 1))]);
-      cmp.rhs = Int(0, 1) == 0
-                    ? Term::Const(RandomValue())
-                    : Term::Var(var_pool[static_cast<size_t>(
-                          Int(0, static_cast<int>(var_pool.size()) - 1))]);
-      cmp.is_equality = Int(0, 1) == 0;
-      comparisons.push_back(std::move(cmp));
-    }
-    out.query = ConjunctiveQuery(std::move(head), std::move(body),
-                                 std::move(comparisons));
-    return out;
-  }
-
-  // Small shared domain across all three kinds, so joins exercise the
-  // interned packed representations (inline ints, interned strings,
-  // labeled nulls) and still collide often enough to produce matches.
-  Value RandomValue() {
-    switch (Int(0, 3)) {
-      case 0:
-        return Value::Str("s" + std::to_string(Int(1, 3)));
-      case 1:
-        return Value::Null(Int(1, 3));
-      default:
-        return Value::Int(Int(1, 4));
-    }
-  }
-
-  int Int(int lo, int hi) {
-    return std::uniform_int_distribution<int>(lo, hi)(rng_);
-  }
-
-  std::mt19937_64& rng() { return rng_; }
-
- private:
-  std::mt19937_64 rng_;
-};
+// Random CQ workloads come from CqFuzzer (cq_fuzzer.h).
 
 TEST(QueryEngineTest, IndexedJoinMatchesNaiveOnRandomQueries) {
   // The register-bytecode executor and the naive backtracking oracle
@@ -222,13 +121,14 @@ TEST(QueryEngineTest, IndexedJoinTracksDatabaseMutation) {
 }
 
 TEST(QueryEngineTest, EnumerateMatchesAgreesWithNaiveBindings) {
-  // EnumerateMatches drives the containment machinery; its bindings must
-  // enumerate exactly the homomorphisms the naive join finds.
+  // The whole-body lowering behind the containment oracle's
+  // EnumerateMatches must enumerate exactly the homomorphisms the naive
+  // join finds.
   CqFuzzer fuzzer(424242);
   for (int i = 0; i < 300; ++i) {
     RandomCq c = fuzzer.Next();
     std::set<std::vector<std::pair<int, Value>>> fast_bindings;
-    logic::EnumerateMatches(
+    logic::oracle::EnumerateMatches(
         c.query.body(), c.query.comparisons(), c.db,
         [&](const logic::Binding& b) {
           fast_bindings.insert({b.begin(), b.end()});

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
 #include <initializer_list>
 #include <map>
@@ -549,6 +550,34 @@ TEST(RuntimeTest, ExpiredAtEnqueueFastFailsWithoutAdmitting) {
   EXPECT_EQ(stats.completed, 0u);   // never processed
   EXPECT_EQ(stats.deadline_exceeded, 0u);  // distinct from queued expiry
   EXPECT_TRUE(collector.Take().empty());   // fast-fail fires no callback
+}
+
+TEST(RuntimeTest, HugeRelativeDeadlineSaturates) {
+  // now() + INT64_MAX ns overflows steady_clock's representation (UB,
+  // caught by the ubsan preset; a deadline in the past in release). It
+  // must saturate to "no deadline" and the session run normally.
+  Sws sws = MakeTwoLevelLogger();
+  ServiceRuntime runtime(&sws, LoggerDb());
+  OutcomeCollector collector;
+  SubmitOptions first;
+  first.deadline = std::chrono::nanoseconds(INT64_MAX);
+  ASSERT_TRUE(runtime.Submit("alice", Msg(42), std::move(first)).ok());
+  SubmitOptions last;
+  last.deadline = std::chrono::nanoseconds(INT64_MAX);
+  last.callback = collector.Callback();
+  ASSERT_TRUE(runtime.Submit("alice", Delim(), std::move(last)).ok());
+  runtime.Drain();
+
+  std::vector<Outcome> outcomes = collector.Take();
+  ASSERT_EQ(outcomes.size(), 1u);
+  ASSERT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.ToString();
+  ASSERT_TRUE(outcomes[0].session.has_value());
+  EXPECT_TRUE(outcomes[0].session->output.Contains(
+      {Value::Str("ins"), Value::Str("Log"), Value::Int(42)}))
+      << outcomes[0].session->output.ToString();
+  StatsSnapshot stats = runtime.Stats();
+  EXPECT_EQ(stats.expired_at_enqueue, 0u);
+  EXPECT_EQ(stats.deadline_exceeded, 0u);
 }
 
 TEST(RuntimeTest, PrioritySheddingDegradesGracefully) {
