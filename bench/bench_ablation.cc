@@ -6,13 +6,10 @@
 //     cross-products.
 //  2. Unfolding with vs. without unsatisfiable-disjunct pruning
 //     (measured via the disjunct bound vs. the surviving disjuncts).
-//  3. The identity-first identification ordering in the composition
-//     search (cheap candidates first).
 
 #include <benchmark/benchmark.h>
 
 #include "logic/cq.h"
-#include "mediator/cq_composition.h"
 #include "models/travel.h"
 #include "sws/execution.h"
 #include "sws/generator.h"
@@ -111,26 +108,6 @@ void BM_UnfoldPruning(benchmark::State& state) {
   state.counters["syntactic_bound"] = static_cast<double>(bound);
 }
 BENCHMARK(BM_UnfoldPruning);
-
-// One-level composition of Example 5.1, whose search always uses
-// identity-only identifications, with the candidate cap set to the
-// argument.
-void BM_CompositionIdentityOnly(benchmark::State& state) {
-  auto goal = sws::models::MakeTravelServiceCqUcq();
-  auto ta = sws::models::MakeTravelComponentAirfare();
-  auto tht = sws::models::MakeTravelComponentHotelTickets();
-  auto thc = sws::models::MakeTravelComponentHotelCar();
-  std::vector<const sws::core::Sws*> components = {&ta.sws, &tht.sws,
-                                                   &thc.sws};
-  sws::med::CqCompositionOptions options;
-  options.rewrite.max_candidates =
-      static_cast<uint64_t>(state.range(0));  // cap the search effort
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sws::med::ComposeCqOneLevel(goal.sws, components, options).found);
-  }
-}
-BENCHMARK(BM_CompositionIdentityOnly)->Arg(100000);
 
 }  // namespace
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "logic/containment.h"
+#include "rewriting/cq_rewriting.h"
 #include "util/common.h"
 
 namespace sws::med {
@@ -56,8 +56,8 @@ Mediator BuildOneLevelMediator(const UnionQuery& rewriting,
 
 namespace {
 
-// The component views at a given unfolding length; nullopt entry = the
-// component's unfolding is empty at this length.
+// The component views at a given unfolding length, or nullopt (with
+// `reason`) if some component is not CQ-expressible there.
 std::optional<std::vector<rw::View>> ViewsAt(
     const std::vector<const core::Sws*>& components, size_t n,
     std::string* reason) {
@@ -65,11 +65,9 @@ std::optional<std::vector<rw::View>> ViewsAt(
   for (size_t i = 0; i < components.size(); ++i) {
     UnionQuery u = core::UnfoldToUcq(*components[i], n);
     if (u.size() > 1) {
-      if (reason != nullptr) {
-        *reason = "component " + std::to_string(i) +
-                  " is not CQ-expressible at length " + std::to_string(n) +
-                  " (Corollary 5.2 needs SWSnr(CQ^r) components)";
-      }
+      *reason = "component " + std::to_string(i) +
+                " is not CQ-expressible at length " + std::to_string(n) +
+                " (Corollary 5.2 needs SWSnr(CQ^r) components)";
       return std::nullopt;
     }
     // An empty unfolding: the view produces nothing; represent it by an
@@ -89,8 +87,7 @@ std::optional<std::vector<rw::View>> ViewsAt(
 }  // namespace
 
 CqCompositionResult ComposeCqOneLevel(
-    const core::Sws& goal, const std::vector<const core::Sws*>& components,
-    const CqCompositionOptions& options) {
+    const core::Sws& goal, const std::vector<const core::Sws*>& components) {
   CqCompositionResult result{false,
                              "",
                              UnionQuery(goal.rout_arity()),
@@ -115,47 +112,28 @@ CqCompositionResult ComposeCqOneLevel(
   }
   result.unfold_length = n;
 
-  auto views = ViewsAt(components, n, &result.reason);
-  if (!views.has_value()) return result;
-  UnionQuery goal_query = core::UnfoldToUcq(goal, n);
-
-  rw::CqRewriteOptions rewrite_options = options.rewrite;
-  rewrite_options.stop_when_covering = true;
-  // One-level mediators join component outputs only through the root
-  // synthesis head; identification patterns between view arguments are
-  // unnecessary, and the identity-only search is exponentially cheaper.
-  rewrite_options.merge_variables = false;
-  if (rewrite_options.max_atoms == 0) {
-    // Each goal disjunct mentions at most one Act atom per component in
-    // the one-level shape; bound candidates by the component count.
-    rewrite_options.max_atoms = components.size();
+  // The mediator's synthesis is fixed, so one rewriting must match the
+  // goal at every input length up to n.
+  std::vector<rw::RewritingTarget> targets;
+  for (size_t length = n + 1; length-- > 0;) {
+    auto views = ViewsAt(components, length, &result.reason);
+    if (!views.has_value()) return result;
+    targets.push_back(rw::RewritingTarget{core::UnfoldToUcq(goal, length),
+                                          std::move(*views)});
   }
-  UnionQuery rewriting =
-      rw::MaximallyContainedRewriting(goal_query, *views, rewrite_options);
-  UnionQuery expansion = rw::ExpandViewAtoms(rewriting, *views);
-  if (!logic::UcqContainedIn(goal_query, expansion)) {
-    result.reason = "no equivalent rewriting within the atom bound";
+  std::optional<UnionQuery> rewriting = rw::EquivalentRewriting(targets);
+  if (!rewriting.has_value()) {
+    result.reason =
+        "no rewriting over the component views matches the goal at every "
+        "input length up to " +
+        std::to_string(n);
     return result;
-  }
-  // The mediator's synthesis is fixed; it must also match the goal at
-  // every shorter input length.
-  for (size_t shorter = 0; shorter < n; ++shorter) {
-    auto short_views = ViewsAt(components, shorter, &result.reason);
-    if (!short_views.has_value()) return result;
-    UnionQuery short_goal = core::UnfoldToUcq(goal, shorter);
-    UnionQuery short_expansion =
-        rw::ExpandViewAtoms(rewriting, *short_views);
-    if (!logic::UcqEquivalent(short_goal, short_expansion)) {
-      result.reason = "rewriting diverges from the goal at input length " +
-                      std::to_string(shorter);
-      return result;
-    }
   }
 
   result.found = true;
-  result.rewriting = rewriting;
-  result.mediator = BuildOneLevelMediator(
-      rewriting, components.size(), goal.rin_arity(), goal.rout_arity());
+  result.rewriting = std::move(*rewriting);
+  result.mediator = BuildOneLevelMediator(result.rewriting, components.size(),
+                                          goal.rin_arity(), goal.rout_arity());
   return result;
 }
 

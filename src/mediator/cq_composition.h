@@ -3,12 +3,25 @@
 
 #include <string>
 
+#include "logic/ucq.h"
 #include "mediator/mediator.h"
 #include "mediator/mediator_run.h"
-#include "rewriting/cq_rewriting.h"
 #include "sws/unfold.h"
 
 namespace sws::med {
+
+struct CqCompositionResult {
+  bool found = false;
+  /// Why composition failed or was not attempted, for diagnostics.
+  std::string reason;
+  /// The rewriting over view relations "v0".."v{m-1}" (valid iff found).
+  logic::UnionQuery rewriting;
+  /// The constructed two-level mediator (valid iff found).
+  Mediator mediator;
+  /// The longest unfolding length the rewriting serves (it serves every
+  /// shorter one too).
+  size_t unfold_length = 0;
+};
 
 /// Composition synthesis for nonrecursive CQ/UCQ services via query
 /// rewriting using views (Theorem 5.1(3) and the Corollary 5.2 setting):
@@ -21,29 +34,12 @@ namespace sws::med {
 /// mediator children all run on the same suffix in parallel (Definition
 /// 5.1), the mediator computes ψ(τ_1(D, I), ..., τ_m(D, I)) exactly.
 ///
-/// The search computes the maximally-contained UCQ rewriting within the
-/// classical atom bound and reports success iff its expansion covers the
-/// goal, then re-verifies the fixed rewriting at every input length up
-/// to the depth (the mediator must match the goal on *all* lengths).
-struct CqCompositionOptions {
-  rw::CqRewriteOptions rewrite;
-};
-
-struct CqCompositionResult {
-  bool found = false;
-  /// Why composition failed or was not attempted, for diagnostics.
-  std::string reason;
-  /// The rewriting over view relations "v0".."v{m-1}" (valid iff found).
-  logic::UnionQuery rewriting;
-  /// The constructed two-level mediator (valid iff found).
-  Mediator mediator;
-  /// The unfolding length used for the main search.
-  size_t unfold_length = 0;
-};
-
+/// The mediator's synthesis is fixed, so its rewriting must match the
+/// goal at every input length up to the depth: rw::EquivalentRewriting
+/// gets the unfoldings at each length as one target, and decides whether
+/// such a rewriting exists when they carry no '≠'.
 CqCompositionResult ComposeCqOneLevel(
-    const core::Sws& goal, const std::vector<const core::Sws*>& components,
-    const CqCompositionOptions& options = {});
+    const core::Sws& goal, const std::vector<const core::Sws*>& components);
 
 /// Builds the two-level mediator for a rewriting over views "v<i>":
 /// view atom v<i>(x̄) becomes Act(i+1)(x̄) in the root synthesis.

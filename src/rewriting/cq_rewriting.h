@@ -1,22 +1,19 @@
 #ifndef SWS_REWRITING_CQ_REWRITING_H_
 #define SWS_REWRITING_CQ_REWRITING_H_
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "logic/containment.h"
 #include "logic/cq.h"
 #include "logic/ucq.h"
 
 namespace sws::rw {
 
-/// Equivalent and maximally-contained rewriting of conjunctive queries
-/// using CQ views (cf. [3, 14, 23] and the survey [20]) — the engine
-/// behind Theorem 5.1(3) and the Corollary 5.2 setting, where SWS
-/// composition is "ptime-equivalent to equivalent query rewriting using
-/// views".
+/// Equivalent rewriting of conjunctive queries using CQ views (cf. [3,
+/// 14, 23] and the survey [20]) — the engine behind Theorem 5.1(3) and
+/// the Corollary 5.2 setting, where SWS composition is "ptime-equivalent
+/// to equivalent query rewriting using views".
 ///
 /// A view is a named CQ over the base schema; rewritings are queries over
 /// the *view* relations. The expansion of a rewriting substitutes each
@@ -34,55 +31,35 @@ logic::ConjunctiveQuery ExpandViewAtoms(const logic::ConjunctiveQuery& rewriting
 logic::UnionQuery ExpandViewAtoms(const logic::UnionQuery& rewriting,
                                   const std::vector<View>& views);
 
-struct CqRewriteOptions {
-  /// Max number of view atoms in a candidate rewriting. For equivalent
-  /// CQ rewritings, goal.body().size() atoms suffice (a classical bound),
-  /// which is the default (0 = use the bound).
-  size_t max_atoms = 0;
-  /// Cap on candidates tried before giving up.
-  uint64_t max_candidates = 2000000;
-  /// For MaximallyContainedRewriting: stop as soon as the collected
-  /// union's expansion covers the goal (enough for composition; the
-  /// result is then an equivalent — not necessarily maximal — rewriting).
-  bool stop_when_covering = false;
-  /// For the UCQ overload: when false, candidate bodies use all-distinct
-  /// fresh variables (no identification patterns) — complete whenever the
-  /// goal needs no equi-join *between* view outputs, and exponentially
-  /// cheaper. The general search (true) enumerates all identifications.
-  bool merge_variables = true;
+/// A goal and the views to rewrite it over.
+struct RewritingTarget {
+  logic::UnionQuery goal;
+  std::vector<View> views;
 };
 
-struct CqRewriteResult {
-  bool found = false;
-  /// The rewriting over view relations, and its expansion (valid iff
-  /// found).
-  logic::ConjunctiveQuery rewriting;
-  logic::ConjunctiveQuery expansion;
-  bool budget_exhausted = false;
-  uint64_t candidates_tried = 0;
-};
+/// One rewriting R over the view names with expand(R, views_j) ≡ goal_j
+/// for every target j, or nullopt (composition needs one R for the
+/// unfoldings at every input length). R is a union of canonical
+/// rewritings: for each satisfiable goal disjunct Q_i that R does not yet
+/// cover, the views are evaluated on Q_i's canonical database and each
+/// view tuple becomes a view atom over Q_i's variables:
+///   R_i = ans(head of Q_i) :- <every view tuple as a view atom>, <Q_i's ≠>.
+/// A view tuple counts only if Q_i entails the view's '≠', and Q_i's '≠'
+/// over variables no view atom exports are left out, so R_i covers Q_i.
+/// Returns nullopt if some R_i is unsafe (a head variable no view
+/// exports) or its expansion over some target's views is not contained
+/// in that target's goal (Klug containment).
+///
+/// For comparison-free goals and views this decides whether such a UCQ
+/// rewriting exists (Levy, Mendelzon, Sagiv & Srivastava, PODS 1995;
+/// DESIGN.md §4, "Canonical rewriting"); with '≠' it is sound but not
+/// complete.
+std::optional<logic::UnionQuery> EquivalentRewriting(
+    const std::vector<RewritingTarget>& targets);
 
-/// Searches for a CQ over the views equivalent to `goal`: enumerates
-/// view-atom multisets up to the bound and all identification patterns of
-/// their argument positions (plus head assignments), verifying each
-/// candidate by containment both ways. Complete up to max_atoms when the
-/// budget is not exhausted — the doubly-exponential search the Table 2
-/// benchmarks measure.
-CqRewriteResult FindEquivalentCqRewriting(const logic::ConjunctiveQuery& goal,
-                                          const std::vector<View>& views,
-                                          const CqRewriteOptions& options = {});
-
-/// The union of all candidate CQs over the views (up to the bound) whose
-/// expansion is contained in the goal — a maximally-contained rewriting
-/// within the searched space, with redundant disjuncts pruned. The UCQ
-/// overload (goal a union) bounds candidate sizes by the largest goal
-/// disjunct when options.max_atoms is 0.
-logic::UnionQuery MaximallyContainedRewriting(
-    const logic::ConjunctiveQuery& goal, const std::vector<View>& views,
-    const CqRewriteOptions& options = {});
-logic::UnionQuery MaximallyContainedRewriting(
-    const logic::UnionQuery& goal, const std::vector<View>& views,
-    const CqRewriteOptions& options = {});
+/// An equivalent rewriting of `goal` over `views` (a single target).
+std::optional<logic::UnionQuery> EquivalentRewriting(
+    const logic::UnionQuery& goal, const std::vector<View>& views);
 
 }  // namespace sws::rw
 

@@ -787,15 +787,18 @@ TEST(AutoFailoverNodeTest, QuorumElectionPromotesHeirNoHarnessPromote) {
   ASSERT_TRUE(WaitFor([&] { return cluster.group.IsDeposed("n0"); },
                       std::chrono::seconds(15)))
       << "no automatic promotion deposed the killed node";
+  // The node counts kPromotions inside the promote hook; the coordinator
+  // counts kAutoPromotions only after the hook returns, so wait for both.
   ASSERT_TRUE(WaitFor([&] {
+    bool promoted = false;
+    uint64_t auto_promotions = 0;
     for (auto& node : cluster.nodes) {
-      if (node->id() != "n0" &&
-          node->counters()->Load(rt::Counter::kPromotions) >= 1 &&
-          node->running()) {
-        return true;
-      }
+      promoted |= node->id() != "n0" &&
+                  node->counters()->Load(rt::Counter::kPromotions) >= 1 &&
+                  node->running();
+      auto_promotions += node->counters()->Load(rt::Counter::kAutoPromotions);
     }
-    return false;
+    return promoted && auto_promotions >= 1;
   }));
   uint64_t auto_promotions = 0;
   uint64_t suspicions = 0;

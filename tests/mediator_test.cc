@@ -139,7 +139,15 @@ TEST(CqCompositionTest, TravelGoalComposesFromComponents) {
   auto pointers = Pointers(components);
   CqCompositionResult result = ComposeCqOneLevel(goal.sws, pointers);
   ASSERT_TRUE(result.found) << result.reason;
-  EXPECT_GE(result.rewriting.size(), 2u);  // ticket and car disjuncts
+  EXPECT_EQ(result.rewriting.size(), 2u);  // ticket and car disjuncts
+  // One view atom per component each disjunct reads: the airfare
+  // component and one of the hotel components.
+  for (const logic::ConjunctiveQuery& d : result.rewriting.disjuncts()) {
+    ASSERT_EQ(d.body().size(), 2u) << d.ToString();
+    EXPECT_EQ(d.body()[0].relation, "v0") << d.ToString();
+    EXPECT_TRUE(d.body()[1].relation == "v1" || d.body()[1].relation == "v2")
+        << d.ToString();
+  }
 
   // The synthesized mediator matches the goal on real runs.
   auto db = MakeTravelDatabase();
@@ -160,6 +168,158 @@ TEST(CqCompositionTest, MissingCapabilityIsDetected) {
       ComposeCqOneLevel(goal.sws, {&airfare.sws});
   EXPECT_FALSE(result.found);
   EXPECT_FALSE(result.reason.empty());
+}
+
+// A goal whose root joins two component outputs on a shared value
+// (Corollary 5.2's equi-join case). Schema R(a, b), S(a, b); each leaf
+// receives the input message and reads one relation.
+rel::Schema JoinSchema() {
+  rel::Schema schema;
+  schema.Add(rel::RelationSchema("R", {"a", "b"}));
+  schema.Add(rel::RelationSchema("S", {"a", "b"}));
+  return schema;
+}
+
+// Msg(leaf) ← In: every leaf sees the input message.
+RelQuery CopyInput() {
+  return RelQuery::Cq(logic::ConjunctiveQuery(
+      {Term::Var(0)}, {logic::Atom{core::kInputRelation, {Term::Var(0)}}}));
+}
+
+// ans(x, y) :- Msg(x), R(x, y).
+logic::ConjunctiveQuery ReadR() {
+  return logic::ConjunctiveQuery(
+      {Term::Var(0), Term::Var(1)},
+      {logic::Atom{core::kMsgRelation, {Term::Var(0)}},
+       logic::Atom{"R", {Term::Var(0), Term::Var(1)}}});
+}
+
+// ans(y, z) :- Msg(w), S(y, z).
+logic::ConjunctiveQuery ReadS() {
+  return logic::ConjunctiveQuery(
+      {Term::Var(1), Term::Var(2)},
+      {logic::Atom{core::kMsgRelation, {Term::Var(0)}},
+       logic::Atom{"S", {Term::Var(1), Term::Var(2)}}});
+}
+
+// A root over one leaf per synthesis in `leaves`, each fed the input;
+// the root synthesis is `root`.
+Sws RootOverLeaves(const std::vector<logic::ConjunctiveQuery>& leaves,
+                   logic::ConjunctiveQuery root) {
+  Sws sws(JoinSchema(), 1, 2);
+  int q0 = sws.AddState("q0");
+  std::vector<core::TransitionTarget> successors;
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    int leaf = sws.AddState("leaf" + std::to_string(i));
+    sws.SetTransition(leaf, {});
+    sws.SetSynthesis(leaf, RelQuery::Cq(leaves[i]));
+    successors.push_back(core::TransitionTarget{leaf, CopyInput()});
+  }
+  sws.SetTransition(q0, std::move(successors));
+  sws.SetSynthesis(q0, RelQuery::Cq(std::move(root)));
+  EXPECT_FALSE(sws.Validate().has_value()) << *sws.Validate();
+  return sws;
+}
+
+TEST(CqCompositionTest, JoinOfComponentOutputsComposes) {
+  auto v = [](int i) { return Term::Var(i); };
+  const logic::ConjunctiveQuery copy_up(
+      {v(0), v(1)}, {logic::Atom{ActRelation(1), {v(0), v(1)}}});
+  Sws reads_r = RootOverLeaves({ReadR()}, copy_up);
+  Sws reads_s = RootOverLeaves({ReadS()}, copy_up);
+  // ans(x, z) :- Act1(x, y), Act2(y, z).
+  Sws goal = RootOverLeaves(
+      {ReadR(), ReadS()},
+      logic::ConjunctiveQuery({v(0), v(2)},
+                              {logic::Atom{ActRelation(1), {v(0), v(1)}},
+                               logic::Atom{ActRelation(2), {v(1), v(2)}}}));
+  std::vector<const Sws*> components = {&reads_r, &reads_s};
+  CqCompositionResult result = ComposeCqOneLevel(goal, components);
+  ASSERT_TRUE(result.found) << result.reason;
+
+  // ans(x, z) :- v0(x, y), v1(y, z): the two view atoms share y.
+  ASSERT_EQ(result.rewriting.size(), 1u) << result.rewriting.ToString();
+  const logic::ConjunctiveQuery& d = result.rewriting.disjuncts()[0];
+  ASSERT_EQ(d.body().size(), 2u) << d.ToString();
+  EXPECT_EQ(d.body()[0].relation, "v0");
+  EXPECT_EQ(d.body()[1].relation, "v1");
+  EXPECT_TRUE(d.body()[0].args[1].is_var());
+  EXPECT_EQ(d.body()[0].args[1], d.body()[1].args[0]) << d.ToString();
+
+  rel::Database db(JoinSchema());
+  auto insert = [&db](const char* relation, int64_t a, int64_t b) {
+    db.GetMutable(relation)->Insert({rel::Value::Int(a), rel::Value::Int(b)});
+  };
+  insert("R", 1, 10);
+  insert("R", 1, 11);
+  insert("R", 2, 20);
+  insert("R", 3, 30);
+  insert("S", 10, 100);
+  insert("S", 11, 110);
+  insert("S", 20, 200);
+  insert("S", 40, 400);
+  size_t nonempty = 0;
+  for (int64_t request : {1, 2, 3, 4}) {
+    rel::InputSequence input(1);
+    rel::Relation message(1);
+    message.Insert({rel::Value::Int(request)});
+    input.Append(std::move(message));
+    rel::Relation from_goal = core::Run(goal, db, input).output;
+    EXPECT_EQ(from_goal, RunMediator(result.mediator, components, db, input)
+                             .output)
+        << "request " << request;
+    if (!from_goal.empty()) ++nonempty;
+  }
+  EXPECT_EQ(nonempty, 2u);  // requests 1 and 2 reach S through R
+}
+
+// Composing a service from itself and a slower copy: the canonical
+// rewriting at the full length joins both views, but the copy's output is
+// missing at length 1, so the service's own view must serve that length.
+TEST(CqCompositionTest, ComposesFromTheComponentEveryLengthNeeds) {
+  auto v = [](int i) { return Term::Var(i); };
+  const logic::ConjunctiveQuery copy_up(
+      {v(0), v(1)}, {logic::Atom{ActRelation(1), {v(0), v(1)}}});
+  Sws goal = RootOverLeaves({ReadR()}, copy_up);
+  // root -> mid -> leaf: the leaf receives the input one step later.
+  Sws slower(JoinSchema(), 1, 2);
+  int root = slower.AddState("root");
+  int mid = slower.AddState("mid");
+  int leaf = slower.AddState("leaf");
+  slower.SetTransition(root, {core::TransitionTarget{mid, CopyInput()}});
+  slower.SetTransition(
+      mid, {core::TransitionTarget{
+               leaf, RelQuery::Cq(logic::ConjunctiveQuery(
+                         {v(0)}, {logic::Atom{core::kMsgRelation, {v(0)}}}))}});
+  slower.SetTransition(leaf, {});
+  slower.SetSynthesis(root, RelQuery::Cq(copy_up));
+  slower.SetSynthesis(mid, RelQuery::Cq(copy_up));
+  slower.SetSynthesis(leaf, RelQuery::Cq(ReadR()));
+  ASSERT_FALSE(slower.Validate().has_value()) << *slower.Validate();
+
+  const std::vector<const Sws*> components = {&goal, &slower};
+  CqCompositionResult result = ComposeCqOneLevel(goal, components);
+  ASSERT_TRUE(result.found) << result.reason;
+  bool own_view_alone = false;  // ans(x, y) :- v0(x, y)
+  for (const logic::ConjunctiveQuery& d : result.rewriting.disjuncts()) {
+    own_view_alone = own_view_alone ||
+                     (d.body().size() == 1 && d.body()[0].relation == "v0");
+  }
+  EXPECT_TRUE(own_view_alone) << result.rewriting.ToString();
+
+  rel::Database db(JoinSchema());
+  db.GetMutable("R")->Insert({rel::Value::Int(1), rel::Value::Int(10)});
+  rel::InputSequence input(1);
+  for (size_t length = 1; length <= result.unfold_length; ++length) {
+    rel::Relation message(1);
+    message.Insert({rel::Value::Int(1)});
+    input.Append(std::move(message));
+    rel::Relation from_goal = core::Run(goal, db, input).output;
+    EXPECT_FALSE(from_goal.empty()) << "length " << length;
+    EXPECT_EQ(from_goal,
+              RunMediator(result.mediator, components, db, input).output)
+        << "length " << length;
+  }
 }
 
 // --- PL mediators ---

@@ -218,11 +218,29 @@ TEST(PaperClaims, Section6_HonestBoundsOnUndecidableProblems) {
   }
   impossible.Insert(t);
   auto result = analysis::CqValidation(sws, impossible, options);
-  // Either refuted structurally (no candidates at all) or the budget
-  // exhaustion is reported — never a silent "no".
-  if (!result.validated && result.stats.disjuncts_seen > 0) {
-    SUCCEED();
-  }
+  // Every unfolding of this service is unsatisfiable: refuted
+  // structurally, with no candidate to spend the budget on.
+  EXPECT_FALSE(result.validated);
+  EXPECT_FALSE(result.budget_exhausted);
+  EXPECT_EQ(result.stats.disjuncts_seen, 0u);
+
+  // The CQ/UCQ travel service joins its legs independently, so no
+  // (D, I) outputs exactly (1,2,3,0) and (5,6,7,0) without their mixes,
+  // such as (1,6,3,0). The starved search reports that it ran out of
+  // budget; the default budget gives a definitive no.
+  auto travel = models::MakeTravelServiceCqUcq();
+  rel::Relation two_bookings(travel.sws.rout_arity());
+  two_bookings.Insert({rel::Value::Int(1), rel::Value::Int(2),
+                       rel::Value::Int(3), rel::Value::Int(0)});
+  two_bookings.Insert({rel::Value::Int(5), rel::Value::Int(6),
+                       rel::Value::Int(7), rel::Value::Int(0)});
+  auto starved = analysis::CqValidation(travel.sws, two_bookings, options);
+  EXPECT_FALSE(starved.validated);
+  EXPECT_TRUE(starved.budget_exhausted);
+  EXPECT_GT(starved.stats.disjuncts_seen, 0u);
+  auto decided = analysis::CqValidation(travel.sws, two_bookings);
+  EXPECT_FALSE(decided.validated);
+  EXPECT_FALSE(decided.budget_exhausted);
 }
 
 }  // namespace

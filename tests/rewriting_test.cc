@@ -1,9 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "automata/regex.h"
+#include "cq_fuzzer.h"
+#include "cq_oracles.h"
+#include "logic/containment.h"
 #include "rewriting/cq_rewriting.h"
 #include "rewriting/regular_rewriting.h"
 #include "rewriting/rpq.h"
+#include "rewriting_oracle.h"
 #include "util/common.h"
 
 namespace sws::rw {
@@ -13,6 +23,7 @@ using logic::Atom;
 using logic::Comparison;
 using logic::ConjunctiveQuery;
 using logic::Term;
+using logic::UnionQuery;
 using rel::Value;
 
 TEST(RegularRewritingTest, ExactDecomposition) {
@@ -123,10 +134,12 @@ TEST(CqRewritingTest, FindsExactRewriting) {
                         {Atom{"R", {Term::Var(0), Term::Var(2)}},
                          Atom{"S", {Term::Var(2), Term::Var(1)}}});
   std::vector<View> views = {MakeView("v", goal)};
-  CqRewriteResult result = FindEquivalentCqRewriting(goal, views);
-  ASSERT_TRUE(result.found);
-  EXPECT_EQ(result.rewriting.body().size(), 1u);
-  EXPECT_EQ(result.rewriting.body()[0].relation, "v");
+  auto rewriting = EquivalentRewriting(UnionQuery::Single(goal), views);
+  ASSERT_TRUE(rewriting.has_value());
+  ASSERT_EQ(rewriting->size(), 1u);
+  const ConjunctiveQuery& disjunct = rewriting->disjuncts()[0];
+  EXPECT_EQ(disjunct.body().size(), 1u);
+  EXPECT_EQ(disjunct.body()[0].relation, "v");
 }
 
 TEST(CqRewritingTest, ComposesTwoViews) {
@@ -138,9 +151,10 @@ TEST(CqRewritingTest, ComposesTwoViews) {
   ConjunctiveQuery v1({Term::Var(0), Term::Var(1)},
                       {Atom{"R", {Term::Var(0), Term::Var(1)}}});
   std::vector<View> views = {MakeView("v1", v1)};
-  CqRewriteResult result = FindEquivalentCqRewriting(goal, views);
-  ASSERT_TRUE(result.found);
-  EXPECT_EQ(result.rewriting.body().size(), 2u);
+  auto rewriting = EquivalentRewriting(UnionQuery::Single(goal), views);
+  ASSERT_TRUE(rewriting.has_value());
+  ASSERT_EQ(rewriting->size(), 1u);
+  EXPECT_EQ(rewriting->disjuncts()[0].body().size(), 2u);
 }
 
 TEST(CqRewritingTest, NoRewritingWhenViewsLoseInformation) {
@@ -149,14 +163,13 @@ TEST(CqRewritingTest, NoRewritingWhenViewsLoseInformation) {
                         {Atom{"R", {Term::Var(0), Term::Var(1)}}});
   ConjunctiveQuery v({Term::Var(0)}, {Atom{"R", {Term::Var(0), Term::Var(1)}}});
   std::vector<View> views = {MakeView("v", v)};
-  CqRewriteResult result = FindEquivalentCqRewriting(goal, views);
-  EXPECT_FALSE(result.found);
-  EXPECT_FALSE(result.budget_exhausted);
+  EXPECT_FALSE(
+      EquivalentRewriting(UnionQuery::Single(goal), views).has_value());
 }
 
-TEST(CqRewritingTest, MaximallyContainedCoversWhatIsExpressible) {
+TEST(CqRewritingTest, RewritingCoversWhatIsExpressible) {
   // Goal: ans(x) :- R(x, y), S(y). Views: v1(x, y) = R(x, y);
-  // v2(x) = R(x, y), S(y). The maximal rewriting contains v2(x).
+  // v2(x) = R(x, y), S(y). The rewriting uses v2(x).
   ConjunctiveQuery goal({Term::Var(0)},
                         {Atom{"R", {Term::Var(0), Term::Var(1)}},
                          Atom{"S", {Term::Var(1)}}});
@@ -164,12 +177,265 @@ TEST(CqRewritingTest, MaximallyContainedCoversWhatIsExpressible) {
                       {Atom{"R", {Term::Var(0), Term::Var(1)}}});
   ConjunctiveQuery v2 = goal;
   std::vector<View> views = {MakeView("v1", v1), MakeView("v2", v2)};
-  logic::UnionQuery max = MaximallyContainedRewriting(goal, views);
-  ASSERT_FALSE(max.empty());
-  logic::UnionQuery expansion = ExpandViewAtoms(max, views);
+  auto rewriting = EquivalentRewriting(UnionQuery::Single(goal), views);
+  ASSERT_TRUE(rewriting.has_value());
+  UnionQuery expansion = ExpandViewAtoms(*rewriting, views);
   // The expansion is contained in the goal and covers v2's contribution.
-  EXPECT_TRUE(logic::UcqContainedIn(expansion, logic::UnionQuery::Single(goal)));
+  EXPECT_TRUE(logic::UcqContainedIn(expansion, UnionQuery::Single(goal)));
   EXPECT_TRUE(logic::CqContainedIn(v2, expansion));
+}
+
+TEST(CqRewritingTest, LeavesOutDisequalitiesNoViewExports) {
+  // Goal = view = ans(x) :- R(x, y), R(x, z), y ≠ z. The rewriting
+  // cannot name y and z, and need not: the view states y ≠ z itself.
+  ConjunctiveQuery goal({Term::Var(0)},
+                        {Atom{"R", {Term::Var(0), Term::Var(1)}},
+                         Atom{"R", {Term::Var(0), Term::Var(2)}}},
+                        {Comparison{Term::Var(1), Term::Var(2), false}});
+  std::vector<View> views = {MakeView("v", goal)};
+  auto rewriting = EquivalentRewriting(UnionQuery::Single(goal), views);
+  ASSERT_TRUE(rewriting.has_value());
+  ASSERT_EQ(rewriting->size(), 1u);
+  const ConjunctiveQuery& disjunct = rewriting->disjuncts()[0];
+  EXPECT_EQ(disjunct.body(),
+            std::vector<Atom>({Atom{"v", {Term::Var(0)}}}));
+  EXPECT_TRUE(disjunct.comparisons().empty());
+}
+
+TEST(CqRewritingTest, UsesAViewWithDisequalityOnlyWhereTheGoalEntailsIt) {
+  // Goal: ans(x) :- R(x, y), S(y), R(x, z), T(z), which allows y = z.
+  // v1(x) = R(x, y), R(x, z), y ≠ z maps into the frozen goal, but its
+  // y ≠ z is not entailed there, so only v0 = the goal may be used.
+  ConjunctiveQuery goal({Term::Var(0)},
+                        {Atom{"R", {Term::Var(0), Term::Var(1)}},
+                         Atom{"S", {Term::Var(1)}},
+                         Atom{"R", {Term::Var(0), Term::Var(2)}},
+                         Atom{"T", {Term::Var(2)}}});
+  ConjunctiveQuery unequal({Term::Var(0)},
+                           {Atom{"R", {Term::Var(0), Term::Var(1)}},
+                            Atom{"R", {Term::Var(0), Term::Var(2)}}},
+                           {Comparison{Term::Var(1), Term::Var(2), false}});
+  std::vector<View> views = {MakeView("v0", goal), MakeView("v1", unequal)};
+  auto rewriting = EquivalentRewriting(UnionQuery::Single(goal), views);
+  ASSERT_TRUE(rewriting.has_value());
+  ASSERT_EQ(rewriting->size(), 1u);
+  EXPECT_EQ(rewriting->disjuncts()[0].body(),
+            std::vector<Atom>({Atom{"v0", {Term::Var(0)}}}));
+}
+
+TEST(CqRewritingTest, DistinctConstantsEntailAViewDisequality) {
+  // Goal: ans(x) :- R(x, 1), R(x, 2). View v(x, y, z) = R(x, y), R(x, z),
+  // y ≠ z: 1 ≠ 2 holds, so v(x, 1, 2) and v(x, 2, 1) express the goal.
+  ConjunctiveQuery goal({Term::Var(0)},
+                        {Atom{"R", {Term::Var(0), Term::Int(1)}},
+                         Atom{"R", {Term::Var(0), Term::Int(2)}}});
+  ConjunctiveQuery pair({Term::Var(0), Term::Var(1), Term::Var(2)},
+                        {Atom{"R", {Term::Var(0), Term::Var(1)}},
+                         Atom{"R", {Term::Var(0), Term::Var(2)}}},
+                        {Comparison{Term::Var(1), Term::Var(2), false}});
+  std::vector<View> views = {MakeView("v", pair)};
+  auto rewriting = EquivalentRewriting(UnionQuery::Single(goal), views);
+  ASSERT_TRUE(rewriting.has_value());
+  EXPECT_TRUE(logic::UcqEquivalent(UnionQuery::Single(goal),
+                                   ExpandViewAtoms(*rewriting, views)));
+
+  // A view constant counts too: ans(x) :- R(x, 1) over
+  // w(x, y) = R(x, y), y ≠ 3 is ans(x) :- w(x, 1).
+  ConjunctiveQuery one({Term::Var(0)},
+                       {Atom{"R", {Term::Var(0), Term::Int(1)}}});
+  ConjunctiveQuery not_three({Term::Var(0), Term::Var(1)},
+                             {Atom{"R", {Term::Var(0), Term::Var(1)}}},
+                             {Comparison{Term::Var(1), Term::Int(3), false}});
+  views = {MakeView("w", not_three)};
+  rewriting = EquivalentRewriting(UnionQuery::Single(one), views);
+  ASSERT_TRUE(rewriting.has_value());
+  ASSERT_EQ(rewriting->size(), 1u);
+  EXPECT_EQ(rewriting->disjuncts()[0].body(),
+            std::vector<Atom>({Atom{"w", {Term::Var(0), Term::Int(1)}}}));
+}
+
+// A random rewriting instance for the differentials below: a goal of 1-2
+// disjuncts with 1-3 atoms over two relations of arity 1-2 (integer
+// constants 1-2) and 1-2 views of 1-2 atoms, each query with up to
+// `max_comparisons` '=' / '≠'.
+struct RandomRewriting {
+  UnionQuery goal;
+  std::vector<View> views;
+  size_t max_atoms = 0;  // of a goal disjunct
+  std::string text;      // for failure traces
+};
+
+RandomRewriting NextRewriting(CqFuzzer* fuzz, int max_comparisons) {
+  auto constant = [fuzz] { return Value::Int(fuzz->Int(1, 2)); };
+  const std::vector<size_t> arities = {static_cast<size_t>(fuzz->Int(1, 2)),
+                                       static_cast<size_t>(fuzz->Int(1, 2))};
+  const size_t head_arity = static_cast<size_t>(fuzz->Int(0, 2));
+  RandomRewriting out{UnionQuery(head_arity), {}, 0, ""};
+  for (int d = fuzz->Int(1, 2); d > 0; --d) {
+    out.goal.Add(
+        fuzz->Query(arities, head_arity, 3, 3, max_comparisons, constant));
+    out.max_atoms =
+        std::max(out.max_atoms, out.goal.disjuncts().back().body().size());
+  }
+  out.text = "goal " + out.goal.ToString();
+  for (int v = fuzz->Int(1, 2); v > 0; --v) {
+    const size_t view_arity = static_cast<size_t>(fuzz->Int(1, 2));
+    out.views.push_back(MakeView(
+        "v" + std::to_string(out.views.size()),
+        fuzz->Query(arities, view_arity, 3, 2, max_comparisons, constant)));
+    out.text += "; " + out.views.back().name + " = " +
+                out.views.back().definition.ToString();
+  }
+  return out;
+}
+
+// Differential: on random comparison-free goals and views, the canonical
+// rewriting exists iff the brute-force search, bounded by the largest
+// goal disjunct, finds a union of rewritings that covers the goal; every
+// canonical rewriting is equivalent to the goal (checked by the oracle
+// containment of cq_oracles.h).
+TEST(CqRewritingTest, CanonicalRewritingAgreesWithBruteForceSearch) {
+  constexpr int kInstances = 1000;
+  constexpr uint64_t kOracleBudget = 20000;
+  CqFuzzer fuzz(2026);
+  int with_rewriting = 0;
+  int exhausted = 0;
+  for (int instance = 0; instance < kInstances; ++instance) {
+    const RandomRewriting random = NextRewriting(&fuzz, 0);
+    SCOPED_TRACE("instance " + std::to_string(instance) + ": " + random.text);
+
+    const std::optional<UnionQuery> rewriting =
+        EquivalentRewriting(random.goal, random.views);
+    const oracle::SearchResult search = oracle::SearchRewriting(
+        {RewritingTarget{random.goal, random.views}}, random.max_atoms,
+        kOracleBudget);
+    if (rewriting.has_value()) {
+      ++with_rewriting;
+      EXPECT_TRUE(logic::oracle::UcqEquivalent(
+          random.goal, ExpandViewAtoms(*rewriting, random.views)))
+          << rewriting->ToString();
+    }
+    if (search.budget_exhausted && !search.covers) {
+      ++exhausted;
+      continue;  // inconclusive
+    }
+    EXPECT_EQ(rewriting.has_value(), search.covers)
+        << "oracle: " << search.rewriting.ToString();
+  }
+  std::printf("%d instances: %d with a rewriting, %d inconclusive\n",
+              kInstances, with_rewriting, exhausted);
+  EXPECT_GT(with_rewriting, kInstances / 20);
+  EXPECT_LE(exhausted, kInstances / 20);  // the oracle decides >= 95%
+}
+
+// Differential for one rewriting that must serve two targets, as
+// composition needs across input lengths. Half the instances get a view
+// that copies a goal disjunct (as a component may copy the goal); the
+// second target empties some views and may drop the goal's last
+// disjunct. Whenever the brute-force search, bounded by two view atoms
+// per candidate, covers both goals, a rewriting is found, and every
+// rewriting found is equivalent to both goals. The converse is not
+// checked: no per-disjunct atom bound holds across targets.
+TEST(CqRewritingTest, RewritingForTwoTargetsAgreesWithBruteForceSearch) {
+  constexpr int kInstances = 1000;
+  constexpr size_t kOracleAtoms = 2;
+  constexpr uint64_t kOracleBudget = 20000;
+  CqFuzzer fuzz(2027);
+  int with_rewriting = 0;
+  int needs_both = 0;  // the first target's rewriting misses the second
+  int covered = 0;     // by the brute-force search
+  int exhausted = 0;
+  for (int instance = 0; instance < kInstances; ++instance) {
+    RandomRewriting random = NextRewriting(&fuzz, 0);
+    if (random.goal.head_arity() > 0 && fuzz.Int(0, 1) == 0) {
+      const size_t d = static_cast<size_t>(
+          fuzz.Int(0, static_cast<int>(random.goal.size()) - 1));
+      random.views.push_back(MakeView("v" + std::to_string(random.views.size()),
+                                      random.goal.disjuncts()[d]));
+      random.text += "; " + random.views.back().name + " = goal disjunct " +
+                     std::to_string(d);
+    }
+    RewritingTarget second{random.goal, {}};
+    if (random.goal.size() > 1 && fuzz.Int(0, 1) == 0) {
+      second.goal.mutable_disjuncts()->pop_back();
+    }
+    std::string trace = "instance " + std::to_string(instance) + ": " +
+                        random.text + "; second goal " +
+                        second.goal.ToString() + ", empty:";
+    for (const View& view : random.views) {
+      if (fuzz.Int(0, 2) > 0) {
+        second.views.push_back(view);
+        continue;
+      }
+      second.views.push_back(MakeView(
+          view.name,
+          ConjunctiveQuery(
+              std::vector<Term>(view.definition.head_arity(), Term::Int(0)),
+              {}, {Comparison{Term::Int(0), Term::Int(1), true}})));
+      trace += " " + view.name;
+    }
+    SCOPED_TRACE(trace);
+    const std::vector<RewritingTarget> targets = {
+        RewritingTarget{random.goal, random.views}, second};
+
+    const std::optional<UnionQuery> rewriting = EquivalentRewriting(targets);
+    const oracle::SearchResult search =
+        oracle::SearchRewriting(targets, kOracleAtoms, kOracleBudget);
+    if (rewriting.has_value()) {
+      ++with_rewriting;
+      for (const RewritingTarget& target : targets) {
+        EXPECT_TRUE(logic::oracle::UcqEquivalent(
+            target.goal, ExpandViewAtoms(*rewriting, target.views)))
+            << rewriting->ToString();
+      }
+      const std::optional<UnionQuery> first =
+          EquivalentRewriting(random.goal, random.views);
+      if (!first.has_value() ||
+          !logic::UcqEquivalent(second.goal,
+                                ExpandViewAtoms(*first, second.views))) {
+        ++needs_both;
+      }
+    }
+    if (search.budget_exhausted && !search.covers) {
+      ++exhausted;
+      continue;  // inconclusive
+    }
+    if (search.covers) {
+      ++covered;
+      EXPECT_TRUE(rewriting.has_value())
+          << "oracle: " << search.rewriting.ToString();
+    }
+  }
+  std::printf(
+      "%d instances: %d with a rewriting (%d beyond the first target's), "
+      "%d covered by the search, %d inconclusive\n",
+      kInstances, with_rewriting, needs_both, covered, exhausted);
+  EXPECT_GT(needs_both, 0);
+  EXPECT_LE(exhausted, kInstances / 20);
+}
+
+// With '=' and '≠' in goals and views the canonical rewriting is sound
+// but not complete: every rewriting found is equivalent to the goal.
+TEST(CqRewritingTest, RewritingWithComparisonsIsEquivalent) {
+  constexpr int kInstances = 1000;
+  CqFuzzer fuzz(2028);
+  int with_rewriting = 0;
+  int with_disequality = 0;  // of those, a goal or a view has a '≠'
+  for (int instance = 0; instance < kInstances; ++instance) {
+    const RandomRewriting random = NextRewriting(&fuzz, 2);
+    SCOPED_TRACE("instance " + std::to_string(instance) + ": " + random.text);
+    const std::optional<UnionQuery> rewriting =
+        EquivalentRewriting(random.goal, random.views);
+    if (!rewriting.has_value()) continue;
+    ++with_rewriting;
+    EXPECT_TRUE(logic::oracle::UcqEquivalent(
+        random.goal, ExpandViewAtoms(*rewriting, random.views)))
+        << rewriting->ToString();
+    if (random.text.find("!=") != std::string::npos) ++with_disequality;
+  }
+  std::printf("%d instances: %d with a rewriting, %d of them with a '!='\n",
+              kInstances, with_rewriting, with_disequality);
+  EXPECT_GT(with_disequality, kInstances / 50);
 }
 
 // --- RPQ / graph ---
