@@ -90,6 +90,71 @@ void BM_FoTravelRun(benchmark::State& state) {
 }
 BENCHMARK(BM_FoTravelRun);
 
+// FO shapes that range over the active domain (DESIGN.md §12): each
+// variable that nothing binds reads the unary active-domain relation.
+//   0: vacuous ∃ at depth 4 — ans(x) :- ∃y1..y4 R(x), |R| = 30;
+//   1: an unrelated ∃ — ans(x) :- R(x) ∧ ∃y ¬S(y), |R| = |S| = 1,000
+//      (disjoint);
+//   2: the closed-walk ∀-tautology at depth 4 — ans(1) :- ∀x0..x4
+//      (E(x0,x1) ∧ … ∧ E(x3,x4) → E(x4,x0)) over a 12-node complete
+//      digraph.
+// Shapes 0 and 1 cost one witness per head-free component; shape 2 is
+// one connected join over every walk.
+void BM_FoActiveDomain(benchmark::State& state) {
+  using sws::logic::FoQuery;
+  using sws::rel::Relation;
+  using sws::rel::Value;
+  auto v = [](int i) { return Term::Var(i); };
+  auto unary = [](int from, int n) {
+    Relation r(1);
+    for (int i = 0; i < n; ++i) r.Insert({Value::Int(from + i)});
+    return r;
+  };
+  sws::rel::Database db;
+  FoQuery query;
+  switch (state.range(0)) {
+    case 0:
+      db.Set("R", unary(0, 30));
+      query = FoQuery(
+          {v(0)},
+          FoFormula::Exists({1, 2, 3, 4}, FoFormula::MakeAtom("R", {v(0)})));
+      state.SetLabel("vacuous exists, depth 4, |R| = 30");
+      break;
+    case 1:
+      db.Set("R", unary(0, 1000));
+      db.Set("S", unary(1000, 1000));
+      query = FoQuery(
+          {v(0)}, FoFormula::And(FoFormula::MakeAtom("R", {v(0)}),
+                                 FoFormula::Exists(
+                                     1, FoFormula::Not(FoFormula::MakeAtom(
+                                            "S", {v(1)})))));
+      state.SetLabel("R(x) & exists y !S(y), |R| = |S| = 1000");
+      break;
+    default: {
+      Relation e(2);
+      for (int i = 0; i < 12; ++i) {
+        for (int j = 0; j < 12; ++j) e.Insert({Value::Int(i), Value::Int(j)});
+      }
+      db.Set("E", e);
+      std::vector<FoFormula> walk;
+      for (int i = 0; i < 4; ++i) {
+        walk.push_back(FoFormula::MakeAtom("E", {v(i), v(i + 1)}));
+      }
+      query = FoQuery(
+          {Term::Int(1)},
+          FoFormula::Forall({0, 1, 2, 3, 4},
+                            FoFormula::Implies(
+                                FoFormula::And(std::move(walk)),
+                                FoFormula::MakeAtom("E", {v(4), v(0)}))));
+      state.SetLabel("closed-walk forall, depth 4, complete digraph n = 12");
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(query.Evaluate(db).size());
+  }
+}
+BENCHMARK(BM_FoActiveDomain)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -19,13 +19,6 @@ cd "$(dirname "$0")/.."
 mode="${1:-all}"
 jobs="$(nproc 2>/dev/null || echo 2)"
 
-san_targets=(runtime_test session_test sws_run_test fault_test chaos_test
-             persistence_test crash_recovery_test governor_test serde_fuzz
-             replication_test node_chaos_test failover_test relational_test
-             query_engine_test net_test fo_compile_test sharing_test
-             containment_test cq_test property_test rewriting_test
-             unfold_test analysis_cq_test prepared_query_test)
-
 run_release() {
   echo "== Release build + full ctest =="
   cmake --preset release
@@ -36,7 +29,7 @@ run_release() {
 run_tsan() {
   echo "== TSan build + concurrency-sensitive tests =="
   cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs" --target "${san_targets[@]}"
+  cmake --build --preset tsan -j "$jobs" --target sanitize_tests
   # halt_on_error: a data race fails the suite instead of just logging.
   TSAN_OPTIONS="halt_on_error=1" ctest --preset tsan -j 1
 }
@@ -44,14 +37,14 @@ run_tsan() {
 run_asan() {
   echo "== ASan+UBSan build + concurrency-sensitive tests =="
   cmake --preset asan
-  cmake --build --preset asan -j "$jobs" --target "${san_targets[@]}"
+  cmake --build --preset asan -j "$jobs" --target sanitize_tests
   ASAN_OPTIONS="halt_on_error=1" ctest --preset asan -j 1
 }
 
 run_ubsan() {
   echo "== Standalone UBSan build + concurrency-sensitive tests =="
   cmake --preset ubsan
-  cmake --build --preset ubsan -j "$jobs" --target "${san_targets[@]}"
+  cmake --build --preset ubsan -j "$jobs" --target sanitize_tests
   UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
     ctest --preset ubsan -j 1
 }

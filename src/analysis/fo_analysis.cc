@@ -13,20 +13,65 @@ using logic::FoFormula;
 using logic::FoQuery;
 using logic::Term;
 
+namespace {
+
+// φ relativized to the unary relation `dom`: ∃y ψ becomes
+// ∃y (dom(y) ∧ ψ) and ∀y ψ becomes ∀y (dom(y) → ψ).
+FoFormula Relativize(const FoFormula& f, const std::string& dom) {
+  using Kind = FoFormula::Kind;
+  std::vector<FoFormula> c;
+  for (const FoFormula& child : f.children()) {
+    c.push_back(Relativize(child, dom));
+  }
+  switch (f.kind()) {
+    case Kind::kNot:
+      return FoFormula::Not(c[0]);
+    case Kind::kAnd:
+      return FoFormula::And(std::move(c));
+    case Kind::kOr:
+      return FoFormula::Or(std::move(c));
+    case Kind::kExists:
+    case Kind::kForall: {
+      const int y = f.bound_var();
+      FoFormula in_dom = FoFormula::MakeAtom(dom, {Term::Var(y)});
+      return f.kind() == Kind::kExists
+                 ? FoFormula::Exists(y, FoFormula::And(in_dom, c[0]))
+                 : FoFormula::Forall(y, FoFormula::Implies(in_dom, c[0]));
+    }
+    default:  // atoms and equalities
+      return f;
+  }
+}
+
+}  // namespace
+
 core::Sws FoSatToSws(const FoFormula& sentence) {
   SWS_CHECK(sentence.FreeVars().empty()) << "the reduction needs a sentence";
+  std::map<std::string, size_t> arities = sentence.RelationArities();
+  std::string dom = "Dom";
+  while (arities.count(dom) > 0) dom += "'";
+  arities[dom] = 1;
   rel::Schema schema;
-  for (const auto& [name, arity] : sentence.RelationArities()) {
+  for (const auto& [name, arity] : arities) {
     std::vector<std::string> attrs;
     for (size_t i = 0; i < arity; ++i) attrs.push_back("a" + std::to_string(i));
     schema.Add(rel::RelationSchema(name, attrs));
   }
+  // The structure's domain is the nonempty relation Dom, which holds
+  // every constant of φ; the run's active domain only has to contain it.
+  std::vector<FoFormula> conjuncts = {
+      Relativize(sentence, dom),
+      FoFormula::Exists(0, FoFormula::MakeAtom(dom, {Term::Var(0)}))};
+  for (const rel::Value& c : sentence.Constants()) {
+    conjuncts.push_back(FoFormula::MakeAtom(dom, {Term::Const(c)}));
+  }
   Sws sws(schema, /*rin_arity=*/1, /*rout_arity=*/1);
   sws.AddState("q0");
   sws.SetTransition(0, {});
-  // Act(q0) = {(1)} iff D ⊨ φ. The final-state root reads I_0 = ∅ and the
-  // (irrelevant) message register; only D matters.
-  sws.SetSynthesis(0, RelQuery::Fo(FoQuery({Term::Int(1)}, sentence)));
+  // Act(q0) = {(1)} iff D ⊨ φ relativized to Dom. The final-state root
+  // reads I_0 = ∅ and the (irrelevant) message register; only D matters.
+  FoFormula body = FoFormula::And(std::move(conjuncts));
+  sws.SetSynthesis(0, RelQuery::Fo(FoQuery({Term::Int(1)}, std::move(body))));
   SWS_CHECK(!sws.Validate().has_value()) << *sws.Validate();
   return sws;
 }

@@ -20,8 +20,11 @@ namespace sws::analysis {
 /// The reduction: given an FO *sentence* φ over a relational schema,
 /// builds a single-state SWS_nr(FO, FO) service τ_φ with
 ///   τ_φ is non-empty  iff  φ has a finite model.
-/// The service's only state is final with synthesis "output (1) iff
-/// D ⊨ φ"; any nonempty input triggers the check. Consequently
+/// The schema adds a fresh unary relation Dom (primed if φ reads "Dom"),
+/// the universe of the structure: the service's only state is final with
+/// synthesis "output (1) iff D ⊨ φ relativized to Dom, Dom is nonempty
+/// and holds φ's constants", so a model may use elements that no other
+/// relation mentions. Any nonempty input triggers the check. Consequently
 /// non-emptiness (and with it validation of {(1)} and equivalence to the
 /// empty service) inherits FO undecidability.
 core::Sws FoSatToSws(const logic::FoFormula& sentence);

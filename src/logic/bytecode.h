@@ -138,11 +138,6 @@ struct JoinProgram {
 JoinProgram Lower(const Body& body, const rel::Database& db,
                   size_t first_group, size_t last_group);
 
-/// Lowers every group of the body.
-inline JoinProgram Lower(const Body& body, const rel::Database& db) {
-  return Lower(body, db, 0, body.group_ends.size());
-}
-
 /// Runs the program; `sink(regs)` fires once per complete match and may
 /// return false to stop enumeration. Returns false iff stopped early —
 /// by the sink or by a tripped util::StepGate (cooperative cancellation

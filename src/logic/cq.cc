@@ -456,6 +456,80 @@ bytecode::Body PrepareBody(const SlotMap& slots, size_t num_preloaded,
   return body;
 }
 
+BodyGroups GroupComponents(const SlotMap& slots, const std::vector<Atom>& atoms,
+                           const std::vector<std::vector<Term>>& links,
+                           const std::vector<Term>& head) {
+  // Union-find over slots, joined by the atoms and the links.
+  std::vector<size_t> parent(slots.size());
+  for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
+  auto find = [&parent](size_t x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
+  auto unite = [&](const std::vector<Term>& terms) {
+    auto first = std::find_if(terms.begin(), terms.end(),
+                              [](const Term& t) { return t.is_var(); });
+    for (auto it = first; it != terms.end(); ++it) {
+      if (it->is_var()) {
+        parent[find(slots[it->var()])] = find(slots[first->var()]);
+      }
+    }
+  };
+  for (const Atom& a : atoms) unite(a.args);
+  for (const std::vector<Term>& link : links) unite(link);
+  // Number the components by first appearance in the body. A link or
+  // head variable in no atom (an unsafe query) joins no component.
+  std::vector<int> component_of_root(slots.size(), -1);
+  int num_components = 0;
+  auto component_of = [&](const Term& t) {
+    return t.is_var() ? component_of_root[find(slots[t.var()])] : -1;
+  };
+  std::vector<int> atom_component(atoms.size());
+  for (size_t i = 0; i < atoms.size(); ++i) {
+    auto var = std::find_if(atoms[i].args.begin(), atoms[i].args.end(),
+                            [](const Term& t) { return t.is_var(); });
+    if (var == atoms[i].args.end()) {
+      atom_component[i] = num_components++;
+      continue;
+    }
+    int& component = component_of_root[find(slots[var->var()])];
+    if (component < 0) component = num_components++;
+    atom_component[i] = component;
+  }
+  std::vector<bool> touches_head(num_components, false);
+  for (const Term& t : head) {
+    if (component_of(t) >= 0) touches_head[component_of(t)] = true;
+  }
+  // Groups: the head components, then the existential ones, each in
+  // component order; atoms keep their body order.
+  BodyGroups out;
+  std::vector<int> group_of(num_components, -1);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int c = 0; c < num_components; ++c) {
+      if (touches_head[c] != (pass == 0)) continue;
+      group_of[c] = static_cast<int>(out.group_ends.size());
+      for (size_t i = 0; i < atoms.size(); ++i) {
+        if (atom_component[i] == c) {
+          out.atoms.push_back(static_cast<uint32_t>(i));
+        }
+      }
+      out.group_ends.push_back(static_cast<uint32_t>(out.atoms.size()));
+    }
+    if (pass == 0) out.head_groups = out.group_ends.size();
+  }
+  for (const std::vector<Term>& link : links) {
+    int group = -1;
+    for (const Term& t : link) {
+      if (group < 0 && component_of(t) >= 0) group = group_of[component_of(t)];
+    }
+    out.link_group.push_back(group);
+  }
+  return out;
+}
+
 PreparedCq::PreparedCq(const ConjunctiveQuery& q)
     : head_arity_(q.head_arity()) {
   std::optional<ConjunctiveQuery> normalized = q.Normalize();
@@ -482,76 +556,16 @@ PreparedCq::PreparedCq(const ConjunctiveQuery& q)
                    constants_.end());
   SlotMap slots;
   slots.Extend(normalized->Vars());
-
-  // Connected components: union-find over slots, joined by the atoms
-  // and the comparisons.
-  std::vector<size_t> parent(slots.size());
-  for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
-  auto find = [&parent](size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  auto unite = [&](const Term& a, const Term& b) {
-    if (a.is_var() && b.is_var()) {
-      parent[find(slots[a.var()])] = find(slots[b.var()]);
-    }
-  };
-  for (const Atom& a : atoms) {
-    auto first = std::find_if(a.args.begin(), a.args.end(),
-                              [](const Term& t) { return t.is_var(); });
-    for (auto it = first; it != a.args.end(); ++it) unite(*first, *it);
-  }
-  for (const Comparison& c : comparisons) unite(c.lhs, c.rhs);
-  // Number the components by first appearance in the body; each
-  // variable-free atom is a component of its own. A comparison or head
-  // variable in no atom (an unsafe query) joins no component.
-  std::vector<int> component_of_root(slots.size(), -1);
-  int num_components = 0;
-  auto component_of = [&](const Term& t) {
-    return t.is_var() ? component_of_root[find(slots[t.var()])] : -1;
-  };
-  std::vector<int> atom_component(atoms.size());
-  for (size_t i = 0; i < atoms.size(); ++i) {
-    auto var = std::find_if(atoms[i].args.begin(), atoms[i].args.end(),
-                            [](const Term& t) { return t.is_var(); });
-    if (var == atoms[i].args.end()) {
-      atom_component[i] = num_components++;
-      continue;
-    }
-    int& component = component_of_root[find(slots[var->var()])];
-    if (component < 0) component = num_components++;
-    atom_component[i] = component;
-  }
-  std::vector<bool> touches_head(num_components, false);
-  for (const Term& t : normalized->head()) {
-    if (component_of(t) >= 0) touches_head[component_of(t)] = true;
-  }
-  // Groups: the head components, then the existential ones, each in
-  // component order; atoms and comparisons keep their body order.
-  std::vector<int> group_order;
-  for (int pass = 0; pass < 2; ++pass) {
-    for (int c = 0; c < num_components; ++c) {
-      if (touches_head[c] == (pass == 0)) group_order.push_back(c);
-    }
-    if (pass == 0) head_groups_ = group_order.size();
-  }
+  std::vector<std::vector<Term>> links;
+  for (const Comparison& c : comparisons) links.push_back({c.lhs, c.rhs});
+  BodyGroups groups = GroupComponents(slots, atoms, links, normalized->head());
+  head_groups_ = groups.head_groups;
   std::vector<Atom> grouped;
-  std::vector<uint32_t> group_ends;
-  std::vector<Comparison> checks;
-  for (int c : group_order) {
-    for (size_t i = 0; i < atoms.size(); ++i) {
-      if (atom_component[i] == c) grouped.push_back(std::move(atoms[i]));
-    }
-    group_ends.push_back(static_cast<uint32_t>(grouped.size()));
-    for (const Comparison& cmp : comparisons) {
-      const int lhs = component_of(cmp.lhs);
-      if ((lhs >= 0 ? lhs : component_of(cmp.rhs)) == c) checks.push_back(cmp);
-    }
-  }
-  body_ = PrepareBody(slots, 0, grouped, std::move(group_ends), checks);
+  for (uint32_t i : groups.atoms) grouped.push_back(std::move(atoms[i]));
+  // A program over some groups attaches only their comparisons: the
+  // others' operands are never bound there.
+  body_ = PrepareBody(slots, 0, grouped, std::move(groups.group_ends),
+                      comparisons);
   for (const Term& t : normalized->head()) {
     head_.push_back(t.is_var() ? Term::Var(slots[t.var()]) : t);
   }

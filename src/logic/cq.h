@@ -141,15 +141,10 @@ class ConjunctiveQuery {
   std::vector<Comparison> comparisons_;
 };
 
-/// Binding of query variables to values during evaluation / homomorphism
-/// search. Bindings hold a handful of variables at a time, so this is a
-/// flat small-vector map with linear lookup: with packed one-word Values
-/// the whole binding sits in one or two cache lines, and find/erase beat
-/// the node-based std::map it replaced by a wide margin in the FO/CQ
-/// interpreter loops (the peer-store runtime workload resolves terms
-/// millions of times per run). Iteration order is insertion order with
-/// swap-removal on erase — unspecified, like the unordered maps it
-/// mirrors; no caller may depend on it.
+/// Binding of query variables to values for the reference join
+/// (ConjunctiveQuery::EvaluateNaive) and the test oracles: a flat
+/// small-vector map with linear lookup, as a binding holds a handful of
+/// one-word Values. Iteration order is unspecified.
 class Binding {
  public:
   using value_type = std::pair<int, rel::Value>;
@@ -224,6 +219,22 @@ bytecode::Body PrepareBody(const SlotMap& slots, size_t num_preloaded,
                            std::vector<uint32_t> group_ends,
                            const std::vector<Comparison>& comparisons,
                            const std::vector<Atom>& negated = {});
+
+/// A join body's connected components as groups (DESIGN.md §8): atoms
+/// join through shared variables and through each link's (a comparison's
+/// sides, a negated atom's arguments, a nested body's enclosing
+/// variables); a variable-free atom is a component of its own. The groups
+/// are the components touching the head, then the others, each in order
+/// of first appearance, with atoms in body order.
+struct BodyGroups {
+  std::vector<uint32_t> atoms;       // atom indexes, group by group
+  std::vector<uint32_t> group_ends;  // into `atoms`
+  size_t head_groups = 0;            // groups [0, head_groups) touch the head
+  std::vector<int> link_group;       // -1: no atom shares its variables
+};
+BodyGroups GroupComponents(const SlotMap& slots, const std::vector<Atom>& atoms,
+                           const std::vector<std::vector<Term>>& links,
+                           const std::vector<Term>& head);
 
 /// A conjunctive query prepared once for repeated evaluation (DESIGN.md
 /// §8): normalized, its variables numbered densely, and its body split

@@ -4,8 +4,6 @@
 #include <sstream>
 
 #include "logic/bytecode.h"
-
-#include "util/cancellation.h"
 #include "util/common.h"
 
 namespace sws::logic {
@@ -124,85 +122,6 @@ const std::vector<FoFormula>& FoFormula::children() const {
 int FoFormula::bound_var() const {
   SWS_CHECK(node_->kind == Kind::kExists || node_->kind == Kind::kForall);
   return node_->bound_var;
-}
-
-bool FoFormula::Eval(const rel::Database& db,
-                     const std::set<rel::Value>& domain,
-                     const Binding& binding) const {
-  Binding scratch = binding;  // single copy; quantifiers mutate in place
-  return EvalMutable(db, domain, &scratch);
-}
-
-bool FoFormula::EvalMutable(const rel::Database& db,
-                            const std::set<rel::Value>& domain,
-                            Binding* binding) const {
-  switch (node_->kind) {
-    case Kind::kAtom: {
-      // An absent relation, or one of another arity: the atom is false.
-      if (!db.Contains(node_->relation)) return false;
-      const rel::Relation& rel = db.Get(node_->relation);
-      if (rel.arity() != node_->args.size()) return false;
-      rel::Tuple t;
-      t.reserve(node_->args.size());
-      for (const Term& term : node_->args) {
-        auto v = ResolveTerm(term, *binding);
-        SWS_CHECK(v.has_value()) << "unbound variable " << term.ToString()
-                                 << " in FO atom";
-        t.push_back(*v);
-      }
-      return rel.Contains(t);
-    }
-    case Kind::kEq: {
-      auto l = ResolveTerm(node_->args[0], *binding);
-      auto r = ResolveTerm(node_->args[1], *binding);
-      SWS_CHECK(l.has_value() && r.has_value()) << "unbound variable in '='";
-      return *l == *r;
-    }
-    case Kind::kNot:
-      return !node_->children[0].EvalMutable(db, domain, binding);
-    case Kind::kAnd:
-      for (const auto& c : node_->children) {
-        if (!c.EvalMutable(db, domain, binding)) return false;
-      }
-      return true;
-    case Kind::kOr:
-      for (const auto& c : node_->children) {
-        if (c.EvalMutable(db, domain, binding)) return true;
-      }
-      return false;
-    case Kind::kExists:
-    case Kind::kForall: {
-      const bool is_exists = node_->kind == Kind::kExists;
-      // The quantifier may shadow an outer binding of the same variable:
-      // save it and restore on exit (including early exit).
-      std::optional<rel::Value> saved;
-      if (auto it = binding->find(node_->bound_var); it != binding->end()) {
-        saved = it->second;
-      }
-      bool result = !is_exists;
-      for (const rel::Value& v : domain) {
-        // Cooperative cancellation inside the quantifier sweep — the
-        // O(|adom|^depth) alternation is the paper's intractable core.
-        // The gate is sticky, so every enclosing quantifier also stops
-        // at its next tick and the unwind costs O(depth); the governed
-        // caller discards the (meaningless) boolean.
-        if (!sws::util::StepTick()) break;
-        (*binding)[node_->bound_var] = v;
-        if (node_->children[0].EvalMutable(db, domain, binding) ==
-            is_exists) {
-          result = is_exists;  // witness / counterexample: short-circuit
-          break;
-        }
-      }
-      if (saved.has_value()) {
-        (*binding)[node_->bound_var] = *std::move(saved);
-      } else {
-        binding->erase(node_->bound_var);
-      }
-      return result;
-    }
-  }
-  return false;
 }
 
 namespace {
@@ -337,10 +256,9 @@ std::optional<std::string> FoQuery::Validate() const {
 // The formula is put in disjunctive normal form with ¬ pushed inward
 // (∀x φ read as ¬∃x ¬φ) and every quantified variable renamed apart. A
 // disjunct is a conjunction of atoms, (in)equalities and negated sub-DNFs.
-// LowerConj unifies each disjunct's equalities and checks that every
-// variable is range-restricted — bound by a positive atom, a constant or
-// an enclosing body — which holds for every safe-range query; anything
-// else stays on the interpreter.
+// LowerConj unifies each disjunct's equalities; a variable that no
+// positive atom, constant or enclosing body binds then ranges over the
+// query's active-domain relation, so every valid query lowers.
 // ---------------------------------------------------------------------------
 
 struct FoBody {
@@ -352,14 +270,31 @@ struct FoBody {
   /// cq's atoms and comparisons and the negated atoms as one join body,
   /// and cq's head over its slots. A nested body that reads enclosing
   /// variables numbers its slots after the enclosing body's and preloads
-  /// them.
+  /// them. A nested body is one group; a top-level body is split into
+  /// its connected components: groups [0, head_groups) touch the head
+  /// and run as one program, and each other group needs one witness.
   bytecode::Body prepared;
   std::vector<Term> slot_head;
+  int head_groups = 0;
+  /// nested[i] filters the matches of group nested_group[i]; -1 for a
+  /// closed sentence, which is checked once.
+  std::vector<int> nested_group;
+};
+
+struct FoLowering {
+  std::vector<FoBody> bodies;
+  /// The unary relation a variable that nothing binds ranges over: a
+  /// name the formula does not read, bound to adom(db) plus the query's
+  /// constants only when some body reads it.
+  std::string adom;
+  bool reads_adom = false;
+  std::vector<rel::Value> constants;
 };
 
 namespace {
 
-constexpr size_t kMaxDisjuncts = 64;  // larger DNFs stay interpreted
+// Past this many disjuncts, a conjunct enters a conjunction as ¬¬φ.
+constexpr size_t kMaxDisjuncts = 64;
 
 struct Conj {
   std::vector<Atom> atoms = {};
@@ -370,9 +305,9 @@ struct Conj {
 using Dnf = std::vector<Conj>;
 
 // The DNF of f (of ¬f when `negate`); `rename` maps each quantified
-// variable in scope to its fresh id. nullopt past kMaxDisjuncts.
-std::optional<Dnf> ToDnf(const FoFormula& f, bool negate,
-                         const std::map<int, int>& rename, int* fresh) {
+// variable in scope to its fresh id.
+Dnf ToDnf(const FoFormula& f, bool negate, const std::map<int, int>& rename,
+          int* fresh) {
   using Kind = FoFormula::Kind;
   auto term = [&rename](const Term& t) {
     auto it = t.is_var() ? rename.find(t.var()) : rename.end();
@@ -398,14 +333,17 @@ std::optional<Dnf> ToDnf(const FoFormula& f, bool negate,
       const bool conjunction = (f.kind() == Kind::kAnd) != negate;
       Dnf out = conjunction ? Dnf{Conj{}} : Dnf{};
       for (const FoFormula& child : f.children()) {
-        std::optional<Dnf> d = ToDnf(child, negate, rename, fresh);
-        if (!d.has_value()) return std::nullopt;
+        Dnf d = ToDnf(child, negate, rename, fresh);
         if (!conjunction) {
-          append(&out, *d);
+          append(&out, d);
         } else {
+          if (out.size() * d.size() > kMaxDisjuncts) {
+            // ¬¬child: one conjunct, whatever the size of child's DNF.
+            d = Dnf{Conj{.negated = {ToDnf(child, !negate, rename, fresh)}}};
+          }
           Dnf product;
           for (const Conj& x : out) {
-            for (Conj y : *d) {
+            for (Conj y : d) {
               append(&y.atoms, x.atoms);
               append(&y.comparisons, x.comparisons);
               append(&y.negated, x.negated);
@@ -415,7 +353,6 @@ std::optional<Dnf> ToDnf(const FoFormula& f, bool negate,
           }
           out = std::move(product);
         }
-        if (out.size() > kMaxDisjuncts) return std::nullopt;
       }
       return out;
     }
@@ -425,25 +362,24 @@ std::optional<Dnf> ToDnf(const FoFormula& f, bool negate,
       const int id = (*fresh)++;
       std::map<int, int> scoped = rename;
       scoped[f.bound_var()] = id;
-      std::optional<Dnf> d =
-          ToDnf(f.children()[0], f.kind() == Kind::kForall, scoped, fresh);
-      if (!d.has_value()) return std::nullopt;
-      for (Conj& c : *d) c.locals.push_back(id);
+      Dnf d = ToDnf(f.children()[0], f.kind() == Kind::kForall, scoped, fresh);
+      for (Conj& c : d) c.locals.push_back(id);
       if ((f.kind() == Kind::kExists) != negate) return d;
-      return Dnf{Conj{.negated = {std::move(*d)}}};
+      return Dnf{Conj{.negated = {std::move(d)}}};
     }
   }
-  return std::nullopt;
+  return {};
 }
 
 // Lowers one conjunction into a body appended to `out` (nothing when it
 // is unsatisfiable). `outer` maps each enclosing variable to the term
 // holding its value: a variable of the enclosing body (a preloaded
 // register) or a constant. `head` is the query head at the top level and
-// null in a nested body. Returns false if a variable is not
-// range-restricted, or is free but not in the head.
-bool LowerConj(const Conj& c, const std::map<int, Term>& outer,
-               const std::vector<Term>* head, std::vector<FoBody>* out) {
+// null in a nested body. A variable that nothing binds gets an atom over
+// the active-domain relation.
+void LowerConj(const Conj& c, const std::map<int, Term>& outer,
+               const std::vector<Term>* head, FoLowering* lowering,
+               std::vector<FoBody>* out) {
   const size_t head_size = head != nullptr ? head->size() : 0;
   std::vector<int> scope = c.locals;
   for (size_t i = 0; i < head_size; ++i) {
@@ -453,15 +389,13 @@ bool LowerConj(const Conj& c, const std::map<int, Term>& outer,
   for (const auto& [var, t] : outer) {
     if (t.is_var()) preloaded.insert(t.var());
   }
-  bool known = true;
   auto enclosing = [&](const Term& t) {
     if (!t.is_var() ||
         std::find(scope.begin(), scope.end(), t.var()) != scope.end()) {
       return t;
     }
     auto it = outer.find(t.var());
-    known = known && it != outer.end();
-    if (it == outer.end()) return t;
+    SWS_CHECK(it != outer.end()) << "free variable " << t.ToString();
     if (it->second.is_var()) params.insert(it->second.var());
     return it->second;
   };
@@ -474,7 +408,6 @@ bool LowerConj(const Conj& c, const std::map<int, Term>& outer,
     cmp.lhs = enclosing(cmp.lhs);
     cmp.rhs = enclosing(cmp.rhs);
   }
-  if (!known) return false;
   // Normalize unifies the '=' classes. A class's representative is a
   // constant if it has one, else its smallest variable — a preloaded one
   // when present, as enclosing variables get their ids first. Its head
@@ -488,18 +421,22 @@ bool LowerConj(const Conj& c, const std::map<int, Term>& outer,
   std::optional<ConjunctiveQuery> cq =
       ConjunctiveQuery(terms, std::move(atoms), std::move(comparisons))
           .Normalize();
-  if (!cq.has_value()) return true;
+  if (!cq.has_value()) return;
   std::set<int> bound = preloaded;
   for (const Atom& a : cq->body()) {
     for (const Term& t : a.args) {
       if (t.is_var()) bound.insert(t.var());
     }
   }
-  auto restricted = [&bound](const Term& t) {
-    return t.is_const() || bound.count(t.var()) > 0;
-  };
+  // A representative that nothing binds ranges over the active domain.
   const std::vector<Term>& reps = cq->head();
-  if (!std::all_of(reps.begin(), reps.end(), restricted)) return false;
+  std::vector<Atom> body_atoms = cq->body();
+  for (const Term& t : reps) {
+    if (t.is_var() && bound.insert(t.var()).second) {
+      body_atoms.push_back(Atom{lowering->adom, {t}});
+      lowering->reads_adom = true;
+    }
+  }
   FoBody body;
   std::vector<Comparison> checks = cq->comparisons();
   for (size_t i = head_size; i < front; ++i) {
@@ -508,12 +445,15 @@ bool LowerConj(const Conj& c, const std::map<int, Term>& outer,
 
   // Each disjunct D of a negated sub-DNF sees every variable bound here;
   // ¬D becomes an anti-probe when D is one atom over bound terms.
+  auto restricted = [&bound](const Term& t) {
+    return t.is_const() || bound.count(t.var()) > 0;
+  };
   std::map<int, Term> inner = outer;
   for (size_t i = 0; i < scope.size(); ++i) inner[scope[i]] = reps[front + i];
   for (const Dnf& negation : c.negated) {
     for (const Conj& d : negation) {
       std::vector<FoBody> lowered;
-      if (!LowerConj(d, inner, nullptr, &lowered)) return false;
+      LowerConj(d, inner, nullptr, lowering, &lowered);
       if (lowered.empty()) continue;  // D unsatisfiable: ¬D holds
       FoBody& n = lowered[0];
       for (const Term& t : n.cq.head()) {
@@ -522,7 +462,7 @@ bool LowerConj(const Conj& c, const std::map<int, Term>& outer,
       const std::vector<Atom>& d_atoms = n.cq.body();
       const bool plain = n.cq.comparisons().empty() && n.negated.empty() &&
                          n.nested.empty();
-      if (plain && d_atoms.empty()) return true;  // ¬true
+      if (plain && d_atoms.empty()) return;  // ¬true
       if (plain && d_atoms.size() == 1 && d_atoms[0].args.size() <= 64 &&
           std::all_of(d_atoms[0].args.begin(), d_atoms[0].args.end(),
                       restricted)) {
@@ -536,15 +476,21 @@ bool LowerConj(const Conj& c, const std::map<int, Term>& outer,
   if (head == nullptr) {
     for (int v : params) head_terms.push_back(Term::Var(v));
   }
-  body.cq = ConjunctiveQuery(std::move(head_terms), cq->body(),
+  body.cq = ConjunctiveQuery(std::move(head_terms), std::move(body_atoms),
                              std::move(checks));
   out->push_back(std::move(body));
-  return true;
+}
+
+bool ReadsRelation(const FoFormula& f, const std::string& name) {
+  if (f.kind() == FoFormula::Kind::kAtom && f.relation() == name) return true;
+  return std::any_of(
+      f.children().begin(), f.children().end(),
+      [&name](const FoFormula& c) { return ReadsRelation(c, name); });
 }
 
 // Prepares `b` and its nested bodies, numbering b's variables after the
 // enclosing slots (none for a top-level body or a closed sentence).
-void Prepare(FoBody* b, SlotMap slots) {
+void Prepare(FoBody* b, SlotMap slots, bool top_level) {
   const size_t enclosing = slots.size();
   std::vector<int> vars = b->cq.Vars();
   for (const Atom& a : b->negated) {
@@ -553,143 +499,148 @@ void Prepare(FoBody* b, SlotMap slots) {
     }
   }
   slots.Extend(std::move(vars));
-  const std::vector<Atom>& atoms = b->cq.body();
-  b->prepared = PrepareBody(slots, enclosing, atoms,
-                            {static_cast<uint32_t>(atoms.size())},
+  std::vector<Atom> atoms = b->cq.body();
+  std::vector<uint32_t> group_ends = {static_cast<uint32_t>(atoms.size())};
+  b->head_groups = 1;
+  for (const FoBody& n : b->nested) {
+    b->nested_group.push_back(n.cq.head().empty() ? -1 : 0);
+  }
+  if (top_level) {  // a closed nested body links nothing: group -1
+    std::vector<std::vector<Term>> links;
+    for (const Comparison& c : b->cq.comparisons()) {
+      links.push_back({c.lhs, c.rhs});
+    }
+    for (const Atom& a : b->negated) links.push_back(a.args);
+    for (const FoBody& n : b->nested) links.push_back(n.cq.head());
+    BodyGroups groups = GroupComponents(slots, atoms, links, b->cq.head());
+    atoms.clear();
+    for (uint32_t i : groups.atoms) atoms.push_back(b->cq.body()[i]);
+    group_ends = std::move(groups.group_ends);
+    b->head_groups = static_cast<int>(groups.head_groups);
+    b->nested_group.assign(groups.link_group.end() - b->nested.size(),
+                           groups.link_group.end());
+  }
+  b->prepared = PrepareBody(slots, enclosing, atoms, std::move(group_ends),
                             b->cq.comparisons(), b->negated);
   for (const Term& t : b->cq.head()) {
     b->slot_head.push_back(t.is_var() ? Term::Var(slots[t.var()]) : t);
   }
   for (FoBody& n : b->nested) {
-    Prepare(&n, n.cq.head().empty() ? SlotMap() : slots);
+    Prepare(&n, n.cq.head().empty() ? SlotMap() : slots, false);
   }
 }
 
-// A body lowered onto one database, once per Evaluate.
+// A body lowered onto one database, once per Evaluate: the program over
+// its head groups, and its nested bodies (parallel to FoBody::nested).
 struct LoweredBody {
   bytecode::JoinProgram program;
   std::vector<LoweredBody> nested;
 };
 
-bool Matches(const LoweredBody& c, const std::vector<rel::Value>* preload);
+bool Matches(const FoBody& b, const LoweredBody& c,
+             const std::vector<rel::Value>* preload);
 
-// True iff no nested body matches under `regs`.
-bool Keep(const LoweredBody& c, const std::vector<rel::Value>& regs) {
-  return std::none_of(
-      c.nested.begin(), c.nested.end(),
-      [&regs](const LoweredBody& n) { return Matches(n, &regs); });
-}
-
-bool Matches(const LoweredBody& c, const std::vector<rel::Value>* preload) {
-  return bytecode::HasMatch(
-      c.program, preload,
-      [&c](const std::vector<rel::Value>& regs) { return Keep(c, regs); });
-}
-
-LoweredBody LowerBody(const FoBody& b, const rel::Database& db) {
-  LoweredBody c{bytecode::Lower(b.prepared, db), {}};
-  for (const FoBody& n : b.nested) {
-    if (c.program.never_matches) break;
-    if (!n.cq.head().empty()) {
-      c.nested.push_back(LowerBody(n, db));
-    } else if (Matches(LowerBody(n, db), nullptr)) {
-      c.program.never_matches = true;  // a closed ¬∃ sentence is false
+// True iff no nested body of groups [first, last) matches under `regs`.
+bool Keep(const FoBody& b, const LoweredBody& c, int first, int last,
+          const std::vector<rel::Value>& regs) {
+  for (size_t i = 0; i < b.nested.size(); ++i) {
+    if (b.nested_group[i] >= first && b.nested_group[i] < last &&
+        Matches(b.nested[i], c.nested[i], &regs)) {
+      return false;
     }
+  }
+  return true;
+}
+
+bool Matches(const FoBody& b, const LoweredBody& c,
+             const std::vector<rel::Value>* preload) {
+  return bytecode::HasMatch(c.program, preload, [&](const auto& regs) {
+    return Keep(b, c, 0, b.head_groups, regs);
+  });
+}
+
+// A closed sentence that holds, or a head-free group with no witness,
+// marks the program as never matching.
+LoweredBody LowerBody(const FoBody& b, const rel::Database& db) {
+  LoweredBody c{bytecode::Lower(b.prepared, db, 0, b.head_groups), {}};
+  for (const FoBody& n : b.nested) {
+    if (c.program.never_matches) return c;
+    c.nested.push_back(LowerBody(n, db));
+    c.program.never_matches =
+        n.cq.head().empty() && Matches(n, c.nested.back(), nullptr);
+  }
+  const int groups = static_cast<int>(b.prepared.group_ends.size());
+  for (int g = b.head_groups; g < groups && !c.program.never_matches; ++g) {
+    c.program.never_matches = !bytecode::HasMatch(
+        bytecode::Lower(b.prepared, db, g, g + 1), nullptr,
+        [&](const auto& regs) { return Keep(b, c, g, g + 1, regs); });
   }
   return c;
 }
 
-// The lowered form of a query; null when it is not range-restricted or
-// its DNF is too large.
-std::shared_ptr<const std::vector<FoBody>> Lower(const std::vector<Term>& head,
-                                                 const FoFormula& formula) {
+std::shared_ptr<const FoLowering> Lower(const std::vector<Term>& head,
+                                        const FoFormula& formula) {
   // Quantified variables are all renamed, so fresh ids need only avoid
   // the free and head variables.
   std::set<int> kept = formula.FreeVars();
   for (const Term& t : head) kept.insert(t.is_var() ? t.var() : -1);
   int fresh = kept.empty() ? 0 : *kept.rbegin() + 1;
-  std::optional<Dnf> dnf = ToDnf(formula, false, {}, &fresh);
-  if (!dnf.has_value()) return nullptr;
-  auto bodies = std::make_shared<std::vector<FoBody>>();
-  for (const Conj& c : *dnf) {
-    if (!LowerConj(c, {}, &head, bodies.get())) return nullptr;
+  auto lowering = std::make_shared<FoLowering>();
+  lowering->adom = "adom";
+  while (ReadsRelation(formula, lowering->adom)) lowering->adom += "'";
+  for (const Conj& c : ToDnf(formula, false, {}, &fresh)) {
+    LowerConj(c, {}, &head, lowering.get(), &lowering->bodies);
   }
-  for (FoBody& b : *bodies) Prepare(&b, SlotMap());
-  return bodies;
+  for (FoBody& b : lowering->bodies) Prepare(&b, SlotMap(), true);
+  if (!lowering->reads_adom) return lowering;
+  std::set<rel::Value> constants = formula.Constants();
+  for (const Term& t : head) {
+    if (t.is_const()) constants.insert(t.value());
+  }
+  lowering->constants.assign(constants.begin(), constants.end());
+  return lowering;
 }
 
 }  // namespace
 
 FoQuery::FoQuery(std::vector<Term> head, FoFormula formula)
-    : head_(std::move(head)),
-      formula_(std::move(formula)),
-      lowered_(Lower(head_, formula_)) {}
+    : head_(std::move(head)), formula_(std::move(formula)) {
+  if (!Validate().has_value()) lowered_ = Lower(head_, formula_);
+}
 
 rel::Relation FoQuery::Evaluate(const rel::Database& db) const {
-  if (lowered_ == nullptr) return EvaluateNaive(db);
+  SWS_CHECK(lowered_ != nullptr) << *Validate();
+  rel::Database env;
+  if (lowered_->reads_adom) {
+    // The active-domain relation: adom(db) plus the query's constants.
+    const std::shared_ptr<const std::set<rel::Value>> adom =
+        db.ActiveDomainShared();
+    std::vector<rel::Value> values(adom->begin(), adom->end());
+    values.insert(values.end(), lowered_->constants.begin(),
+                  lowered_->constants.end());
+    env = db;
+    env.Set(lowered_->adom, rel::Relation::FromRowMajor(1, values));
+  }
   rel::Relation out(head_.size());
-  for (const FoBody& body : *lowered_) {
-    const LoweredBody c = LowerBody(body, db);
-    out.MergeFrom(bytecode::Emit(
-        c.program, body.slot_head,
-        [&c](const std::vector<rel::Value>& regs) { return Keep(c, regs); }));
+  for (const FoBody& body : lowered_->bodies) {
+    const LoweredBody c = LowerBody(body, lowered_->reads_adom ? env : db);
+    out.MergeFrom(bytecode::Emit(c.program, body.slot_head,
+                                 [&](const auto& regs) {
+                                   return Keep(body, c, 0, body.head_groups,
+                                               regs);
+                                 }));
   }
   return out;
 }
 
 std::optional<UnionQuery> FoQuery::LoweredUcq() const {
-  if (lowered_ == nullptr) return std::nullopt;
+  if (lowered_ == nullptr || lowered_->reads_adom) return std::nullopt;
   UnionQuery ucq(head_.size());
-  for (const FoBody& body : *lowered_) {
+  for (const FoBody& body : lowered_->bodies) {
     if (!body.negated.empty() || !body.nested.empty()) return std::nullopt;
     ucq.Add(body.cq);
   }
   return ucq;
-}
-
-rel::Relation FoQuery::EvaluateNaive(const rel::Database& db) const {
-  // Active-domain semantics: quantify over adom(db) plus the query's
-  // constants.
-  std::set<rel::Value> domain = formula_.Constants();
-  for (const Term& t : head_) {
-    if (t.is_const()) domain.insert(t.value());
-  }
-  const std::shared_ptr<const std::set<rel::Value>> adom =
-      db.ActiveDomainShared();
-  domain.insert(adom->begin(), adom->end());
-  // Enumerate assignments of the head *variables* over the domain.
-  std::vector<int> vars;
-  {
-    std::set<int> seen;
-    for (const Term& t : head_) {
-      if (t.is_var() && seen.insert(t.var()).second) vars.push_back(t.var());
-    }
-  }
-  rel::Relation out(head_.size());
-  Binding binding;
-  std::function<void(size_t)> assign = [&](size_t i) {
-    if (i == vars.size()) {
-      if (formula_.EvalMutable(db, domain, &binding)) {
-        rel::Tuple t;
-        t.reserve(head_.size());
-        for (const Term& term : head_) {
-          auto v = ResolveTerm(term, binding);
-          SWS_CHECK(v.has_value());
-          t.push_back(*v);
-        }
-        out.Insert(std::move(t));
-      }
-      return;
-    }
-    for (const rel::Value& v : domain) {
-      if (!sws::util::StepTick()) break;  // cancelled: abandon enumeration
-      binding[vars[i]] = v;
-      assign(i + 1);
-    }
-    binding.erase(vars[i]);
-  };
-  assign(0);
-  return out;
 }
 
 FoQuery FoQuery::FromCq(const ConjunctiveQuery& cq) {
@@ -785,23 +736,25 @@ FoBoundedSatResult FoBoundedSat(const FoFormula& sentence,
   SWS_CHECK(sentence.FreeVars().empty()) << "FoBoundedSat needs a sentence";
   FoBoundedSatResult result;
   std::map<std::string, size_t> arities = sentence.RelationArities();
+  // Each candidate is evaluated beside a unary relation holding {1..k},
+  // so that the domain is exactly {1..k} plus the sentence's constants.
+  std::string domain = "domain";
+  while (arities.count(domain) > 0) domain += "'";
+  const FoQuery query({}, sentence);
   uint64_t budget = max_databases;
-  std::set<rel::Value> constants = sentence.Constants();
   for (size_t k = 1; k <= max_domain_size && !result.found; ++k) {
-    // The evaluation domain depends only on k, not on the candidate
-    // database — build it once per k instead of once per database.
-    std::set<rel::Value> eval_domain = constants;
+    rel::Relation values(1);
     for (size_t v = 1; v <= k; ++v) {
-      eval_domain.insert(rel::Value::Int(static_cast<int64_t>(v)));
+      values.Insert({rel::Value::Int(static_cast<int64_t>(v))});
     }
     EnumerateDatabases(arities, k, &budget, [&](const rel::Database& db) {
       ++result.databases_checked;
-      if (sentence.Eval(db, eval_domain, {})) {
-        result.found = true;
-        result.witness = db;
-        return false;
-      }
-      return true;
+      rel::Database env = db;
+      env.Set(domain, values);
+      if (query.Evaluate(env).empty()) return true;
+      result.found = true;
+      result.witness = db;
+      return false;
     });
     if (budget == 0) break;
   }

@@ -20,9 +20,10 @@ namespace sws::logic {
 /// SWS(FO, FO), which captures the data-driven transducer models of
 /// [Abiteboul et al.; Deutsch–Sui–Vianu; Spielmann] (Section 3).
 ///
-/// Evaluation uses active-domain semantics: quantifiers range over the
-/// values occurring in the database plus the constants of the formula —
-/// the standard finite-model reading used by the transducer literature.
+/// FoQuery evaluates formulas under active-domain semantics: quantifiers
+/// range over the values occurring in the database plus the constants of
+/// the query — the standard finite-model reading used by the transducer
+/// literature.
 class FoFormula {
  public:
   enum class Kind { kAtom, kEq, kNot, kAnd, kOr, kExists, kForall };
@@ -56,19 +57,6 @@ class FoFormula {
   /// kExists/kForall bound variable.
   int bound_var() const;
 
-  /// Evaluates under a binding of free variables over the given active
-  /// domain. All free variables must be bound.
-  bool Eval(const rel::Database& db, const std::set<rel::Value>& domain,
-            const Binding& binding) const;
-
-  /// As above, but extends `binding` in place while walking quantifiers
-  /// (saving and restoring shadowed entries) instead of copying the map
-  /// at every quantifier node; `binding` is unchanged on return. (A
-  /// separate name, not an overload: `Eval(db, domain, {})` must keep
-  /// meaning an empty binding, not a null pointer.)
-  bool EvalMutable(const rel::Database& db,
-                   const std::set<rel::Value>& domain, Binding* binding) const;
-
   /// Free variables of the formula.
   std::set<int> FreeVars() const;
   /// All constants occurring in the formula.
@@ -87,19 +75,20 @@ class FoFormula {
   std::shared_ptr<const Node> node_;
 };
 
-/// One disjunct of a compiled FoQuery (defined in fo.cc; DESIGN.md §12).
-struct FoBody;
+/// The lowered form of an FoQuery (defined in fo.cc; DESIGN.md §12).
+struct FoLowering;
 
 /// An FO query: a formula with an ordered tuple of free head variables
 /// (variables may repeat; constants are allowed as head terms).
 ///
-/// A safe-range query is lowered once, at construction, into a union of
+/// Every valid query is lowered once, at construction, into a union of
 /// conjunctive bodies with guarded negation that Evaluate runs on the
-/// join bytecode (logic/bytecode.h) without touching the active domain.
-/// Other queries keep the active-domain interpreter (EvaluateNaive).
+/// join bytecode (logic/bytecode.h). A variable that no positive atom,
+/// constant or enclosing body binds ranges over a unary relation holding
+/// the active domain, which Evaluate binds only for queries that read it.
 class FoQuery {
  public:
-  FoQuery() = default;
+  FoQuery() : FoQuery({}, FoFormula()) {}
   FoQuery(std::vector<Term> head, FoFormula formula);
 
   const std::vector<Term>& head() const { return head_; }
@@ -111,18 +100,13 @@ class FoQuery {
   /// presentation: non-head variables must be quantified).
   std::optional<std::string> Validate() const;
 
-  /// True iff the query was lowered onto the join bytecode.
-  bool compiled() const { return lowered_ != nullptr; }
-
-  /// The query's answer: the compiled path when compiled(), else
-  /// EvaluateNaive. Both give the active-domain semantics.
+  /// The query's answer under active-domain semantics: head and
+  /// quantified variables range over adom(db) plus the query's constants.
+  /// Aborts with Validate()'s message on an invalid query.
   rel::Relation Evaluate(const rel::Database& db) const;
 
-  /// The active-domain interpreter: head variables range over adom(db)
-  /// plus the formula's constants. The fallback, and the test oracle.
-  rel::Relation EvaluateNaive(const rel::Database& db) const;
-
-  /// The lowered form as a UCQ, when the query compiled with no negation.
+  /// The lowered form as a UCQ, when it has no negation and never ranges
+  /// over the active domain.
   std::optional<UnionQuery> LoweredUcq() const;
 
   /// Converts a CQ (with = and ≠) to an equivalent FO query.
@@ -134,8 +118,8 @@ class FoQuery {
  private:
   std::vector<Term> head_;
   FoFormula formula_;
-  /// Derived from head_ and formula_; null when not safe-range.
-  std::shared_ptr<const std::vector<FoBody>> lowered_;
+  /// Derived from head_ and formula_; null when Validate() fails.
+  std::shared_ptr<const FoLowering> lowered_;
 };
 
 /// Result of a bounded-model satisfiability search.

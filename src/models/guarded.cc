@@ -50,15 +50,12 @@ GuardedAutomaton::StepResult GuardedAutomaton::Step(
     const rel::Relation& input) const {
   rel::Database env = db;
   env.Set(Peer::kPeerInput, input);
-  std::set<rel::Value> domain = env.ActiveDomain();
 
   StepResult result;
   result.actions = rel::Relation(action_arity_);
   for (const GuardedTransition& t : transitions_) {
     if (states.count(t.from) == 0) continue;
-    std::set<rel::Value> guard_domain = domain;
-    for (const rel::Value& c : t.guard.Constants()) guard_domain.insert(c);
-    if (!t.guard.Eval(env, guard_domain, {})) continue;
+    if (FoQuery({}, t.guard).Evaluate(env).empty()) continue;
     result.next_states.insert(t.to);
     std::vector<Term> head;
     for (size_t i = 0; i < action_arity_; ++i) {

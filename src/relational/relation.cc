@@ -205,19 +205,6 @@ bool Relation::Erase(const Tuple& t) {
 }
 
 bool Relation::Contains(const Tuple& t) const {
-  // Small relations: linear equality scan over the column arena. Packed
-  // values are canonical, so equality is a one-word bit compare — unlike
-  // the binary search, whose three-way CompareRow falls back to interner
-  // ordering lookups for strings and big ints. The FO interpreter probes
-  // tiny runtime relations (peer state/input) millions of times per run.
-  if (rows_ <= 8) {
-    for (size_t r = 0; r < rows_; ++r) {
-      size_t c = 0;
-      while (c < arity_ && At(r, c) == t[c]) ++c;
-      if (c == arity_) return true;
-    }
-    return false;
-  }
   const size_t pos = LowerBound(t);
   return pos < rows_ && CompareRow(pos, t) == std::strong_ordering::equal;
 }

@@ -218,6 +218,9 @@ core::Status ServiceRuntime::Submit(std::string session_id,
 core::Status ServiceRuntime::Submit(std::string session_id,
                                     rel::Relation message,
                                     SubmitOptions options) {
+  // One clock reading serves the relative deadline and the dead-on-arrival
+  // check, so only an absolute deadline already past is dead on arrival.
+  const auto now = std::chrono::steady_clock::now();
   auto deadline = std::chrono::steady_clock::time_point::max();
   if (options.absolute_deadline.has_value()) {
     deadline = *options.absolute_deadline;
@@ -226,14 +229,13 @@ core::Status ServiceRuntime::Submit(std::string session_id,
                                             ? options.deadline
                                             : options_.default_deadline;
     if (relative.count() > 0) {
-      // Saturate: now() + relative would overflow past time_point::max()
+      // Saturate: now + relative would overflow past time_point::max()
       // (a client may send any positive deadline_ns).
-      const auto now = std::chrono::steady_clock::now();
       if (relative < deadline - now) deadline = now + relative;
     }
   }
   return SubmitInternal(std::move(session_id), std::move(message),
-                        options.priority, deadline,
+                        options.priority, deadline, now,
                         std::move(options.callback));
 }
 
@@ -256,7 +258,8 @@ size_t ServiceRuntime::LimitFor(Priority priority) const {
 
 core::Status ServiceRuntime::SubmitInternal(
     std::string session_id, rel::Relation message, Priority priority,
-    std::chrono::steady_clock::time_point deadline, OutcomeCallback callback) {
+    std::chrono::steady_clock::time_point deadline,
+    std::chrono::steady_clock::time_point now, OutcomeCallback callback) {
   using core::RunError;
   using core::Status;
   // Failed-state runtime (durable startup failed): nothing is admitted.
@@ -276,8 +279,7 @@ core::Status ServiceRuntime::SubmitInternal(
                              std::to_string(sws().rin_arity()));
   }
   // Dead on arrival: fast-fail without admitting or running anything.
-  if (deadline != std::chrono::steady_clock::time_point::max() &&
-      std::chrono::steady_clock::now() > deadline) {
+  if (now > deadline) {
     stats_.Add(Counter::kExpiredAtEnqueue);
     return Status::Error(RunError::kDeadlineExceeded,
                          "deadline already expired at enqueue");

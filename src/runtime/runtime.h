@@ -237,9 +237,12 @@ class ServiceRuntime {
   const core::Status& init_status() const { return init_error_; }
 
  private:
+  /// `now` is Submit's one clock reading, the one `deadline` was
+  /// computed from.
   core::Status SubmitInternal(std::string session_id, rel::Relation message,
                               Priority priority,
                               std::chrono::steady_clock::time_point deadline,
+                              std::chrono::steady_clock::time_point now,
                               OutcomeCallback callback);
   /// Admission limit (in queue slots) for a priority class.
   size_t LimitFor(Priority priority) const;

@@ -63,7 +63,7 @@ struct RunOptions {
   // "unlimited"; with every cap unlimited, no deadline, and no governor,
   // runs pay nothing for governance.
   /// Evaluation-fuel budget: total steps (candidate tuples probed,
-  /// quantifier domain values tried, tree nodes evaluated) before the
+  /// active-domain values collected, tree nodes evaluated) before the
   /// run aborts with kFuelExhausted. 0 = unlimited.
   uint64_t max_eval_steps = 0;
   /// Cap on the run's memo-cache bytes; past it, least-recently-used

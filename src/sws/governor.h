@@ -21,7 +21,7 @@ namespace sws::core {
 ///   - deadline:        a steady-clock point after which Admit cancels
 ///                      the run with kDeadlineExceeded;
 ///   - max_eval_steps:  "fuel" — total evaluation steps (candidate
-///                      tuples probed, quantifier domain values tried,
+///                      tuples probed, active-domain values collected,
 ///                      …) before Admit cancels with kFuelExhausted;
 ///   - max_tracked_bytes: cache bytes attributed to this governor
 ///                      (memo entries + relation indexes) before the

@@ -9,8 +9,8 @@ namespace sws::util {
 /// (logic/, relational/) and the resource-governance layer (sws/,
 /// runtime/). The lower layers cannot depend on sws::core, so they talk
 /// to an abstract gate installed in thread-local state: evaluation loops
-/// call StepTick() per unit of work (one candidate tuple, one quantifier
-/// domain value, one active-domain value) and unwind when it returns
+/// call StepTick() per unit of work (one candidate tuple of the join
+/// bytecode, one active-domain value) and unwind when it returns
 /// false. The concrete gate — sws::core::ExecutionGovernor — charges the
 /// batched steps against its fuel budget and in-query deadline.
 ///

@@ -32,6 +32,7 @@
 #include "logic/cq.h"
 #include "logic/fo.h"
 #include "runtime/runtime.h"
+#include "sws/execution.h"
 #include "sws/session.h"
 #include "util/common.h"
 
@@ -83,13 +84,15 @@ Relation Msg(int64_t v) {
   return m;
 }
 
-// A two-level logger whose commit query is an FO ∀-alternation
-// tautology of fixed depth: evaluation never short-circuits, so each
-// run costs |adom|^depth quantifier bindings. The active domain is the
-// session's own data, which makes the *message* set the price of the
-// round — a one-value message is microseconds, a 40-value message is
-// minutes — so a single session can hog the service without changing
-// anything for its neighbours.
+// A two-level logger whose commit query is an FO ∀ tautology over the
+// message: ∀x0..x_{d-1} (Msg(x0) ∧ … ∧ Msg(x_{d-1}) ∧ x0≠x1 ∧ … ∧
+// x_{d-2}≠x_{d-1} → ∃z (Msg(z) ∧ z≠x_{d-1})), with d = `depth`.
+// Evaluation walks every chain of distinct message values and checks the
+// conclusion at each; the ≠ chain keeps the premise one connected
+// component, so no split into components makes that cheap. A one-value
+// message has no chain and costs microseconds, while a 40-value message
+// costs 40·39^(d-1) checks — seconds — so a single session can hog the
+// service without changing anything for its neighbours.
 Sws MakeGovernedLogger(int depth) {
   rel::Schema schema;
   schema.Add(rel::RelationSchema("Log", {"x"}));
@@ -104,13 +107,27 @@ Sws MakeGovernedLogger(int depth) {
       {Atom{core::ActRelation(1), {Term::Var(0), Term::Var(1), Term::Var(2)}}});
   sws.SetSynthesis(q0, core::RelQuery::Cq(copy_up));
   sws.SetTransition(q1, {});
-  logic::FoFormula body = logic::FoFormula::Or(
-      logic::FoFormula::MakeAtom(core::kMsgRelation, {Term::Var(0)}),
-      logic::FoFormula::Not(
-          logic::FoFormula::MakeAtom(core::kMsgRelation, {Term::Var(0)})));
-  for (int i = depth - 1; i >= 0; --i) {
-    body = logic::FoFormula::Forall(i, std::move(body));
+  auto msg = [](int v) {
+    return logic::FoFormula::MakeAtom(core::kMsgRelation, {Term::Var(v)});
+  };
+  std::vector<logic::FoFormula> premise;
+  std::vector<int> vars;
+  for (int i = 0; i < depth; ++i) {
+    premise.push_back(msg(i));
+    if (i > 0) {
+      premise.push_back(
+          logic::FoFormula::Neq(Term::Var(i - 1), Term::Var(i)));
+    }
+    vars.push_back(i);
   }
+  logic::FoFormula conclusion = logic::FoFormula::Exists(
+      depth,
+      logic::FoFormula::And(msg(depth), logic::FoFormula::Neq(
+                                            Term::Var(depth),
+                                            Term::Var(depth - 1))));
+  logic::FoFormula body = logic::FoFormula::Forall(
+      vars, logic::FoFormula::Implies(logic::FoFormula::And(std::move(premise)),
+                                      std::move(conclusion)));
   sws.SetSynthesis(
       q1, core::RelQuery::Fo(logic::FoQuery(
               {Term::Str("ins"), Term::Str("Log"), Term::Int(1)},
@@ -360,13 +377,25 @@ TEST(ChaosTest, InvariantsHoldUnderRandomizedFaults) {
 // must open and fast-fail the later rounds, and the healthy sessions
 // must keep FIFO order and exactly-once delimiter outcomes throughout.
 TEST(ChaosTest, HogSessionIsContainedAndBreakerIsolated) {
-  // depth 5: a healthy round (adom ≈ 5) costs ~5^5 bindings; the hog's
-  // 40-value message (adom ≈ 44) costs ~44^5 ≈ 1.6×10^8 — minutes of
-  // work against a 100ms deadline.
+  // depth 5: a healthy round's one-value message has no chain of two
+  // distinct values; the hog's 40-value message has 40·39^4 ≈ 9×10^7
+  // chains — seconds of work against a 100ms deadline.
   Sws sws = MakeGovernedLogger(/*depth=*/5);
-  // Vacuous inner quantifiers: not safe-range, so the interpreter's
-  // quantifier sweep is what the deadline has to cancel.
-  ASSERT_FALSE(sws.Synthesis(1).fo().compiled());
+  auto hog_message = [] {
+    Relation m(1);
+    for (int v = 0; v < 40; ++v) m.Insert({Value::Int(100 + v)});
+    return m;
+  };
+  // The premise is one component, so the compiled join stays expensive:
+  // a hog round does not finish on 10^5 steps of fuel.
+  {
+    rel::InputSequence input(1);
+    input.Append(hog_message());
+    core::RunOptions fuel;
+    fuel.max_eval_steps = 100'000;
+    ASSERT_EQ(core::Run(sws, LoggerDb(), input, fuel).status.code(),
+              RunError::kFuelExhausted);
+  }
 
   RuntimeOptions options;
   options.num_workers = 4;
@@ -411,9 +440,7 @@ TEST(ChaosTest, HogSessionIsContainedAndBreakerIsolated) {
   std::condition_variable hog_cv;
   std::vector<RunError> hog_codes;
   for (int r = 0; r < kHogRounds; ++r) {
-    Relation hog_msg(1);
-    for (int v = 0; v < 40; ++v) hog_msg.Insert({Value::Int(100 + v)});
-    ASSERT_TRUE(runtime.Submit("hog", std::move(hog_msg), SubmitOptions{}).ok());
+    ASSERT_TRUE(runtime.Submit("hog", hog_message(), SubmitOptions{}).ok());
     SubmitOptions submit;
     submit.deadline = std::chrono::milliseconds(100);
     submit.callback = [&](Outcome o) {

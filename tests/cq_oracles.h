@@ -129,7 +129,7 @@ inline bool EnumerateMatches(
   const bytecode::JoinProgram program = bytecode::Lower(
       PrepareBody(slots, 0, body, {static_cast<uint32_t>(body.size())},
                   comparisons),
-      db);
+      db, 0, 1);
   return bytecode::Run(program, [&](const std::vector<rel::Value>& regs) {
     Binding binding;
     for (int v : vars) {

@@ -1,19 +1,19 @@
-// The compiled FO path (logic/fo.cc onto logic/bytecode.h): every
-// lowered query must return exactly the relation the active-domain
-// interpreter returns, a lowered positive query must be Klug-equivalent
-// to its source UCQ, the paper's services must take the compiled path,
-// and a compiled query must still stop on a deadline or fuel budget.
+// FO compilation (logic/fo.cc onto logic/bytecode.h): every query must
+// return exactly the relation the active-domain interpreter in
+// fo_oracle.h returns, a lowered positive query must be Klug-equivalent
+// to its source UCQ, a query that ranges over the active domain must pay
+// for one witness per head-free component, and a compiled query must
+// still stop on a deadline or fuel budget.
 
 #include <gtest/gtest.h>
 
 #include <random>
 #include <vector>
 
+#include "fo_oracle.h"
 #include "logic/containment.h"
 #include "logic/fo.h"
 #include "logic/ucq.h"
-#include "models/peer.h"
-#include "models/travel.h"
 #include "sws/execution.h"
 #include "sws/query.h"
 
@@ -39,7 +39,8 @@ Term V(int i) { return Term::Var(i); }
 // block binds or quantifies occurs in a positive atom (or is equated with a
 // constant), and each negation, ∀ and extra disjunction reads only
 // variables bound around it. A share of the queries break that on purpose
-// so the fallback path runs too.
+// (non_safe_range() counts them), so that variables range over the
+// active-domain relation too.
 // ---------------------------------------------------------------------------
 
 class FoFuzzer {
@@ -184,43 +185,61 @@ class FoFuzzer {
     if (!head_vars.empty() && Chance(15)) head.push_back(V(head_vars[0]));
     if (Chance(15)) head.insert(head.begin(), RandomConst());
     // Not safe-range: an unguarded negation or an unrestricted head
-    // variable. Both must fall back to the interpreter.
+    // variable, both ranging over the active-domain relation.
+    bool safe_range = true;
     if (Chance(6)) {
       const int z = next_var_++;
       f = FoFormula::And(f, FoFormula::Exists(z, FoFormula::Not(
                                                   RandomAtom({z}, z))));
+      safe_range = false;
     }
-    if (Chance(4)) head.push_back(V(next_var_++));
+    if (Chance(4)) {
+      head.push_back(V(next_var_++));
+      safe_range = false;
+    }
+    non_safe_range_ += safe_range ? 0 : 1;
     return FoQuery(std::move(head), std::move(f));
   }
+
+  int non_safe_range() const { return non_safe_range_; }
 
  private:
   std::mt19937_64 rng_;
   int next_var_ = 0;
+  int non_safe_range_ = 0;
 };
 
 TEST(FoCompileTest, CompiledMatchesInterpreterOnRandomFormulas) {
+  constexpr int kCases = 2500;
   FoFuzzer fuzzer(20261017);
-  int compiled = 0;
   int nonempty = 0;
-  for (int i = 0; i < 2500; ++i) {
+  for (int i = 0; i < kCases; ++i) {
     Database db = fuzzer.RandomDb();
     FoQuery q = fuzzer.NextQuery();
-    compiled += q.compiled() ? 1 : 0;
     Relation fast = q.Evaluate(db);
     nonempty += fast.empty() ? 0 : 1;
-    ASSERT_EQ(fast, q.EvaluateNaive(db))
-        << "case " << i << (q.compiled() ? " (compiled): " : ": ")
-        << q.ToString() << "\nover\n"
+    ASSERT_EQ(fast, logic::oracle::Evaluate(q, db))
+        << "case " << i << ": " << q.ToString() << "\nover\n"
         << db.ToString();
   }
-  EXPECT_GE(compiled, 2000);
+  EXPECT_GE(fuzzer.non_safe_range(), kCases / 20);
   EXPECT_GE(nonempty, 500);
 }
 
 // One hand-written query per lowering rule, each over databases that
 // include empty relations.
 TEST(FoCompileTest, EdgeCasesCompileAndMatchTheInterpreter) {
+  auto binary_or = [](int i) {
+    return FoFormula::Or(
+        FoFormula::MakeAtom("R", {V(0), Term::Int(i % 3 + 1)}),
+        FoFormula::MakeAtom("T", {V(0), V(0), Term::Int(i % 2 + 1)}));
+  };
+  std::vector<FoFormula> seven_ors;
+  for (int i = 0; i < 7; ++i) seven_ors.push_back(binary_or(i));
+  const FoQuery vacuous_exists({},
+                               FoFormula::Exists({0, 1}, FoFormula::True()));
+  const FoQuery vacuous_forall({},
+                               FoFormula::Forall({0, 1}, FoFormula::False()));
   auto atom = [](const char* r, std::vector<Term> args) {
     return FoFormula::MakeAtom(r, std::move(args));
   };
@@ -279,10 +298,44 @@ TEST(FoCompileTest, EdgeCasesCompileAndMatchTheInterpreter) {
                                             0, atom("R", {V(1), V(0)}))))))),
       // A nullary head.
       FoQuery({}, FoFormula::Exists(0, atom("S", {V(0)}))),
+      // Vacuous ∃ and ∀.
+      vacuous_exists,
+      vacuous_forall,
+      FoQuery({}, FoFormula::Forall({0, 1}, atom("S", {V(0)}))),
+      // An unrestricted head variable beside a constant outside adom.
+      FoQuery({V(0), c7}, FoFormula::True()),
+      FoQuery({V(1), V(0)}, FoFormula::Eq(V(0), c7)),
+      // An unguarded negation, free and quantified.
+      FoQuery({V(0)}, FoFormula::Not(atom("S", {V(0)}))),
+      FoQuery({V(0)},
+              FoFormula::And(atom("S", {V(0)}),
+                             FoFormula::Exists(
+                                 1, FoFormula::Not(atom("S", {V(1)}))))),
+      // Seven conjoined binary disjunctions: 128 DNF disjuncts, so the
+      // last conjunct enters as ¬¬φ.
+      FoQuery({V(0)}, FoFormula::And(seven_ors)),
+      // A head-free component, joined to nothing.
+      FoQuery({V(0)},
+              FoFormula::And(atom("S", {V(0)}),
+                             FoFormula::Exists(
+                                 {1, 2}, FoFormula::And(
+                                             atom("R", {V(1), V(2)}),
+                                             FoFormula::Neq(V(1), V(2)))))),
+      // A nested body that reads only enclosing variables: its own
+      // variable equals one, and it has no atom but a negated one.
+      FoQuery({V(0), V(1)},
+              FoFormula::And(
+                  atom("R", {V(0), V(1)}),
+                  FoFormula::Not(FoFormula::Exists(
+                      2, FoFormula::And(
+                             FoFormula::Eq(V(2), V(0)),
+                             FoFormula::Not(atom("R", {V(1), V(2)}))))))),
   };
+  // Over a database with no values, ∃ is false and ∀ is true.
+  EXPECT_TRUE(vacuous_exists.Evaluate(Database()).empty());
+  EXPECT_EQ(vacuous_forall.Evaluate(Database()).size(), 1u);
   FoFuzzer fuzzer(7);
   for (size_t i = 0; i < cases.size(); ++i) {
-    ASSERT_TRUE(cases[i].compiled()) << cases[i].ToString();
     for (int trial = 0; trial < 40; ++trial) {
       Database db = fuzzer.RandomDb();
       if (trial == 0) {
@@ -290,7 +343,7 @@ TEST(FoCompileTest, EdgeCasesCompileAndMatchTheInterpreter) {
           db.Set(r, Relation(db.Get(r).arity()));
         }
       }
-      ASSERT_EQ(cases[i].Evaluate(db), cases[i].EvaluateNaive(db))
+      ASSERT_EQ(cases[i].Evaluate(db), logic::oracle::Evaluate(cases[i], db))
           << cases[i].ToString() << "\nover\n"
           << db.ToString();
     }
@@ -346,7 +399,6 @@ TEST(FoCompileTest, LoweredUcqIsKlugEquivalentToItsSource) {
     }
     ASSERT_FALSE(source.Validate().has_value()) << source.ToString();
     const FoQuery fo = core::RelQuery::Ucq(source).AsFo();
-    ASSERT_TRUE(fo.compiled()) << fo.ToString();
     const std::optional<UnionQuery> lowered = fo.LoweredUcq();
     ASSERT_TRUE(lowered.has_value()) << fo.ToString();
     EXPECT_TRUE(logic::UcqEquivalent(source, *lowered))
@@ -358,36 +410,8 @@ TEST(FoCompileTest, LoweredUcqIsKlugEquivalentToItsSource) {
 }
 
 // ---------------------------------------------------------------------------
-// Path classification and governance.
+// Governance and cost.
 // ---------------------------------------------------------------------------
-
-TEST(FoCompileTest, PaperQueriesTakeTheCompiledPath) {
-  // ψ0 of Example 2.1 (τ1) and τ2's ψ'_a.
-  EXPECT_TRUE(models::MakeTravelService().sws.Synthesis(0).fo().compiled());
-  const core::Sws recursive = models::MakeTravelServiceRecursive().sws;
-  EXPECT_TRUE(recursive.Synthesis(recursive.FindState("qa")).fo().compiled());
-
-  // PeerToSws's φ, φ_f and ψ for the shop peer of peer_test.
-  rel::Schema schema;
-  schema.Add(rel::RelationSchema("Item", {"id", "price"}));
-  models::Peer peer(schema, 1, 1, 2);
-  using models::Peer;
-  peer.set_state_rule(FoFormula::And(
-      FoFormula::Or(FoFormula::MakeAtom(Peer::kPeerState, {V(0)}),
-                    FoFormula::MakeAtom(Peer::kPeerInput, {V(0)})),
-      FoFormula::Exists(1, FoFormula::MakeAtom("Item", {V(0), V(1)}))));
-  peer.set_action_rule(
-      FoFormula::And({FoFormula::MakeAtom(Peer::kPeerState, {V(0)}),
-                      FoFormula::MakeAtom(Peer::kPeerInput, {V(0)}),
-                      FoFormula::MakeAtom("Item", {V(0), V(1)})}));
-  const core::Sws sws = models::PeerToSws(peer);
-  for (int q = 0; q < sws.num_states(); ++q) {
-    for (const core::TransitionTarget& target : sws.Successors(q)) {
-      EXPECT_TRUE(target.query.fo().compiled()) << sws.StateName(q);
-    }
-    EXPECT_TRUE(sws.Synthesis(q).fo().compiled()) << sws.StateName(q);
-  }
-}
 
 // A compiled query over a large relation: E(x,y) ∧ E(y,z) ∧ ¬E(x,z) over
 // a 200-node graph. The bytecode ticks the governor per candidate row.
@@ -431,7 +455,6 @@ rel::InputSequence OneMessage() {
 
 TEST(FoCompileTest, CompiledQueryStopsOnFuelAndDeadline) {
   const core::Sws sws = CompiledFoService();
-  ASSERT_TRUE(sws.Synthesis(0).fo().compiled());
   const Database db = LargeGraph();
 
   core::RunOptions fuel;
@@ -448,6 +471,63 @@ TEST(FoCompileTest, CompiledQueryStopsOnFuelAndDeadline) {
   EXPECT_EQ(run.status.code(), core::RunError::kDeadlineExceeded)
       << run.status.ToString();
   EXPECT_TRUE(run.output.empty());
+}
+
+// Deterministic cost guards: a variable that ranges over the active
+// domain in a head-free component costs one witness, checked once, not a
+// factor of |adom| on every head match. Each budget is 10x the steps the
+// run takes (67 and 3,002: the candidate rows plus one tick per value
+// collected into the active domain); without the component split the
+// runs take 30^7 and 2x10^6 rows and exhaust it.
+core::Sws UnaryService(FoFormula body) {
+  rel::Schema schema;
+  schema.Add(rel::RelationSchema("R", {"x"}));
+  schema.Add(rel::RelationSchema("S", {"x"}));
+  core::Sws sws(schema, /*rin_arity=*/1, /*rout_arity=*/1);
+  const int q0 = sws.AddState("q0");
+  sws.SetTransition(q0, {});
+  sws.SetSynthesis(q0, core::RelQuery::Fo(FoQuery({V(0)}, std::move(body))));
+  return sws;
+}
+
+// R = {0..r-1} and S = {r..r+s-1}: disjoint.
+Database UnaryDatabase(int r, int s) {
+  Database db;
+  Relation rr(1), ss(1);
+  for (int i = 0; i < r; ++i) rr.Insert({Value::Int(i)});
+  for (int i = 0; i < s; ++i) ss.Insert({Value::Int(r + i)});
+  db.Set("R", rr);
+  db.Set("S", ss);
+  return db;
+}
+
+TEST(FoCompileTest, HeadFreeActiveDomainComponentsCostOneWitness) {
+  struct Guard {
+    const char* shape;
+    FoFormula body;
+    Database db;
+    size_t answers;
+    uint64_t max_eval_steps;
+  };
+  const Guard guards[] = {
+      {"vacuous ∃ at depth 6 over 30 values",
+       FoFormula::Exists({1, 2, 3, 4, 5, 6},
+                         FoFormula::MakeAtom("R", {V(0)})),
+       UnaryDatabase(30, 0), 30, 670},
+      {"R(x) ∧ ∃y ¬S(y) at |R| = |S| = 1000",
+       FoFormula::And(FoFormula::MakeAtom("R", {V(0)}),
+                      FoFormula::Exists(1, FoFormula::Not(FoFormula::MakeAtom(
+                                               "S", {V(1)})))),
+       UnaryDatabase(1000, 1000), 1000, 30'020},
+  };
+  for (const Guard& g : guards) {
+    core::RunOptions options;
+    options.max_eval_steps = g.max_eval_steps;
+    const core::RunResult run =
+        core::Run(UnaryService(g.body), g.db, OneMessage(), options);
+    EXPECT_TRUE(run.status.ok()) << g.shape << ": " << run.status.ToString();
+    EXPECT_EQ(run.output.size(), g.answers) << g.shape;
+  }
 }
 
 }  // namespace

@@ -23,31 +23,35 @@ Term V(int i) { return Term::Var(i); }
 
 TEST(FoTest, AtomAndEquality) {
   Database db = GraphDb();
-  auto domain = db.ActiveDomain();
-  FoFormula atom = FoFormula::MakeAtom("E", {V(0), V(1)});
-  Binding binding = {{0, Value::Int(1)}, {1, Value::Int(2)}};
-  EXPECT_TRUE(atom.Eval(db, domain, binding));
-  binding[1] = Value::Int(3);
-  EXPECT_FALSE(atom.Eval(db, domain, binding));
-  FoFormula eq = FoFormula::Eq(V(0), Term::Int(1));
-  EXPECT_TRUE(eq.Eval(db, domain, binding));
+  Relation edges = FoQuery({V(0), V(1)}, FoFormula::MakeAtom("E", {V(0), V(1)}))
+                       .Evaluate(db);
+  EXPECT_TRUE(edges.Contains({Value::Int(1), Value::Int(2)}));
+  EXPECT_FALSE(edges.Contains({Value::Int(1), Value::Int(3)}));
+  Relation one =
+      FoQuery({V(0)}, FoFormula::Eq(V(0), Term::Int(1))).Evaluate(db);
+  EXPECT_EQ(one.size(), 1u);
+  EXPECT_TRUE(one.Contains({Value::Int(1)}));
 }
 
-TEST(FoTest, QuantifiersActiveDomain) {
-  Database db = GraphDb();
-  auto domain = db.ActiveDomain();
-  // Every node has an outgoing edge (the graph is a 3-cycle).
-  FoFormula every_out = FoFormula::Forall(
+// Every node has an outgoing edge (the graph is a 3-cycle).
+FoFormula EveryNodeHasAnOutEdge() {
+  return FoFormula::Forall(
       0, FoFormula::Implies(
              FoFormula::Exists(1, FoFormula::Or(
                                       FoFormula::MakeAtom("E", {V(0), V(1)}),
                                       FoFormula::MakeAtom("E", {V(1), V(0)}))),
              FoFormula::Exists(2, FoFormula::MakeAtom("E", {V(0), V(2)}))));
-  EXPECT_TRUE(every_out.Eval(db, domain, {}));
-  // There is a node with a self-loop: false.
-  FoFormula self_loop =
-      FoFormula::Exists(0, FoFormula::MakeAtom("E", {V(0), V(0)}));
-  EXPECT_FALSE(self_loop.Eval(db, domain, {}));
+}
+
+// Some node has a self-loop.
+FoFormula SomeSelfLoop() {
+  return FoFormula::Exists(0, FoFormula::MakeAtom("E", {V(0), V(0)}));
+}
+
+TEST(FoTest, QuantifiersActiveDomain) {
+  Database db = GraphDb();
+  EXPECT_FALSE(FoQuery({}, EveryNodeHasAnOutEdge()).Evaluate(db).empty());
+  EXPECT_TRUE(FoQuery({}, SomeSelfLoop()).Evaluate(db).empty());
 }
 
 TEST(FoTest, NegationAndDifference) {
@@ -72,6 +76,7 @@ TEST(FoTest, FreeVarsRespectShadowing) {
 TEST(FoTest, ValidateRequiresHeadCoverage) {
   FoQuery bad({V(0)}, FoFormula::MakeAtom("R", {V(0), V(1)}));
   EXPECT_TRUE(bad.Validate().has_value());
+  EXPECT_DEATH(bad.Evaluate(GraphDb()), "free variable X1 not in head");
   FoQuery good({V(0)},
                FoFormula::Exists(1, FoFormula::MakeAtom("R", {V(0), V(1)})));
   EXPECT_FALSE(good.Validate().has_value());

@@ -102,22 +102,28 @@ TEST(GovernorTest, SleepInterruptibleSelfCancelsAtDeadline) {
 // the deadline aborts cooperatively inside query evaluation.
 // ---------------------------------------------------------------------
 
-/// SWSnr(FO, FO) with one final state whose synthesis is a closed
-/// all-universal tautology of `depth` quantifiers: never short-circuits,
-/// so evaluation enumerates |adom|^depth bindings — the EXPSPACE core of
-/// the paper's FO composition bounds, in miniature.
+/// SWSnr(FO, FO) with one final state whose synthesis is the closed-walk
+/// tautology ∀x0..x_k (E(x0,x1) ∧ … ∧ E(x_{k-1},x_k) → E(x_k,x0)) with
+/// k = `depth` edges. Over a complete digraph every walk closes, so no
+/// counterexample cuts the search short, and the walk is connected, so
+/// compiled evaluation is one join over n^(k+1) walks — the EXPSPACE core
+/// of the paper's FO composition bounds, in miniature.
 core::Sws FoAlternationService(int depth) {
   rel::Schema schema;
   schema.Add(rel::RelationSchema("E", {"src", "dst"}));
   core::Sws sws(schema, /*rin_arity=*/1, /*rout_arity=*/1);
   const int q0 = sws.AddState("q0");
   sws.SetTransition(q0, {});
-  logic::FoFormula atom = logic::FoFormula::MakeAtom("E", {V(0), V(1)});
-  logic::FoFormula body = logic::FoFormula::Or(
-      atom, logic::FoFormula::Not(logic::FoFormula::MakeAtom("E", {V(0), V(1)})));
-  for (int i = depth - 1; i >= 0; --i) {
-    body = logic::FoFormula::Forall(i, std::move(body));
+  std::vector<logic::FoFormula> walk;
+  std::vector<int> vars = {0};
+  for (int i = 0; i < depth; ++i) {
+    walk.push_back(logic::FoFormula::MakeAtom("E", {V(i), V(i + 1)}));
+    vars.push_back(i + 1);
   }
+  logic::FoFormula body = logic::FoFormula::Forall(
+      vars, logic::FoFormula::Implies(
+                logic::FoFormula::And(std::move(walk)),
+                logic::FoFormula::MakeAtom("E", {V(depth), V(0)})));
   sws.SetSynthesis(q0, core::RelQuery::Fo(
                            logic::FoQuery({Term::Int(1)}, std::move(body))));
   return sws;
@@ -164,11 +170,14 @@ constexpr auto kDeadline = std::chrono::milliseconds(50);
 constexpr auto kBound = 10 * kDeadline;
 
 TEST(GovernorTest, DeadlineAbortsFoQuantifierRecursionWithinBound) {
-  core::Sws sws = FoAlternationService(/*depth=*/8);
-  // The inner quantifiers are vacuous, so the formula is not safe-range:
-  // it stays on the interpreter, and the deadline must stop the sweep.
-  ASSERT_FALSE(sws.Synthesis(0).fo().compiled());
-  Database db = CompleteDigraph(12);  // 12^8 ≈ 4×10^8 bindings unbounded
+  core::Sws sws = FoAlternationService(/*depth=*/7);
+  Database db = CompleteDigraph(12);  // 12^8 ≈ 4×10^8 walks unbounded
+  // The walk is one component, so the compiled join stays expensive: a
+  // million steps of fuel do not finish it.
+  core::RunOptions fuel;
+  fuel.max_eval_steps = 1'000'000;
+  ASSERT_EQ(core::Run(sws, db, OneMessage(), fuel).status.code(),
+            RunError::kFuelExhausted);
   core::RunOptions options;
   options.deadline = std::chrono::steady_clock::now() + kDeadline;
   const auto start = std::chrono::steady_clock::now();

@@ -580,6 +580,28 @@ TEST(RuntimeTest, HugeRelativeDeadlineSaturates) {
   EXPECT_EQ(stats.deadline_exceeded, 0u);
 }
 
+TEST(RuntimeTest, TinyRelativeDeadlineExpiresQueuedNotAtEnqueue) {
+  // A relative deadline is computed from the same clock reading as the
+  // dead-on-arrival check, so even a 1 ns deadline is admitted; it then
+  // expires while queued.
+  Sws sws = MakeTwoLevelLogger();
+  ServiceRuntime runtime(&sws, LoggerDb());
+  OutcomeCollector collector;
+  SubmitOptions submit;
+  submit.deadline = std::chrono::nanoseconds(1);
+  submit.callback = collector.Callback();
+  ASSERT_TRUE(runtime.Submit("alice", Delim(), std::move(submit)).ok());
+  runtime.Drain();
+
+  std::vector<Outcome> outcomes = collector.Take();
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].status.code(), core::RunError::kDeadlineExceeded)
+      << outcomes[0].status.ToString();
+  StatsSnapshot stats = runtime.Stats();
+  EXPECT_EQ(stats.expired_at_enqueue, 0u);
+  EXPECT_EQ(stats.deadline_exceeded, 1u);
+}
+
 TEST(RuntimeTest, PrioritySheddingDegradesGracefully) {
   Sws sws = MakeTwoLevelLogger();
   Gate gate;
