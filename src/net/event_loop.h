@@ -12,11 +12,11 @@ namespace sws::net {
 
 /// A minimal epoll reactor: one owner thread calls Run(); fd handlers,
 /// queued closures and the periodic tick all execute on that thread, so
-/// everything the loop owns (connection maps, buffers) is single-
-/// threaded by construction — the only cross-thread surface is
-/// RunInLoop/Stop, which are mutex-guarded and wake the loop via an
-/// eventfd. Both the RPC server and the socket replication transport
-/// run one of these.
+/// everything the loop owns (its handler map, its owners' connection
+/// maps) is single-threaded by construction. The cross-thread surface
+/// is RunInLoop/Stop, which are mutex-guarded and wake the loop via an
+/// eventfd, and ModFd. Both the RPC server and the socket replication
+/// transport run one of these.
 class EventLoop {
  public:
   /// Called with the epoll event mask (EPOLLIN/EPOLLOUT/EPOLLHUP/...).
@@ -28,10 +28,14 @@ class EventLoop {
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// Fd registration. Loop-thread only (or before Run starts). The
-  /// handler is copied out before each invocation, so it may DelFd its
-  /// own fd (typical close-on-error path).
+  /// Fd registration. AddFd and DelFd are loop-thread only (or while Run
+  /// is not running). The handler is copied out before each invocation,
+  /// so it may DelFd its own fd (typical close-on-error path).
   void AddFd(int fd, uint32_t events, FdHandler handler);
+  /// Safe from any thread: epoll_ctl is thread-safe and this touches no
+  /// loop-owned state. The caller must keep `fd` registered meanwhile;
+  /// the RPC server arms EPOLLOUT from runtime workers under the
+  /// connection's mutex, which it takes before DelFd.
   void ModFd(int fd, uint32_t events);
   void DelFd(int fd);
 

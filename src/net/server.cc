@@ -16,35 +16,69 @@
 
 namespace sws::net {
 
-/// One accepted connection. Split ownership: everything except `mu`'s
-/// little island belongs to the loop thread; runtime workers append
-/// reply bytes to `staged` under `mu` and never touch the socket.
+/// One accepted connection. The read side belongs to the loop thread;
+/// the send side is `mu` and what it guards, shared by the loop (acks,
+/// admin replies, EPOLLOUT) and the runtime workers (outcomes).
+///
+/// Fd safety: every write to `fd` and every ModFd happens under `mu`
+/// while `closed` is false, and CloseConn sets `closed` under `mu`
+/// before it closes the fd. So no thread writes to a closed fd or to the
+/// connection that reuses its number. Stop closes every connection
+/// before it returns, so an open connection also proves `loop` alive.
 struct RpcServer::Connection {
+  /// The one send path, callable from any thread: appends `frame` (one
+  /// whole frame; empty on an EPOLLOUT wakeup), sends until the socket
+  /// would block, and arms EPOLLOUT while bytes remain. A closed
+  /// connection counts the frame as shed instead.
+  void Send(std::string_view frame);
+  /// Bytes not yet on the wire, which both send watermarks read; mu held.
+  size_t queued() const { return out.size() - out_off; }
+
   int fd = -1;
+  EventLoop* loop = nullptr;
+  rt::Counters* stats = nullptr;  // runtime-owned: outlives every callback
+
+  // Loop-thread only.
   FrameDecoder decoder;
   bool hello_done = false;
-  bool gone = false;  // loop-side: removed from the map, fd closed
-  bool want_write = false;
-  std::string out;  // loop-owned write buffer; [out_off, end) unsent
-  size_t out_off = 0;
   std::chrono::steady_clock::time_point last_read;
-  std::chrono::steady_clock::time_point last_progress;
 
   std::mutex mu;
-  std::string staged;  // worker-appended encoded frames
-  bool closed = false;  // workers observe this and shed instead
-
-  /// Bytes queued and not yet on the wire (out remainder + staged);
-  /// read lock-free on the submit path for the backpressure decision.
-  std::atomic<size_t> queued{0};
+  /// Guarded by mu. Written only on the loop thread (or by Stop after
+  /// the loop has exited), so the loop may read it without the lock.
+  bool closed = false;
+  std::string out;  // [out_off, end) not yet on the wire
+  size_t out_off = 0;
+  bool want_write = false;  // EPOLLOUT armed
+  std::chrono::steady_clock::time_point last_progress;
 };
 
-/// Shared with outcome callbacks (weak), so a destroyed server turns
-/// their wakeups into no-ops instead of use-after-free.
-struct RpcServer::Core {
-  EventLoop loop;
-  std::unordered_map<int, std::shared_ptr<Connection>> conns;
-};
+void RpcServer::Connection::Send(std::string_view frame) {
+  std::lock_guard<std::mutex> lock(mu);
+  if (closed) {
+    stats->Add(rt::Counter::kNetBytesShed, frame.size());
+    return;
+  }
+  out.append(frame);
+  while (out_off < out.size()) {
+    const ssize_t n = send(fd, out.data() + out_off, out.size() - out_off,
+                           MSG_NOSIGNAL);
+    // EAGAIN or EINTR: EPOLLOUT finishes the write. A hard error: the
+    // loop sees EPOLLHUP/EPOLLERR and closes the connection.
+    if (n <= 0) break;
+    out_off += static_cast<size_t>(n);
+    last_progress = std::chrono::steady_clock::now();
+  }
+  const bool want = queued() > 0;
+  if (!want) {
+    out.clear();
+    out_off = 0;
+  }
+  if (want != want_write) {
+    want_write = want;
+    loop->ModFd(fd, want ? (EPOLLIN | EPOLLOUT) : EPOLLIN);
+  }
+}
 
 RpcServer::RpcServer(rt::ServiceRuntime* runtime, Options options)
     : runtime_(runtime), stats_(runtime->stats_sink()), options_(options) {}
@@ -60,10 +94,9 @@ core::Status RpcServer::Start() {
     return core::Status::Error(core::RunError::kNetworkError, error);
   }
   port_.store(BoundPort(listen_fd_), std::memory_order_relaxed);
-  core_ = std::make_shared<Core>();
-  core_->loop.AddFd(listen_fd_, EPOLLIN, [this](uint32_t) { AcceptReady(); });
-  core_->loop.SetTick(options_.sweep_interval, [this] { Sweep(); });
-  loop_thread_ = std::thread([core = core_] { core->loop.Run(); });
+  loop_.AddFd(listen_fd_, EPOLLIN, [this](uint32_t) { AcceptReady(); });
+  loop_.SetTick(options_.sweep_interval, [this] { Sweep(); });
+  loop_thread_ = std::thread([this] { loop_.Run(); });
   started_ = true;
   return core::Status::Ok();
 }
@@ -74,24 +107,15 @@ void RpcServer::Stop() {
     if (!started_ || stopped_) return;
     stopped_ = true;
   }
-  core_->loop.Stop();
+  loop_.Stop();
   loop_thread_.join();
-  // Loop is dead: connection teardown is single-threaded now. Workers
-  // may still hold Connection pointers; marking closed under mu makes
-  // their late outcome deliveries count as shed.
-  for (auto& [fd, conn] : core_->conns) {
-    size_t shed;
-    {
-      std::lock_guard<std::mutex> conn_lock(conn->mu);
-      conn->closed = true;
-      shed = (conn->out.size() - conn->out_off) + conn->staged.size();
-    }
-    stats_->Add(rt::Counter::kNetBytesShed, shed);
-    conn->gone = true;
-    close(conn->fd);
+  // The loop has exited, so its state is this thread's now. Workers may
+  // still hold connections: CloseConn marks each closed under its mutex,
+  // so their late outcomes count as shed instead of reaching the fd.
+  while (!conns_.empty()) {
+    std::shared_ptr<Connection> conn = conns_.begin()->second;
+    CloseConn(conn);
   }
-  core_->conns.clear();
-  num_connections_.store(0, std::memory_order_relaxed);
   close(listen_fd_);
   listen_fd_ = -1;
 }
@@ -102,7 +126,7 @@ void RpcServer::AcceptReady() {
                      SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN or a transient error — nothing to do
     stats_->Add(rt::Counter::kNetConnsAccepted);
-    if (core_->conns.size() >= options_.max_connections) {
+    if (conns_.size() >= options_.max_connections) {
       // Overload: the cheapest honest signal is an immediate close —
       // accepting and holding would hand a flooder our memory.
       stats_->Add(rt::Counter::kNetConnsReaped);
@@ -113,18 +137,20 @@ void RpcServer::AcceptReady() {
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
+    conn->loop = &loop_;
+    conn->stats = stats_;
     conn->decoder = FrameDecoder(
         FrameDecoder::Options{.max_payload = options_.max_frame_payload});
     conn->last_read = conn->last_progress = std::chrono::steady_clock::now();
-    core_->conns.emplace(fd, conn);
-    num_connections_.store(core_->conns.size(), std::memory_order_relaxed);
-    core_->loop.AddFd(fd, EPOLLIN, [this, conn](uint32_t events) {
+    conns_.emplace(fd, conn);
+    num_connections_.store(conns_.size(), std::memory_order_relaxed);
+    loop_.AddFd(fd, EPOLLIN, [this, conn](uint32_t events) {
       if (events & (EPOLLHUP | EPOLLERR)) {
         CloseConn(conn);
         return;
       }
       if (events & EPOLLIN) ConnReadable(conn);
-      if (!conn->gone && (events & EPOLLOUT)) ConnWritable(conn);
+      if (!conn->closed && (events & EPOLLOUT)) conn->Send({});
     });
   }
 }
@@ -186,11 +212,11 @@ bool RpcServer::DispatchFrames(const std::shared_ptr<Connection>& conn) {
         HandleSubmit(conn, frame.payload);
         break;
       case MsgType::kPing:
-        SendFrame(conn, MsgType::kPong, std::string(frame.payload));
+        conn->Send(EncodeFrame(MsgType::kPong, frame.payload));
         break;
       case MsgType::kStatsRequest:
-        SendFrame(conn, MsgType::kStatsResponse,
-                  EncodeStatsReply({runtime_->Stats().ToJson()}));
+        conn->Send(EncodeFrame(MsgType::kStatsResponse,
+                               EncodeStatsReply({runtime_->Stats().ToJson()})));
         break;
       case MsgType::kInspectRequest: {
         auto request = DecodeInspectRequest(frame.payload);
@@ -206,7 +232,8 @@ bool RpcServer::DispatchFrames(const std::shared_ptr<Connection>& conn) {
         reply.shard = runtime_->ShardOf(request->session_id);
         reply.num_shards = runtime_->num_shards();
         reply.num_workers = runtime_->num_workers();
-        SendFrame(conn, MsgType::kInspectResponse, EncodeInspectReply(reply));
+        conn->Send(
+            EncodeFrame(MsgType::kInspectResponse, EncodeInspectReply(reply)));
         break;
       }
       default:
@@ -217,7 +244,7 @@ bool RpcServer::DispatchFrames(const std::shared_ptr<Connection>& conn) {
                    "unexpected frame type");
         return false;
     }
-    if (conn->gone) return false;
+    if (conn->closed) return false;
   }
 }
 
@@ -231,16 +258,20 @@ void RpcServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
     return;
   }
   const uint64_t request_id = request->request_id;
-  const size_t queued = conn->queued.load(std::memory_order_relaxed);
+  size_t queued;
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    queued = conn->queued();
+  }
   if (queued > options_.send_hard_bytes) {
     // The peer is not draining its replies; admitting more work would
     // buffer unboundedly. Reject at the door.
     stats_->Add(rt::Counter::kNetBytesShed, payload.size());
-    SendFrame(conn, MsgType::kError,
-              EncodeErrorReply(
-                  {request_id,
-                   static_cast<uint8_t>(core::RunError::kQueueRejected),
-                   "send queue full"}));
+    conn->Send(EncodeFrame(
+        MsgType::kError,
+        EncodeErrorReply({request_id,
+                          static_cast<uint8_t>(core::RunError::kQueueRejected),
+                          "send queue full"})));
     return;
   }
   rt::SubmitOptions sopts;
@@ -253,12 +284,9 @@ void RpcServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
   if (request->deadline_ns > 0) {
     sopts.deadline = std::chrono::nanoseconds(request->deadline_ns);
   }
-  // The callback runs on a pool worker, possibly after this server is
-  // stopped (the runtime outlives it): it touches only the connection's
-  // staging island and a weak Core. stats outlives both (runtime-owned).
-  rt::Counters* stats = stats_;
-  std::weak_ptr<Core> weak_core = core_;
-  sopts.callback = [stats, weak_core, conn, request_id](rt::Outcome outcome) {
+  // The callback runs on a pool worker, possibly after this server has
+  // stopped (the runtime outlives it), so it touches only the connection.
+  sopts.callback = [conn, request_id](rt::Outcome outcome) {
     OutcomeReply reply;
     reply.request_id = request_id;
     reply.session_id = outcome.session_id;
@@ -267,168 +295,63 @@ void RpcServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
     reply.attempts = outcome.attempts;
     reply.has_output = outcome.status.ok() && outcome.session.has_value();
     if (reply.has_output) reply.output = outcome.session->output;
-    std::string bytes =
-        EncodeFrame(MsgType::kOutcome, EncodeOutcomeReply(reply));
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->closed) {
-        stats->Add(rt::Counter::kNetBytesShed, bytes.size());
-        return;
-      }
-      conn->staged.append(bytes);
-      conn->queued.fetch_add(bytes.size(), std::memory_order_relaxed);
-    }
-    if (auto core = weak_core.lock()) {
-      core->loop.RunInLoop([core, conn] {
-        // Flush inline: splice staged bytes and write (same logic as
-        // FlushConn, but without touching the possibly-dead server).
-        if (conn->gone) return;
-        {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          if (!conn->staged.empty()) {
-            conn->out.append(conn->staged);
-            conn->staged.clear();
-          }
-        }
-        while (conn->out_off < conn->out.size()) {
-          ssize_t n = write(conn->fd, conn->out.data() + conn->out_off,
-                            conn->out.size() - conn->out_off);
-          if (n > 0) {
-            conn->out_off += static_cast<size_t>(n);
-            conn->last_progress = std::chrono::steady_clock::now();
-            continue;
-          }
-          break;  // EAGAIN (EPOLLOUT below) or a dead peer (sweep reaps)
-        }
-        if (conn->out_off >= conn->out.size()) {
-          conn->out.clear();
-          conn->out_off = 0;
-        }
-        {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          conn->queued.store(
-              (conn->out.size() - conn->out_off) + conn->staged.size(),
-              std::memory_order_relaxed);
-        }
-        const bool want = conn->out_off < conn->out.size();
-        if (want != conn->want_write) {
-          conn->want_write = want;
-          core->loop.ModFd(conn->fd, want ? (EPOLLIN | EPOLLOUT) : EPOLLIN);
-        }
-      });
-    }
+    conn->Send(EncodeFrame(MsgType::kOutcome, EncodeOutcomeReply(reply)));
   };
   core::Status status = runtime_->Submit(std::move(request->session_id),
                                          std::move(request->message),
                                          std::move(sopts));
-  if (conn->gone) return;
   if (status.ok()) {
-    SendFrame(conn, MsgType::kSubmitAck, EncodeSubmitAck({request_id}));
+    conn->Send(EncodeFrame(MsgType::kSubmitAck, EncodeSubmitAck({request_id})));
   } else {
-    SendFrame(conn, MsgType::kError,
-              EncodeErrorReply({request_id,
-                                static_cast<uint8_t>(status.code()),
-                                status.message()}));
+    conn->Send(EncodeFrame(
+        MsgType::kError,
+        EncodeErrorReply({request_id, static_cast<uint8_t>(status.code()),
+                          status.message()})));
   }
-}
-
-void RpcServer::SendFrame(const std::shared_ptr<Connection>& conn,
-                          MsgType type, const std::string& payload) {
-  if (conn->gone) return;
-  std::string bytes = EncodeFrame(type, payload);
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->closed) {
-      stats_->Add(rt::Counter::kNetBytesShed, bytes.size());
-      return;
-    }
-    conn->staged.append(bytes);
-    conn->queued.fetch_add(bytes.size(), std::memory_order_relaxed);
-  }
-  FlushConn(conn);
-}
-
-void RpcServer::FlushConn(const std::shared_ptr<Connection>& conn) {
-  if (conn->gone) return;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (!conn->staged.empty()) {
-      conn->out.append(conn->staged);
-      conn->staged.clear();
-    }
-  }
-  while (conn->out_off < conn->out.size()) {
-    ssize_t n = write(conn->fd, conn->out.data() + conn->out_off,
-                      conn->out.size() - conn->out_off);
-    if (n > 0) {
-      conn->out_off += static_cast<size_t>(n);
-      conn->last_progress = std::chrono::steady_clock::now();
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
-    CloseConn(conn);  // peer is gone; unsent bytes are shed by the close
-    return;
-  }
-  if (conn->out_off >= conn->out.size()) {
-    conn->out.clear();
-    conn->out_off = 0;
-  }
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->queued.store((conn->out.size() - conn->out_off) +
-                           conn->staged.size(),
-                       std::memory_order_relaxed);
-  }
-  const bool want = conn->out_off < conn->out.size();
-  if (want != conn->want_write) {
-    conn->want_write = want;
-    core_->loop.ModFd(conn->fd, want ? (EPOLLIN | EPOLLOUT) : EPOLLIN);
-  }
-}
-
-void RpcServer::ConnWritable(const std::shared_ptr<Connection>& conn) {
-  FlushConn(conn);
 }
 
 void RpcServer::RejectConn(const std::shared_ptr<Connection>& conn,
                            uint8_t code, const std::string& message) {
-  if (conn->gone) return;
-  // Best-effort typed goodbye: one nonblocking write, no queueing — the
-  // connection is being cut either way.
-  std::string bytes =
-      EncodeFrame(MsgType::kError, EncodeErrorReply({0, code, message}));
-  [[maybe_unused]] ssize_t n = write(conn->fd, bytes.data(), bytes.size());
+  if (conn->closed) return;
+  // Best-effort typed goodbye, queued behind any partly sent frame: what
+  // the socket does not take now, CloseConn counts as shed.
+  conn->Send(
+      EncodeFrame(MsgType::kError, EncodeErrorReply({0, code, message})));
   CloseConn(conn);
 }
 
 void RpcServer::CloseConn(const std::shared_ptr<Connection>& conn) {
-  if (conn->gone) return;
-  conn->gone = true;
+  if (conn->closed) return;
   size_t shed;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     conn->closed = true;
-    shed = (conn->out.size() - conn->out_off) + conn->staged.size();
-    conn->queued.store(0, std::memory_order_relaxed);
+    shed = conn->queued();
   }
   stats_->Add(rt::Counter::kNetBytesShed, shed);
-  core_->loop.DelFd(conn->fd);
+  loop_.DelFd(conn->fd);
   close(conn->fd);
-  core_->conns.erase(conn->fd);
-  num_connections_.store(core_->conns.size(), std::memory_order_relaxed);
+  conns_.erase(conn->fd);
+  num_connections_.store(conns_.size(), std::memory_order_relaxed);
 }
 
 void RpcServer::Sweep() {
   const auto now = std::chrono::steady_clock::now();
   // CloseConn mutates the map; sweep over a snapshot of the values.
   std::vector<std::shared_ptr<Connection>> conns;
-  conns.reserve(core_->conns.size());
-  for (const auto& [fd, conn] : core_->conns) conns.push_back(conn);
+  conns.reserve(conns_.size());
+  for (const auto& [fd, conn] : conns_) conns.push_back(conn);
   for (const auto& conn : conns) {
-    if (conn->gone) continue;
-    const auto last_activity = std::max(conn->last_read, conn->last_progress);
-    const bool has_backlog = conn->queued.load(std::memory_order_relaxed) > 0;
-    if (has_backlog && now - conn->last_progress > options_.write_timeout) {
+    if (conn->closed) continue;
+    bool has_backlog;
+    std::chrono::steady_clock::time_point last_progress;
+    {
+      std::lock_guard<std::mutex> lock(conn->mu);
+      has_backlog = conn->queued() > 0;
+      last_progress = conn->last_progress;
+    }
+    const auto last_activity = std::max(conn->last_read, last_progress);
+    if (has_backlog && now - last_progress > options_.write_timeout) {
       // Writer wedged: the peer took our acks' TCP window to zero and
       // sat on it. Classic slow-loris read variant.
       stats_->Add(rt::Counter::kNetConnsReaped);

@@ -35,9 +35,11 @@ namespace sws::net {
 ///  * accept overload — past max_connections new peers are accepted and
 ///    immediately closed (cheapest honest signal), counted as reaped.
 ///
-/// All connection state is owned by the loop thread; runtime workers
-/// touch only a per-connection staging buffer under its own mutex, so
-/// outcome streaming never blocks a worker on the network.
+/// Replies leave on one send path: the thread that produces a frame
+/// (the loop for acks and admin replies, a runtime worker for an
+/// outcome) appends it to the connection's send buffer under the
+/// connection's mutex and writes what the socket takes, without
+/// blocking; EPOLLOUT finishes the rest on the loop thread.
 class RpcServer {
  public:
   struct Options {
@@ -69,10 +71,10 @@ class RpcServer {
   /// (address in use, etc. — environmental, so a Status not a check).
   core::Status Start();
 
-  /// Closes every connection (shedding unsent replies), stops the loop
-  /// and joins it. Outcome callbacks still in flight in the runtime
-  /// find their connection closed and count their bytes as shed — safe
-  /// to call while the runtime is busy; idempotent.
+  /// Stops the loop and joins it, then closes every connection
+  /// (shedding unsent replies). Outcome callbacks still in flight in the
+  /// runtime find their connection closed and count their bytes as shed
+  /// — safe to call while the runtime is busy; idempotent.
   void Stop();
 
   /// The bound port (after Start); 0 before.
@@ -85,35 +87,26 @@ class RpcServer {
 
  private:
   struct Connection;
-  /// State shared with outcome callbacks: they hold a weak_ptr so a
-  /// stopped/destroyed server turns their loop access into a no-op
-  /// instead of a use-after-free.
-  struct Core;
 
   void AcceptReady();
   void ConnReadable(const std::shared_ptr<Connection>& conn);
-  void ConnWritable(const std::shared_ptr<Connection>& conn);
   /// Parses and dispatches every complete frame; returns false when the
   /// connection was closed (decoder error or protocol violation).
   bool DispatchFrames(const std::shared_ptr<Connection>& conn);
   void HandleSubmit(const std::shared_ptr<Connection>& conn,
                     std::string_view payload);
-  /// Queues a frame for sending on the loop thread.
-  void SendFrame(const std::shared_ptr<Connection>& conn, MsgType type,
-                 const std::string& payload);
   /// Typed-error close: best-effort kError frame, then CloseConn.
   void RejectConn(const std::shared_ptr<Connection>& conn, uint8_t code,
                   const std::string& message);
   void CloseConn(const std::shared_ptr<Connection>& conn);
   void Sweep();
-  /// Splices worker-staged bytes into the loop-owned buffer and writes
-  /// as much as the socket accepts; manages EPOLLOUT registration.
-  void FlushConn(const std::shared_ptr<Connection>& conn);
 
   rt::ServiceRuntime* const runtime_;
   rt::Counters* const stats_;
   const Options options_;
-  std::shared_ptr<Core> core_;
+  EventLoop loop_;
+  /// Loop-thread-owned (Stop's, once the loop has exited).
+  std::unordered_map<int, std::shared_ptr<Connection>> conns_;
   int listen_fd_ = -1;
   std::atomic<uint16_t> port_{0};
   std::atomic<size_t> num_connections_{0};

@@ -177,6 +177,14 @@ RecoveryResult RecoveryManager::Run(bool mutate) {
         break;
       }
       const JournalRecord& input = input_it->second;
+      if (!core::SessionRunner::CheckMessage(*sws_, input.payload).ok()) {
+        // Feeding it would abort; the live runtime never admits one, but
+        // a follower journals what a peer ships. Skip it, consuming its seq.
+        ++result.stats.inputs_quarantined;
+        next_seq = seq + 1;
+        ++input_it;
+        continue;
+      }
       auto outcome_it = se.outcomes.find(seq);
       if (!core::SessionRunner::IsDelimiter(input.payload)) {
         runner.Feed(input.payload, run_options);

@@ -37,6 +37,9 @@ struct RecoveryStats {
   uint64_t duplicate_records = 0;
   uint64_t sessions_recovered = 0;
   uint64_t inputs_replayed = 0;
+  /// Journaled inputs that fail SessionRunner::CheckMessage (admission
+  /// would have refused them): skipped, their seq still consumed.
+  uint64_t inputs_quarantined = 0;
   uint64_t acked_suppressed = 0;  // acknowledged outcomes not re-emitted
   uint64_t discards_applied = 0;
   uint64_t seq_gaps = 0;          // replay stopped early (should be 0)

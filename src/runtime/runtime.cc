@@ -268,15 +268,11 @@ core::Status ServiceRuntime::SubmitInternal(
     return init_error_;
   }
   // The one admission check on message content, before the queue and
-  // the journal: a message whose arity differs from R_in's would abort
-  // the session's run, and once journaled every recovery replay with it.
-  if (message.arity() != sws().rin_arity() &&
-      !core::SessionRunner::IsDelimiter(message)) {
+  // the journal: a message that fails it would abort the session's run.
+  if (Status valid = core::SessionRunner::CheckMessage(sws(), message);
+      !valid.ok()) {
     stats_.Add(Counter::kRejected);
-    return Status::Error(RunError::kInvalidInput,
-                         "message arity " + std::to_string(message.arity()) +
-                             " differs from the service's input arity " +
-                             std::to_string(sws().rin_arity()));
+    return valid;
   }
   // Dead on arrival: fast-fail without admitting or running anything.
   if (now > deadline) {

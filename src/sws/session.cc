@@ -36,6 +36,17 @@ bool SessionRunner::IsDelimiter(const rel::Relation& message) {
   return v.is_string() && v.AsString() == "#";
 }
 
+Status SessionRunner::CheckMessage(const Sws& sws,
+                                   const rel::Relation& message) {
+  if (message.arity() == sws.rin_arity() || IsDelimiter(message)) {
+    return Status::Ok();
+  }
+  return Status::Error(RunError::kInvalidInput,
+                       "message arity " + std::to_string(message.arity()) +
+                           " differs from the service's input arity " +
+                           std::to_string(sws.rin_arity()));
+}
+
 std::optional<SessionRunner::SessionOutcome> SessionRunner::Feed(
     rel::Relation message, const RunOptions& options) {
   if (!IsDelimiter(message)) {

@@ -43,6 +43,13 @@ class SessionRunner {
   static rel::Relation DelimiterMessage(size_t arity);
   static bool IsDelimiter(const rel::Relation& message);
 
+  /// The content check every fed message must pass: a delimiter, or a
+  /// message of R_in's arity (Feed aborts on any other). ok() or
+  /// kInvalidInput. Runtime admission refuses a message that fails it;
+  /// crash recovery skips a journaled one (a follower journals what a
+  /// peer ships, unchecked).
+  static Status CheckMessage(const Sws& sws, const rel::Relation& message);
+
   struct SessionOutcome {
     /// ok() iff the run completed and committed. On error
     /// (kBudgetExceeded, kInjectedFault, or kDeadlineExceeded when the

@@ -714,7 +714,7 @@ TEST_F(NetServerTest, DrainAndShutdownOrderingWithLiveConnections) {
   }
   // Stop the server *before* the runtime: the documented order. A
   // subsequent runtime Shutdown (TearDown) must not touch freed server
-  // state — the weak_ptr<Core> in callbacks guards it.
+  // state: Stop marks every connection closed, so late callbacks shed.
   server_->Stop();
   EXPECT_FALSE(client.Ping().ok());
 }
@@ -749,6 +749,89 @@ TEST_F(NetServerTest, StopWithInFlightOutcomesShedsSafely) {
   }
   runtime_->Drain();  // the callback fires, finds closed, sheds
   EXPECT_TRUE(Eventually([&] { return runtime_->Stats().net_bytes_shed > 0; }));
+}
+
+std::string SubmitFrame(uint64_t request_id, const std::string& session_id,
+                        Relation message) {
+  SubmitRequest request;
+  request.request_id = request_id;
+  request.session_id = session_id;
+  request.message = std::move(message);
+  return EncodeFrame(MsgType::kSubmit, EncodeSubmitRequest(request));
+}
+
+TEST_F(NetServerTest, PeerClosingBeforeItsRepliesCannotKillTheServer) {
+  // Each peer sends its requests and closes at once, so the server's
+  // replies (pongs on the loop thread, outcomes on a worker) meet a
+  // reset socket. A write that raised SIGPIPE would end the process.
+  StartAll();
+  for (int round = 0; round < 20; ++round) {
+    Hello hello;
+    hello.role = Hello::Role::kClient;
+    std::string bytes = EncodeFrame(MsgType::kHello, EncodeHello(hello));
+    if (round % 2 == 0) {
+      for (int i = 0; i < 64; ++i) {
+        bytes += EncodeFrame(MsgType::kPing, std::string(512, 'p'));
+      }
+    } else {
+      const std::string session = "peer" + std::to_string(round);
+      bytes += SubmitFrame(1, session, Msg(round));
+      bytes += SubmitFrame(2, session, Delim());
+    }
+    RawConn raw;
+    ASSERT_TRUE(raw.Connect(server_->port()));
+    ASSERT_TRUE(raw.Send(bytes));
+    raw.Close();
+  }
+  EXPECT_TRUE(Eventually([&] { return server_->num_connections() == 0; }));
+  runtime_->Drain();
+  RpcClient client = MakeClient();
+  EXPECT_TRUE(client.Ping().ok());
+}
+
+TEST_F(NetServerTest, OutcomeForClosedConnectionNeverReachesItsFdSuccessor) {
+  // A's outcome is produced after the server closed A and accepted B,
+  // which most likely reuses A's fd number: the outcome must be shed,
+  // not written to that fd.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  int arrived = 0;
+  rt::RuntimeOptions ropts;
+  ropts.before_process_hook = [&](const std::string&) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++arrived;
+    cv.notify_all();
+    cv.wait(lock, [&] { return open; });
+  };
+  StartAll({}, ropts);
+  RawConn a;
+  ASSERT_TRUE(a.Connect(server_->port()));
+  ASSERT_TRUE(a.SendHello());
+  ASSERT_TRUE(a.Send(SubmitFrame(1, "a", Delim())));
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return arrived >= 1; });
+  }
+  a.Close();
+  ASSERT_TRUE(Eventually([&] { return server_->num_connections() == 0; }));
+  RawConn b;
+  ASSERT_TRUE(b.Connect(server_->port()));
+  ASSERT_TRUE(b.SendHello());
+  ASSERT_TRUE(Eventually([&] { return server_->num_connections() == 1; }));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    open = true;
+    cv.notify_all();
+  }
+  runtime_->Drain();
+  ASSERT_TRUE(b.Send(EncodeFrame(MsgType::kPing, "b")));
+  shutdown(b.fd(), SHUT_WR);  // the server closes B after its pong
+  auto frames = DecodeAll(b.DrainToEof());
+  ASSERT_EQ(frames.size(), 1u) << "b received a foreign frame";
+  EXPECT_EQ(frames[0].first, MsgType::kPong);
+  EXPECT_EQ(frames[0].second, "b");
+  EXPECT_GT(runtime_->Stats().net_bytes_shed, 0u);
 }
 
 TEST_F(NetServerTest, LifecycleLeaksNoFds) {

@@ -881,6 +881,41 @@ TEST(RecoveryTest, DiscardMarkerShedsBufferedInputs) {
   EXPECT_EQ(result.sessions.at("alice").db, oracle.db());
 }
 
+TEST(RecoveryTest, WrongArityJournaledInputIsQuarantined) {
+  // A follower journals whatever a peer ships, so a journal can hold an
+  // input that admission would refuse. Feeding it would abort; replay
+  // skips it, counts it, and carries on with the seqs after it.
+  TempDir dir;
+  Sws sws = MakeTwoLevelLogger();
+  DurabilityOptions options;
+  options.dir = dir.path();
+  {
+    ShardDurability shard(
+        options, SegmentHeader{1, 0, SwsFingerprint(sws)}, 0, nullptr);
+    Relation wide(2);
+    wide.Insert({Value::Int(1), Value::Int(2)});
+    ASSERT_TRUE(shard.AppendInput(InputRecord("alice", 0, Msg(4))).ok());
+    ASSERT_TRUE(shard.AppendInput(InputRecord("alice", 1, wide)).ok());
+    ASSERT_TRUE(shard
+                    .AppendInput(InputRecord(
+                        "alice", 2, SessionRunner::DelimiterMessage(1)))
+                    .ok());
+  }
+  RecoveryResult result = RecoverLogger(dir.path(), sws);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.stats.inputs_quarantined, 1u);
+  EXPECT_EQ(result.stats.inputs_replayed, 2u);
+  ASSERT_EQ(result.replayed.size(), 1u);
+  EXPECT_EQ(result.replayed[0].seq, 2u);
+  EXPECT_TRUE(result.replayed[0].status.ok());
+  SessionRunner oracle(&sws, LoggerDb());
+  oracle.Feed(Msg(4));
+  auto oracle_out = oracle.Feed(SessionRunner::DelimiterMessage(1));
+  ASSERT_TRUE(oracle_out.has_value());
+  EXPECT_EQ(result.replayed[0].output, oracle_out->output);
+  EXPECT_EQ(result.sessions.at("alice").next_seq, 3u);
+}
+
 TEST(RecoveryTest, TornTailTruncatedAndConsolidationIdempotent) {
   TempDir dir;
   Sws sws = MakeTwoLevelLogger();
