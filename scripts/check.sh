@@ -31,14 +31,14 @@ run_tsan() {
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs" --target sanitize_tests
   # halt_on_error: a data race fails the suite instead of just logging.
-  TSAN_OPTIONS="halt_on_error=1" ctest --preset tsan -j 1
+  TSAN_OPTIONS="halt_on_error=1" ctest --preset tsan --no-tests=error -j 1
 }
 
 run_asan() {
   echo "== ASan+UBSan build + concurrency-sensitive tests =="
   cmake --preset asan
   cmake --build --preset asan -j "$jobs" --target sanitize_tests
-  ASAN_OPTIONS="halt_on_error=1" ctest --preset asan -j 1
+  ASAN_OPTIONS="halt_on_error=1" ctest --preset asan --no-tests=error -j 1
 }
 
 run_ubsan() {
@@ -46,14 +46,14 @@ run_ubsan() {
   cmake --preset ubsan
   cmake --build --preset ubsan -j "$jobs" --target sanitize_tests
   UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
-    ctest --preset ubsan -j 1
+    ctest --preset ubsan --no-tests=error -j 1
 }
 
 run_fuzz() {
   echo "== Deterministic fuzz smoke over the serde decoders =="
   cmake --preset release
   cmake --build --preset release -j "$jobs" --target serde_fuzz
-  ctest --test-dir build -L fuzz --output-on-failure -j 1
+  ctest --test-dir build -L fuzz --no-tests=error --output-on-failure -j 1
 }
 
 run_bench() {
@@ -120,7 +120,7 @@ run_recovery() {
   cmake --build --preset asan -j "$jobs" --target crash_recovery_test \
     persistence_test
   ASAN_OPTIONS="halt_on_error=1" ctest --test-dir build-asan -L recovery \
-    --output-on-failure -j 1
+    --no-tests=error --output-on-failure -j 1
 }
 
 run_replication() {
@@ -129,7 +129,7 @@ run_replication() {
   cmake --build --preset asan -j "$jobs" --target replication_test \
     node_chaos_test
   ASAN_OPTIONS="halt_on_error=1" ctest --test-dir build-asan -L replication \
-    --output-on-failure -j 1
+    --no-tests=error --output-on-failure -j 1
 }
 
 run_failover() {
@@ -138,7 +138,7 @@ run_failover() {
   cmake --build --preset asan -j "$jobs" --target failover_test \
     replication_test
   ASAN_OPTIONS="halt_on_error=1" ctest --test-dir build-asan -L failover \
-    --output-on-failure -j 1
+    --no-tests=error --output-on-failure -j 1
 }
 
 run_net() {
@@ -146,7 +146,7 @@ run_net() {
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs" --target net_test
   TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan -L net \
-    --output-on-failure -j 1
+    --no-tests=error --output-on-failure -j 1
   echo "== Network front door + socket replication chaos under ASan =="
   # detect_leaks catches FD-adjacent heap leaks from the drain/shutdown
   # ordering (connections alive at Stop()); node_chaos_test's socket
@@ -155,9 +155,13 @@ run_net() {
   cmake --build --preset asan -j "$jobs" --target net_test node_chaos_test \
     serde_fuzz
   ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" ctest --test-dir build-asan \
-    -L net --output-on-failure -j 1
-  ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" ctest --test-dir build-asan \
-    -R 'SocketNodeChaosTest|Wire' --output-on-failure -j 1
+    -L net --no-tests=error --output-on-failure -j 1
+  # ctest names tests after their binaries, so the socket sweeps and the
+  # wire-codec cases are selected with gtest filters on the binaries.
+  ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
+    ./build-asan/tests/node_chaos_test --gtest_filter='SocketNodeChaosTest.*'
+  ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
+    ./build-asan/tests/serde_fuzz --gtest_filter='*Wire*'
 }
 
 run_chaos() {
@@ -165,7 +169,7 @@ run_chaos() {
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs" --target chaos_test
   TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan -L chaos \
-    --output-on-failure -j 1
+    --no-tests=error --output-on-failure -j 1
 }
 
 case "$mode" in

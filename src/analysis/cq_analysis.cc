@@ -77,15 +77,19 @@ CqWitness SplitPackedDatabase(const Sws& sws, const rel::Database& packed,
 
 CqNonEmptinessResult CqNonEmptiness(const Sws& sws, size_t max_length) {
   CqNonEmptinessResult result;
-  for (size_t n = 1; n <= max_length; ++n) {
+  const core::Unfolder unfolder(sws);
+  bool complete = false;  // every longer length unfolds as the last one
+  for (size_t n = 1; n <= max_length && !complete; ++n) {
     ++result.stats.lengths_tried;
-    UnionQuery unfolded = core::UnfoldToUcq(sws, n);
-    result.stats.disjuncts_seen += unfolded.size();
-    if (unfolded.empty()) continue;
+    core::Unfolding unfolded = unfolder.At(n);
+    complete = unfolded.complete;
+    result.stats.disjuncts_seen += unfolded.ucq.size();
+    if (unfolded.ucq.empty()) continue;
     // Unfolded disjuncts are normalized and satisfiable: the canonical
     // database of the first one is a witness.
     rel::Tuple head;
-    rel::Database packed = unfolded.disjuncts()[0].CanonicalDatabase(&head);
+    rel::Database packed =
+        unfolded.ucq.disjuncts()[0].CanonicalDatabase(&head);
     CqWitness witness = SplitPackedDatabase(sws, packed, n);
     // Verify (soundness check: the run must actually produce actions).
     core::RunResult run = core::Run(sws, witness.db, witness.input);
@@ -112,12 +116,16 @@ CqEquivalenceResult EquivalenceUpTo(const Sws& a, const Sws& b,
   SWS_CHECK_EQ(a.rin_arity(), b.rin_arity());
   SWS_CHECK_EQ(a.rout_arity(), b.rout_arity());
   CqEquivalenceResult result;
-  for (size_t n = 0; n <= max_length; ++n) {
+  const core::Unfolder unfold_a(a);
+  const core::Unfolder unfold_b(b);
+  bool complete = false;  // every longer length unfolds as the last one
+  for (size_t n = 0; n <= max_length && !complete; ++n) {
     ++result.stats.lengths_tried;
-    UnionQuery ua = core::UnfoldToUcq(a, n);
-    UnionQuery ub = core::UnfoldToUcq(b, n);
-    result.stats.disjuncts_seen += ua.size() + ub.size();
-    if (!logic::UcqEquivalent(ua, ub, &result.stats.containment)) {
+    core::Unfolding ua = unfold_a.At(n);
+    core::Unfolding ub = unfold_b.At(n);
+    complete = ua.complete && ub.complete;
+    result.stats.disjuncts_seen += ua.ucq.size() + ub.ucq.size();
+    if (!logic::UcqEquivalent(ua.ucq, ub.ucq, &result.stats.containment)) {
       result.equivalent = false;
       result.differing_length = n;
       return result;
@@ -204,9 +212,13 @@ CqValidationResult CqValidation(const Sws& sws,
   std::vector<rel::Tuple> tuples(desired_output.begin(),
                                  desired_output.end());
   uint64_t budget = options.max_candidates;
-  for (size_t n = 1; n <= max_length; ++n) {
+  const core::Unfolder unfolder(sws);
+  bool complete = false;  // every longer length unfolds as the last one
+  for (size_t n = 1; n <= max_length && !complete; ++n) {
     ++result.stats.lengths_tried;
-    UnionQuery unfolded = core::UnfoldToUcq(sws, n);
+    core::Unfolding unfolding = unfolder.At(n);
+    complete = unfolding.complete;
+    const UnionQuery& unfolded = unfolding.ucq;
     result.stats.disjuncts_seen += unfolded.size();
     if (unfolded.empty()) continue;
     // Per-tuple candidate lists.

@@ -14,13 +14,21 @@ namespace sws::analysis {
 
 /// Decision procedures for SWS(CQ, UCQ) and SWS_nr(CQ, UCQ) — Theorem
 /// 4.1(2). All procedures work on the per-input-length UCQ^{≠}
-/// unfoldings (sws/unfold.h); the nonrecursive procedures are complete
-/// because input positions beyond MaxDepth() are never read, while the
-/// recursive ones take an explicit length bound (equivalence/validation
-/// are undecidable for recursive services, and non-emptiness is
-/// exptime-complete — the bound realizes the iterative search whose
-/// termination the tree-automata argument guarantees in theory).
+/// unfoldings (sws/unfold.h). Each builds one core::Unfolder per service
+/// and walks the input lengths upward, stopping after the first length
+/// at which every service it unfolds is complete (core::Unfolding): every
+/// longer length unfolds exactly the same, so it can change no verdict
+/// and no witness. A nonrecursive service of depth d is complete by
+/// max(1, d − 1), so the nonrecursive procedures are complete with
+/// MaxDepth() as the bound, while the recursive ones take an explicit
+/// length bound (equivalence/validation are undecidable for recursive
+/// services, and non-emptiness is exptime-complete — the bound realizes
+/// the iterative search whose termination the tree-automata argument
+/// guarantees in theory) and stop earlier only when empty registers end
+/// the execution tree.
 
+/// Counts over the lengths a procedure actually unfolded: up to the first
+/// complete one (or the verdict), not every length up to the bound.
 struct CqAnalysisStats {
   uint64_t lengths_tried = 0;
   uint64_t disjuncts_seen = 0;        // satisfiable unfolded disjuncts
@@ -61,7 +69,8 @@ struct CqEquivalenceResult {
 
 /// Equivalence for nonrecursive services (conexptime-complete): for each
 /// n up to the larger depth, the two unfoldings must be equivalent
-/// UCQ^{≠}s (Klug-style containment both ways).
+/// UCQ^{≠}s (Klug-style containment both ways). Lengths past the first
+/// at which both unfoldings are complete are not unfolded.
 CqEquivalenceResult CqEquivalenceNr(const core::Sws& a, const core::Sws& b);
 
 /// Bounded-length equivalence for recursive services (the undecidable
@@ -72,7 +81,8 @@ CqEquivalenceResult CqEquivalenceBounded(const core::Sws& a,
 
 struct CqValidationOptions {
   /// Input lengths to try; defaults to the service depth for
-  /// nonrecursive services.
+  /// nonrecursive services. The search ends earlier, after the first
+  /// length whose unfolding is complete.
   size_t max_length = 0;
   /// Combinations of (disjunct, head-unification) candidates explored
   /// before giving up.

@@ -56,14 +56,17 @@ Mediator BuildOneLevelMediator(const UnionQuery& rewriting,
 
 namespace {
 
-// The component views at a given unfolding length, or nullopt (with
-// `reason`) if some component is not CQ-expressible there.
+// The component views at unfolding length n, or nullopt (with `reason`)
+// if some component is not CQ-expressible there. Clears `complete` if
+// some component's unfolding at n is not complete.
 std::optional<std::vector<rw::View>> ViewsAt(
-    const std::vector<const core::Sws*>& components, size_t n,
+    const std::vector<core::Unfolder>& components, size_t n, bool* complete,
     std::string* reason) {
   std::vector<rw::View> views;
   for (size_t i = 0; i < components.size(); ++i) {
-    UnionQuery u = core::UnfoldToUcq(*components[i], n);
+    core::Unfolding unfolding = components[i].At(n);
+    *complete = *complete && unfolding.complete;
+    const UnionQuery& u = unfolding.ucq;
     if (u.size() > 1) {
       *reason = "component " + std::to_string(i) +
                 " is not CQ-expressible at length " + std::to_string(n) +
@@ -76,8 +79,7 @@ std::optional<std::vector<rw::View>> ViewsAt(
         u.size() == 1
             ? u.disjuncts()[0]
             : ConjunctiveQuery(
-                  std::vector<Term>(components[i]->rout_arity(),
-                                    Term::Int(0)),
+                  std::vector<Term>(u.head_arity(), Term::Int(0)),
                   {}, {logic::Comparison{Term::Int(0), Term::Int(1), true}});
     views.push_back(rw::View{ComponentViewName(i), std::move(definition)});
   }
@@ -113,14 +115,24 @@ CqCompositionResult ComposeCqOneLevel(
   result.unfold_length = n;
 
   // The mediator's synthesis is fixed, so one rewriting must match the
-  // goal at every input length up to n.
+  // goal at every input length up to n. Once every unfolding is complete,
+  // longer lengths repeat the last one exactly, so the walk stops there.
+  const core::Unfolder goal_unfolder(goal);
+  std::vector<core::Unfolder> component_unfolders;
+  for (const core::Sws* c : components) component_unfolders.emplace_back(*c);
   std::vector<rw::RewritingTarget> targets;
-  for (size_t length = n + 1; length-- > 0;) {
-    auto views = ViewsAt(components, length, &result.reason);
+  bool complete = false;  // every longer length unfolds as the last one
+  for (size_t length = 0; length <= n && !complete; ++length) {
+    core::Unfolding g = goal_unfolder.At(length);
+    complete = g.complete;
+    auto views =
+        ViewsAt(component_unfolders, length, &complete, &result.reason);
     if (!views.has_value()) return result;
-    targets.push_back(rw::RewritingTarget{core::UnfoldToUcq(goal, length),
-                                          std::move(*views)});
+    targets.push_back(
+        rw::RewritingTarget{std::move(g.ucq), std::move(*views)});
   }
+  // Longest first, as the rewriting covers the fullest unfolding first.
+  std::reverse(targets.begin(), targets.end());
   std::optional<UnionQuery> rewriting = rw::EquivalentRewriting(targets);
   if (!rewriting.has_value()) {
     result.reason =

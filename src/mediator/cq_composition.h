@@ -36,8 +36,11 @@ struct CqCompositionResult {
 ///
 /// The mediator's synthesis is fixed, so its rewriting must match the
 /// goal at every input length up to the depth: rw::EquivalentRewriting
-/// gets the unfoldings at each length as one target, and decides whether
-/// such a rewriting exists when they carry no '≠'.
+/// gets the unfoldings at each length as one target, longest first, and
+/// decides whether such a rewriting exists when they carry no '≠'. The
+/// lengths stop at the first one at which the goal's and every
+/// component's unfoldings are complete (core::Unfolding): every longer
+/// length repeats it exactly.
 CqCompositionResult ComposeCqOneLevel(
     const core::Sws& goal, const std::vector<const core::Sws*>& components);
 

@@ -79,9 +79,9 @@ class Sws {
   bool IsRecursive() const;
 
   /// For nonrecursive services: the number of levels of any execution
-  /// tree, i.e. the longest state-chain from q0 (timestamps range over
-  /// 1..depth, so inputs beyond I_depth are never read). nullopt if
-  /// recursive.
+  /// tree, i.e. the longest state-chain from q0 (the root is at timestamp
+  /// 0 and the deepest nodes at depth − 1, so inputs beyond I_{depth−1}
+  /// are never read). nullopt if recursive.
   std::optional<size_t> MaxDepth() const;
 
   /// Class name per the paper's notation, e.g. "SWS(CQ, UCQ)" or

@@ -40,12 +40,16 @@ size_t ParseActIndex(const std::string& relation) {
   return i;
 }
 
-class Unfolder {
+// The unfolding for inputs of length exactly n, noting whether the end
+// of the input cut a node of the execution tree.
+class LengthUnfolder {
  public:
-  Unfolder(const Sws& sws, size_t n) : sws_(sws), n_(n) {}
+  LengthUnfolder(const Sws& sws, size_t n) : sws_(sws), n_(n) {}
 
-  UnionQuery Root() {
-    return ActQuery(sws_.start_state(), 0, std::nullopt, /*is_root=*/true);
+  Unfolding Root() {
+    UnionQuery ucq =
+        ActQuery(sws_.start_state(), 0, std::nullopt, /*is_root=*/true);
+    return Unfolding{std::move(ucq), !cut_};
   }
 
  private:
@@ -152,9 +156,17 @@ class Unfolder {
                       const std::optional<ConjunctiveQuery>& msg,
                       bool is_root) {
     UnionQuery out(sws_.rout_arity());
-    if (j > n_) return out;                      // input exhausted
     if (!is_root && !msg.has_value()) return out;  // empty register
-    if (is_root && n_ == 0) return out;          // root needs nonempty I
+    // n is read only here: a node the end of the input cuts would run on
+    // a longer input, so the unfolding is complete only if none is cut.
+    if (j > n_) {  // input exhausted
+      cut_ = true;
+      return out;
+    }
+    if (is_root && n_ == 0) {  // root needs nonempty I
+      cut_ = true;
+      return out;
+    }
 
     const auto& successors = sws_.Successors(state);
     if (successors.empty()) {
@@ -193,15 +205,22 @@ class Unfolder {
   const Sws& sws_;
   const size_t n_;
   int next_var_ = 0;
+  bool cut_ = false;
 };
 
 }  // namespace
 
-UnionQuery UnfoldToUcq(const Sws& sws, size_t n) {
+Unfolder::Unfolder(const Sws& sws) : sws_(sws) {
   SWS_CHECK(sws.IsCqUcq()) << "unfolding needs an SWS(CQ, UCQ) service";
   SWS_CHECK(!sws.Validate().has_value()) << *sws.Validate();
-  Unfolder unfolder(sws, n);
-  return unfolder.Root();
+}
+
+Unfolding Unfolder::At(size_t n) const {
+  return LengthUnfolder(sws_, n).Root();
+}
+
+UnionQuery UnfoldToUcq(const Sws& sws, size_t n) {
+  return Unfolder(sws).At(n).ucq;
 }
 
 namespace {

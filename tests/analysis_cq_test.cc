@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/cq_analysis.h"
+#include "logic/containment.h"
 #include "models/travel.h"
 #include "sws/execution.h"
 #include "sws/generator.h"
@@ -236,6 +239,220 @@ TEST(CqValidationTest, RandomRunOutputsAreValidated) {
     }
   }
   EXPECT_GT(validated, 0);
+}
+
+// --- The stop rule against the procedures that unfold every length ---
+
+// The procedures as they ran before they stopped at the first complete
+// unfolding, kept as oracles: they unfold every input length up to the
+// depth bound.
+size_t LengthBound(const Sws& sws) {
+  return std::max<size_t>(*sws.MaxDepth(), 1);
+}
+
+std::optional<size_t> OracleDifferingLength(const Sws& a, const Sws& b) {
+  for (size_t n = 0; n <= std::max(*a.MaxDepth(), *b.MaxDepth()); ++n) {
+    if (!logic::UcqEquivalent(core::UnfoldToUcq(a, n),
+                              core::UnfoldToUcq(b, n))) {
+      return n;
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<CqWitness> OracleNonEmptinessWitness(const Sws& sws) {
+  for (size_t n = 1; n <= LengthBound(sws); ++n) {
+    UnionQuery unfolded = core::UnfoldToUcq(sws, n);
+    if (unfolded.empty()) continue;
+    rel::Tuple head;
+    return SplitPackedDatabase(
+        sws, unfolded.disjuncts()[0].CanonicalDatabase(&head), n);
+  }
+  return std::nullopt;
+}
+
+CqValidationResult OracleValidation(const Sws& sws,
+                                    const rel::Relation& desired,
+                                    uint64_t budget) {
+  CqValidationResult result;
+  std::vector<rel::Tuple> tuples(desired.begin(), desired.end());
+  for (size_t n = 1; n <= LengthBound(sws); ++n) {
+    UnionQuery unfolded = core::UnfoldToUcq(sws, n);
+    std::vector<std::vector<ConjunctiveQuery>> candidates(tuples.size());
+    for (size_t t = 0; t < tuples.size(); ++t) {
+      for (const ConjunctiveQuery& d : unfolded.disjuncts()) {
+        ConjunctiveQuery unified = d;
+        for (size_t i = 0; i < tuples[t].size(); ++i) {
+          unified.mutable_comparisons()->push_back(Comparison{
+              d.head()[i], Term::Const(tuples[t][i]), /*is_equality=*/true});
+        }
+        if (auto norm = unified.Normalize()) {
+          candidates[t].push_back(std::move(*norm));
+        }
+      }
+    }
+    if (std::any_of(candidates.begin(), candidates.end(),
+                    [](const auto& c) { return c.empty(); })) {
+      continue;
+    }
+    std::vector<size_t> choice(tuples.size(), 0);
+    for (size_t i = 0; i < choice.size();) {
+      if (budget == 0) {
+        result.budget_exhausted = true;
+        return result;
+      }
+      --budget;
+      rel::Database packed;
+      int var_offset = 0;
+      for (size_t t = 0; t < tuples.size(); ++t) {
+        const ConjunctiveQuery& fragment = candidates[t][choice[t]];
+        rel::Database canon = fragment.ShiftVars(var_offset).CanonicalDatabase();
+        for (const auto& [name, relation] : canon.relations()) {
+          if (!packed.Contains(name)) {
+            packed.Set(name, rel::Relation(relation.arity()));
+          }
+          for (const rel::Tuple& tuple : relation) {
+            packed.GetMutable(name)->Insert(tuple);
+          }
+        }
+        var_offset += fragment.MaxVar() + 1;
+      }
+      CqWitness witness = SplitPackedDatabase(sws, packed, n);
+      if (core::Run(sws, witness.db, witness.input).output == desired) {
+        result.validated = true;
+        result.witness = std::move(witness);
+        return result;
+      }
+      for (i = 0; i < choice.size() && ++choice[i] == candidates[i].size();
+           ++i) {
+        choice[i] = 0;
+      }
+    }
+  }
+  return result;
+}
+
+void ExpectSameWitness(const std::optional<CqWitness>& got,
+                       const std::optional<CqWitness>& want,
+                       const std::string& context) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << context;
+  if (!got.has_value()) return;
+  EXPECT_EQ(got->db.ToString(), want->db.ToString()) << context;
+  EXPECT_EQ(got->input.ToString(), want->input.ToString()) << context;
+}
+
+// Stopping at the first length at which every unfolding is complete
+// changes no verdict, differing length or witness: on the travel
+// services and on comparison-free generated ones (Klug containment with
+// '≠' is exponential), every answer matches the oracles'.
+TEST(CqStopRuleTest, AgreesWithTheEveryLengthProcedures) {
+  std::vector<Sws> services;
+  services.push_back(MakeTravelServiceCqUcq().sws);
+  {
+    Sws tickets_only = services.back();
+    UnionQuery psi = tickets_only.Synthesis(0).AsUcq();
+    UnionQuery first(psi.head_arity());
+    first.Add(psi.disjuncts()[0]);
+    tickets_only.SetSynthesis(0, RelQuery::Ucq(std::move(first)));
+    services.push_back(std::move(tickets_only));
+  }
+  services.push_back(models::MakeTravelComponentAirfare().sws);
+  services.push_back(models::MakeTravelComponentHotelTickets().sws);
+  services.push_back(models::MakeTravelComponentHotelCar().sws);
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    WorkloadGenerator gen(seed);
+    WorkloadGenerator::CqSwsParams params;
+    params.num_states = 2 + static_cast<int>(seed % 3);
+    params.rin_arity = 1 + seed % 2;
+    params.rout_arity = 1;
+    params.inequality_prob = 0.0;
+    Sws sws = gen.RandomCqSws(params);
+    if (core::UnfoldDisjunctBound(sws, *sws.MaxDepth()) > 40) continue;
+    services.push_back(sws);
+    // The same service without the root's last disjunct, if it has two.
+    UnionQuery psi = sws.Synthesis(0).AsUcq();
+    if (psi.size() < 2) continue;
+    UnionQuery smaller(psi.head_arity());
+    smaller.Add(psi.disjuncts()[0]);
+    sws.SetSynthesis(0, RelQuery::Ucq(std::move(smaller)));
+    services.push_back(std::move(sws));
+  }
+
+  int pairs = 0;
+  int inequivalent = 0;
+  int validations = 0;
+  int validated = 0;
+  int exhausted = 0;
+  uint64_t lengths = 0;
+  uint64_t oracle_lengths = 0;
+  for (size_t i = 0; i < services.size(); ++i) {
+    const Sws& a = services[i];
+    const std::string context = a.ToString();
+    CqNonEmptinessResult nonempty = CqNonEmptinessNr(a);
+    std::optional<CqWitness> oracle_witness = OracleNonEmptinessWitness(a);
+    EXPECT_EQ(nonempty.nonempty, oracle_witness.has_value()) << context;
+    ExpectSameWitness(nonempty.witness, oracle_witness, context);
+
+    for (size_t j = i; j < services.size() && j < i + 3; ++j) {
+      const Sws& b = services[j];
+      if (a.rin_arity() != b.rin_arity() || a.rout_arity() != b.rout_arity()) {
+        continue;
+      }
+      CqEquivalenceResult result = CqEquivalenceNr(a, b);
+      std::optional<size_t> oracle = OracleDifferingLength(a, b);
+      EXPECT_EQ(result.equivalent, !oracle.has_value())
+          << context << "\nvs\n" << b.ToString();
+      EXPECT_EQ(result.differing_length, oracle)
+          << context << "\nvs\n" << b.ToString();
+      ++pairs;
+      if (oracle.has_value()) ++inequivalent;
+      lengths += result.stats.lengths_tried;
+      oracle_lengths += oracle.value_or(std::max(*a.MaxDepth(), *b.MaxDepth())) + 1;
+    }
+
+    WorkloadGenerator probe(i * 131 + 17);
+    for (int r = 0; r < 2; ++r) {
+      rel::Database db = probe.RandomDatabase(a.db_schema(), 2, 2);
+      rel::InputSequence input =
+          probe.RandomInput(a.rin_arity(), LengthBound(a), 1, 2);
+      rel::Relation target = core::Run(a, db, input).output;
+      if (target.empty() || target.size() > 2) continue;
+      // A mix of a reachable output and a fresh tuple, which some
+      // services can also produce and some cannot.
+      rel::Relation mixed = target;
+      mixed.Insert(rel::Tuple(a.rout_arity(), rel::Value::Int(7)));
+      for (const rel::Relation* desired : {&target, &mixed}) {
+        CqValidationOptions options;
+        options.max_candidates = 2000;
+        CqValidationResult got = CqValidation(a, *desired, options);
+        CqValidationResult want =
+            OracleValidation(a, *desired, options.max_candidates);
+        ++validations;
+        if (want.validated) ++validated;
+        if (want.budget_exhausted) {
+          ++exhausted;
+          // The oracle may spend its budget on lengths that repeat the
+          // last complete one; the procedure never finds more than it.
+          EXPECT_FALSE(got.validated) << context;
+          continue;
+        }
+        EXPECT_EQ(got.validated, want.validated) << context;
+        EXPECT_FALSE(got.budget_exhausted) << context;
+        ExpectSameWitness(got.witness, want.witness, context);
+      }
+    }
+  }
+  std::printf(
+      "%zu services, %d pairs (%d inequivalent), %d validations (%d "
+      "validated, %d exhausted by the oracle); equivalence lengths "
+      "unfolded: %llu (every length: %llu)\n",
+      services.size(), pairs, inequivalent, validations, validated, exhausted,
+      static_cast<unsigned long long>(lengths),
+      static_cast<unsigned long long>(oracle_lengths));
+  EXPECT_GT(inequivalent, 0);
+  EXPECT_GT(validated, 0);
+  EXPECT_LT(validated, validations);
+  EXPECT_LT(lengths, oracle_lengths);
 }
 
 TEST(SplitPackedDatabaseTest, RoundTripsRelationsAndInput) {

@@ -6,7 +6,9 @@
 #include "mediator/mediator_run.h"
 #include "mediator/pl_composition.h"
 #include "models/travel.h"
+#include "rewriting/cq_rewriting.h"
 #include "sws/execution.h"
+#include "sws/generator.h"
 
 namespace sws::med {
 namespace {
@@ -320,6 +322,120 @@ TEST(CqCompositionTest, ComposesFromTheComponentEveryLengthNeeds) {
               RunMediator(result.mediator, components, db, input).output)
         << "length " << length;
   }
+}
+
+// ComposeCqOneLevel before it stopped at the first length at which every
+// unfolding is complete, kept as the oracle: one target per input length
+// up to the depth, longest first. nullopt if no rewriting exists; clears
+// `expressible` if some component is not CQ-expressible at some length.
+std::optional<logic::UnionQuery> OracleRewriting(
+    const Sws& goal, const std::vector<const Sws*>& components,
+    bool* expressible) {
+  size_t depth = *goal.MaxDepth();
+  for (const Sws* c : components) depth = std::max(depth, *c->MaxDepth());
+  std::vector<rw::RewritingTarget> targets;
+  for (size_t length = depth + 1; length-- > 0;) {
+    std::vector<rw::View> views;
+    for (size_t i = 0; i < components.size(); ++i) {
+      logic::UnionQuery u = core::UnfoldToUcq(*components[i], length);
+      if (u.size() > 1) {
+        *expressible = false;
+        return std::nullopt;
+      }
+      logic::ConjunctiveQuery never(
+          std::vector<Term>(u.head_arity(), Term::Int(0)), {},
+          {logic::Comparison{Term::Int(0), Term::Int(1), true}});
+      views.push_back(rw::View{ComponentViewName(i),
+                               u.empty() ? never : u.disjuncts()[0]});
+    }
+    targets.push_back(
+        rw::RewritingTarget{core::UnfoldToUcq(goal, length), views});
+  }
+  return rw::EquivalentRewriting(targets);
+}
+
+// Stopping at the first length at which the goal and every component
+// unfold completely changes no answer: on the travel services and on
+// comparison-free generated ones, composition finds a rewriting exactly
+// when the oracle does, and the same one. Only the length a failure's
+// reason names may be shorter.
+TEST(CqCompositionTest, AgreesWithTheEveryLengthComposition) {
+  std::vector<Sws> services = TravelComponents();  // 0..2
+  services.push_back(models::MakeTravelServiceCqUcq().sws);  // 3
+  struct Case {
+    size_t goal;
+    std::vector<size_t> components;
+  };
+  std::vector<Case> cases = {{3, {0, 1, 2}}, {3, {0}}, {3, {1, 2}},
+                             {3, {3}},       {0, {0}}, {1, {0, 1}}};
+  for (uint64_t seed = 0; seed < 30; ++seed) {
+    core::WorkloadGenerator gen(seed);
+    core::WorkloadGenerator::CqSwsParams params;
+    params.num_states = 2 + static_cast<int>(seed % 3);
+    params.rin_arity = 1;
+    params.rout_arity = 1 + seed % 2;
+    params.inequality_prob = 0.0;
+    const size_t first = services.size();
+    for (int max_disjuncts : {1, 1, 2}) {
+      params.max_ucq_disjuncts = max_disjuncts;
+      services.push_back(gen.RandomCqSws(params));
+    }
+    bool small = true;
+    for (size_t i = first; i < services.size(); ++i) {
+      small = small && core::UnfoldDisjunctBound(
+                           services[i], *services[i].MaxDepth()) <= 40;
+    }
+    if (!small) continue;
+    // Two CQ-expressible services and one that may not be.
+    const size_t a = first, b = first + 1, c = first + 2;
+    cases.push_back({a, {a}});
+    cases.push_back({a, {b, a}});
+    cases.push_back({a, {b}});
+    cases.push_back({c, {a, b}});
+    cases.push_back({c, {c}});
+    cases.push_back({c, {a, c}});
+  }
+
+  int found = 0;
+  int not_found = 0;
+  int not_expressible = 0;
+  for (const Case& k : cases) {
+    const Sws& goal = services[k.goal];
+    std::vector<const Sws*> components;
+    for (size_t i : k.components) components.push_back(&services[i]);
+    std::string context = "goal " + std::to_string(k.goal) + "\n" +
+                          goal.ToString();
+    bool expressible = true;
+    std::optional<logic::UnionQuery> oracle =
+        OracleRewriting(goal, components, &expressible);
+    CqCompositionResult result = ComposeCqOneLevel(goal, components);
+    ASSERT_EQ(result.found, oracle.has_value()) << context << result.reason;
+    size_t depth = *goal.MaxDepth();
+    for (const Sws* c : components) depth = std::max(depth, *c->MaxDepth());
+    EXPECT_EQ(result.unfold_length, depth) << context;
+    if (result.found) {
+      ++found;
+      EXPECT_EQ(result.rewriting.ToString(), oracle->ToString()) << context;
+    } else if (!expressible) {
+      ++not_expressible;
+      EXPECT_NE(result.reason.find("is not CQ-expressible at length"),
+                std::string::npos)
+          << context << result.reason;
+    } else {
+      ++not_found;
+      EXPECT_EQ(result.reason,
+                "no rewriting over the component views matches the goal at "
+                "every input length up to " +
+                    std::to_string(depth))
+          << context;
+    }
+  }
+  std::printf("%zu compositions: %d found, %d without a rewriting, %d with a "
+              "component that is not CQ-expressible\n",
+              cases.size(), found, not_found, not_expressible);
+  EXPECT_GT(found, 0);
+  EXPECT_GT(not_found, 0);
+  EXPECT_GT(not_expressible, 0);
 }
 
 // --- PL mediators ---

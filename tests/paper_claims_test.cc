@@ -226,19 +226,32 @@ TEST(PaperClaims, Section6_HonestBoundsOnUndecidableProblems) {
 
   // The CQ/UCQ travel service joins its legs independently, so no
   // (D, I) outputs exactly (1,2,3,0) and (5,6,7,0) without their mixes,
-  // such as (1,6,3,0). The starved search reports that it ran out of
-  // budget; the default budget gives a definitive no.
+  // such as (1,6,3,0). Each tuple has one candidate (only the tickets
+  // disjunct has a nonzero ticket price), so even the starved search
+  // tries the one combination and gives a definitive no at length 1, the
+  // last length the service reads.
   auto travel = models::MakeTravelServiceCqUcq();
-  rel::Relation two_bookings(travel.sws.rout_arity());
-  two_bookings.Insert({rel::Value::Int(1), rel::Value::Int(2),
-                       rel::Value::Int(3), rel::Value::Int(0)});
-  two_bookings.Insert({rel::Value::Int(5), rel::Value::Int(6),
-                       rel::Value::Int(7), rel::Value::Int(0)});
-  auto starved = analysis::CqValidation(travel.sws, two_bookings, options);
+  auto bookings = [&travel](int64_t tickets) {
+    rel::Relation out(travel.sws.rout_arity());
+    out.Insert({rel::Value::Int(1), rel::Value::Int(2), rel::Value::Int(3),
+                rel::Value::Int(0)});
+    out.Insert({rel::Value::Int(5), rel::Value::Int(6),
+                rel::Value::Int(tickets), rel::Value::Int(0)});
+    return out;
+  };
+  auto refuted = analysis::CqValidation(travel.sws, bookings(7), options);
+  EXPECT_FALSE(refuted.validated);
+  EXPECT_FALSE(refuted.budget_exhausted);
+  EXPECT_EQ(refuted.stats.lengths_tried, 1u);
+  // (5,6,0,0) fits both the tickets and the car disjunct: two
+  // combinations, more than the starved budget. The starved search
+  // reports that it ran out of budget; the default budget gives a
+  // definitive no.
+  auto starved = analysis::CqValidation(travel.sws, bookings(0), options);
   EXPECT_FALSE(starved.validated);
   EXPECT_TRUE(starved.budget_exhausted);
   EXPECT_GT(starved.stats.disjuncts_seen, 0u);
-  auto decided = analysis::CqValidation(travel.sws, two_bookings);
+  auto decided = analysis::CqValidation(travel.sws, bookings(0));
   EXPECT_FALSE(decided.validated);
   EXPECT_FALSE(decided.budget_exhausted);
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "logic/containment.h"
 #include "models/travel.h"
 #include "sws/execution.h"
@@ -109,6 +111,144 @@ TEST(UnfoldTest, UnfoldingSelfEquivalence) {
   UnionQuery a = UnfoldNonrecursive(sws, depth);
   UnionQuery b = UnfoldNonrecursive(sws, depth);
   EXPECT_TRUE(logic::UcqEquivalent(a, b));
+}
+
+// The stop rule of the decision and composition procedures: a complete
+// unfolding at n is the unfolding at n + 1 exactly (same disjuncts, same
+// order, same variable numbering); a nonrecursive service is complete by
+// max(1, MaxDepth() − 1), since its deepest nodes sit at timestamp
+// MaxDepth() − 1; and the empty input never is.
+TEST(UnfoldTest, CompleteUnfoldingRepeatsAtLongerLengths) {
+  WorkloadGenerator gen(112358);
+  int services = 0;
+  int complete_lengths = 0;
+  std::map<size_t, int> first_complete;  // length -> services
+  for (int trial = 0; trial < 400; ++trial) {
+    WorkloadGenerator::CqSwsParams params;
+    params.num_states = 2 + trial % 4;
+    params.rin_arity = 1 + gen.rng()() % 2;
+    params.rout_arity = 1 + gen.rng()() % 2;
+    Sws sws = gen.RandomCqSws(params);
+    const size_t depth = *sws.MaxDepth();
+    if (UnfoldDisjunctBound(sws, depth + 2) > 500) continue;
+    ++services;
+    const Unfolder unfolder(sws);
+    std::optional<size_t> first;
+    Unfolding at = unfolder.At(0);
+    EXPECT_FALSE(at.complete) << sws.ToString();
+    for (size_t n = 0; n <= depth + 1; ++n) {
+      Unfolding next = unfolder.At(n + 1);
+      if (at.complete) {
+        ++complete_lengths;
+        if (!first.has_value()) first = n;
+        ASSERT_TRUE(next.ucq == at.ucq)
+            << sws.ToString() << "n=" << n << "\n"
+            << at.ucq.ToString() << "\nvs\n" << next.ucq.ToString();
+        EXPECT_TRUE(next.complete) << sws.ToString() << "n=" << n;
+      }
+      at = std::move(next);
+    }
+    ASSERT_TRUE(first.has_value()) << sws.ToString();
+    EXPECT_LE(*first, std::max<size_t>(1, depth - 1)) << sws.ToString();
+    ++first_complete[*first];
+  }
+  std::string histogram;
+  for (const auto& [length, count] : first_complete) {
+    histogram += " " + std::to_string(length) + ":" + std::to_string(count);
+  }
+  std::printf("%d services, %d complete lengths; first complete length:%s\n",
+              services, complete_lengths, histogram.c_str());
+  EXPECT_GE(services, 300);
+  EXPECT_GT(first_complete.size(), 1u);  // not every service stops at 1
+}
+
+// Recursive services (the property_test family: one state loops back to
+// itself). Empty registers end some of their trees, and the flag stays
+// exact there; a service whose loop register stays satisfiable is cut at
+// every length, so its flag stays false.
+TEST(UnfoldTest, RecursiveServicesKeepTheFlagExact) {
+  int recursive = 0;
+  int never_complete = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    WorkloadGenerator gen(seed * 7 + 1);
+    WorkloadGenerator::CqSwsParams params;
+    params.num_states = 3;
+    Sws sws = gen.RandomCqSws(params);
+    for (int q = 1; q < sws.num_states(); ++q) {
+      auto successors = sws.Successors(q);
+      if (!successors.empty()) {
+        successors.push_back(TransitionTarget{q, successors[0].query});
+        sws.SetTransition(q, successors);
+        break;
+      }
+    }
+    if (!sws.IsRecursive() || UnfoldDisjunctBound(sws, 5) > 500) continue;
+    ++recursive;
+    const Unfolder unfolder(sws);
+    bool ever_complete = false;
+    Unfolding at = unfolder.At(0);
+    for (size_t n = 0; n <= 4; ++n) {
+      Unfolding next = unfolder.At(n + 1);
+      if (at.complete) {
+        ever_complete = true;
+        ASSERT_TRUE(next.ucq == at.ucq)
+            << sws.ToString() << "n=" << n << "\n"
+            << at.ucq.ToString() << "\nvs\n" << next.ucq.ToString();
+      }
+      at = std::move(next);
+    }
+    if (!ever_complete) ++never_complete;
+  }
+  std::printf("%d recursive services, %d cut at every length\n", recursive,
+              never_complete);
+  EXPECT_GT(never_complete, 0);
+}
+
+// Empty registers can end the tree of a recursive service: q loops back
+// to itself only through a register no message satisfies, so the
+// unfolding is complete once the input reaches its leaf, at length 2.
+TEST(UnfoldTest, EmptyRegistersEndARecursiveTree) {
+  rel::Schema schema;
+  schema.Add(rel::RelationSchema("R", {"a"}));
+  Sws sws(schema, 1, 1);
+  int q0 = sws.AddState("q0");
+  int q = sws.AddState("q");
+  int f = sws.AddState("f");
+  auto v = [](int i) { return logic::Term::Var(i); };
+  logic::ConjunctiveQuery pass({v(0)},
+                               {logic::Atom{kInputRelation, {v(0)}}});
+  logic::ConjunctiveQuery never(
+      {v(0)}, {logic::Atom{kMsgRelation, {v(0)}}},
+      {logic::Comparison{v(0), v(0), /*is_equality=*/false}});
+  logic::UnionQuery either(1);
+  either.Add(logic::ConjunctiveQuery(
+      {v(0)}, {logic::Atom{ActRelation(1), {v(0)}}}));
+  either.Add(logic::ConjunctiveQuery(
+      {v(0)}, {logic::Atom{ActRelation(2), {v(0)}}}));
+  sws.SetTransition(q0, {TransitionTarget{q, RelQuery::Cq(pass)}});
+  sws.SetSynthesis(q0, RelQuery::Cq(logic::ConjunctiveQuery(
+                           {v(0)}, {logic::Atom{ActRelation(1), {v(0)}}})));
+  sws.SetTransition(q, {TransitionTarget{q, RelQuery::Cq(never)},
+                        TransitionTarget{f, RelQuery::Cq(pass)}});
+  sws.SetSynthesis(q, RelQuery::Ucq(either));
+  sws.SetTransition(f, {});
+  sws.SetSynthesis(f, RelQuery::Cq(logic::ConjunctiveQuery(
+                          {v(0)}, {logic::Atom{kMsgRelation, {v(0)}},
+                                   logic::Atom{"R", {v(0)}}})));
+  ASSERT_FALSE(sws.Validate().has_value()) << *sws.Validate();
+  ASSERT_TRUE(sws.IsRecursive());
+
+  const Unfolder unfolder(sws);
+  EXPECT_FALSE(unfolder.At(0).complete);
+  EXPECT_FALSE(unfolder.At(1).complete);  // f lives at timestamp 2
+  Unfolding at2 = unfolder.At(2);
+  ASSERT_TRUE(at2.complete);
+  EXPECT_FALSE(at2.ucq.empty());
+  for (size_t n = 3; n <= 5; ++n) {
+    Unfolding at = unfolder.At(n);
+    EXPECT_TRUE(at.complete) << "n=" << n;
+    EXPECT_TRUE(at.ucq == at2.ucq) << "n=" << n << "\n" << at.ucq.ToString();
+  }
 }
 
 }  // namespace
