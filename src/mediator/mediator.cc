@@ -3,67 +3,21 @@
 #include <functional>
 #include <sstream>
 
-#include "util/common.h"
-
 namespace sws::med {
 
 Mediator::Mediator(size_t rin_arity, size_t rout_arity)
     : rin_arity_(rin_arity), rout_arity_(rout_arity) {}
 
-int Mediator::AddState(std::string name) {
-  StateRules rules;
-  rules.name = std::move(name);
-  states_.push_back(std::move(rules));
-  return num_states() - 1;
-}
-
-const std::string& Mediator::StateName(int q) const {
-  SWS_CHECK(q >= 0 && q < num_states());
-  return states_[q].name;
-}
-
-void Mediator::SetTransition(int q, std::vector<MediatorTarget> successors) {
-  SWS_CHECK(q >= 0 && q < num_states());
-  for (const auto& t : successors) {
-    SWS_CHECK(t.state >= 0 && t.state < num_states());
-  }
-  states_[q].successors = std::move(successors);
-}
-
-void Mediator::SetSynthesis(int q, core::RelQuery synthesis) {
-  SWS_CHECK(q >= 0 && q < num_states());
-  states_[q].synthesis = std::move(synthesis);
-  states_[q].has_synthesis = true;
-}
-
-const std::vector<MediatorTarget>& Mediator::Successors(int q) const {
-  SWS_CHECK(q >= 0 && q < num_states());
-  return states_[q].successors;
-}
-
-const core::RelQuery& Mediator::Synthesis(int q) const {
-  SWS_CHECK(q >= 0 && q < num_states());
-  SWS_CHECK(states_[q].has_synthesis);
-  return states_[q].synthesis;
-}
-
 std::optional<std::string> Mediator::Validate(
     const std::vector<const core::Sws*>& components) const {
-  if (states_.empty()) return "mediator has no states";
+  if (auto err = ValidateGraph("mediator"); err.has_value()) return err;
   for (const core::Sws* c : components) {
     if (c->rin_arity() != rin_arity_ || c->rout_arity() != rout_arity_) {
       return "component schema mismatch";
     }
   }
-  for (int q = 0; q < num_states(); ++q) {
-    const StateRules& rules = states_[q];
-    if (!rules.has_synthesis) {
-      return "state " + rules.name + " has no synthesis rule";
-    }
+  for (const State& rules : states()) {
     for (const auto& t : rules.successors) {
-      if (t.state == start_state()) {
-        return "start state appears in the rhs of " + rules.name;
-      }
       if (t.component >= components.size()) {
         return "state " + rules.name + " invokes unknown component";
       }
@@ -89,51 +43,18 @@ std::optional<std::string> Mediator::Validate(
   return std::nullopt;
 }
 
-namespace {
-
-template <typename StateRulesVector>
-std::optional<size_t> DepthOf(const StateRulesVector& states) {
-  enum class Color { kWhite, kGray, kBlack };
-  std::vector<Color> color(states.size(), Color::kWhite);
-  std::vector<size_t> depth(states.size(), 1);
-  bool cyclic = false;
-  std::function<void(int)> dfs = [&](int q) {
-    color[q] = Color::kGray;
-    size_t best = 1;
-    for (const auto& t : states[q].successors) {
-      if (color[t.state] == Color::kGray) {
-        cyclic = true;
-        continue;
-      }
-      if (color[t.state] == Color::kWhite) dfs(t.state);
-      best = std::max(best, 1 + depth[t.state]);
-    }
-    depth[q] = best;
-    color[q] = Color::kBlack;
-  };
-  dfs(0);
-  if (cyclic) return std::nullopt;
-  return depth[0];
-}
-
-}  // namespace
-
-bool Mediator::IsRecursive() const { return !DepthOf(states_).has_value(); }
-std::optional<size_t> Mediator::MaxDepth() const { return DepthOf(states_); }
-
 std::string Mediator::ToString(
     const std::vector<const core::Sws*>& components) const {
   std::ostringstream out;
   out << (IsRecursive() ? "MDT" : "MDTnr") << " with " << num_states()
       << " states\n";
-  for (int q = 0; q < num_states(); ++q) {
-    const StateRules& rules = states_[q];
+  for (const State& rules : states()) {
     out << "  " << rules.name << " ->";
     if (rules.successors.empty()) {
       out << " .";
     } else {
       for (const auto& t : rules.successors) {
-        out << " (" << states_[t.state].name << ", eval(";
+        out << " (" << StateName(t.state) << ", eval(";
         if (t.component < components.size()) {
           out << "tau_" << t.component;
         } else {
@@ -150,56 +71,11 @@ std::string Mediator::ToString(
   return out.str();
 }
 
-int PlMediator::AddState(std::string name) {
-  StateRules rules;
-  rules.name = std::move(name);
-  rules.synthesis = logic::PlFormula::False();
-  states_.push_back(std::move(rules));
-  return num_states() - 1;
-}
-
-const std::string& PlMediator::StateName(int q) const {
-  SWS_CHECK(q >= 0 && q < num_states());
-  return states_[q].name;
-}
-
-void PlMediator::SetTransition(int q, std::vector<MediatorTarget> successors) {
-  SWS_CHECK(q >= 0 && q < num_states());
-  for (const auto& t : successors) {
-    SWS_CHECK(t.state >= 0 && t.state < num_states());
-  }
-  states_[q].successors = std::move(successors);
-}
-
-void PlMediator::SetSynthesis(int q, logic::PlFormula synthesis) {
-  SWS_CHECK(q >= 0 && q < num_states());
-  states_[q].synthesis = std::move(synthesis);
-  states_[q].has_synthesis = true;
-}
-
-const std::vector<MediatorTarget>& PlMediator::Successors(int q) const {
-  SWS_CHECK(q >= 0 && q < num_states());
-  return states_[q].successors;
-}
-
-const logic::PlFormula& PlMediator::Synthesis(int q) const {
-  SWS_CHECK(q >= 0 && q < num_states());
-  SWS_CHECK(states_[q].has_synthesis);
-  return states_[q].synthesis;
-}
-
 std::optional<std::string> PlMediator::Validate(
     const std::vector<const core::PlSws*>& components) const {
-  if (states_.empty()) return "mediator has no states";
-  for (int q = 0; q < num_states(); ++q) {
-    const StateRules& rules = states_[q];
-    if (!rules.has_synthesis) {
-      return "state " + rules.name + " has no synthesis rule";
-    }
+  if (auto err = ValidateGraph("mediator"); err.has_value()) return err;
+  for (const State& rules : states()) {
     for (const auto& t : rules.successors) {
-      if (t.state == start_state()) {
-        return "start state appears in the rhs of " + rules.name;
-      }
       if (t.component >= components.size()) {
         return "state " + rules.name + " invokes unknown component";
       }
@@ -216,12 +92,9 @@ std::optional<std::string> PlMediator::Validate(
   return std::nullopt;
 }
 
-bool PlMediator::IsRecursive() const { return !DepthOf(states_).has_value(); }
-std::optional<size_t> PlMediator::MaxDepth() const { return DepthOf(states_); }
-
 bool PlMediator::IsDisjunctionOnly() const {
   using Kind = logic::PlFormula::Kind;
-  for (const StateRules& rules : states_) {
+  for (const State& rules : states()) {
     if (!rules.has_synthesis) continue;
     std::function<bool(const logic::PlFormula&)> pure =
         [&](const logic::PlFormula& f) {
@@ -249,14 +122,13 @@ std::string PlMediator::ToString() const {
   std::ostringstream out;
   out << (IsRecursive() ? "MDT(PL)" : "MDTnr(PL)") << " with " << num_states()
       << " states\n";
-  for (int q = 0; q < num_states(); ++q) {
-    const StateRules& rules = states_[q];
+  for (const State& rules : states()) {
     out << "  " << rules.name << " ->";
     if (rules.successors.empty()) {
       out << " .";
     } else {
       for (const auto& t : rules.successors) {
-        out << " (" << states_[t.state].name << ", eval(tau_" << t.component
+        out << " (" << StateName(t.state) << ", eval(tau_" << t.component
             << "))";
       }
     }

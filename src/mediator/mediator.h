@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sws/pl_sws.h"
+#include "sws/state_graph.h"
 #include "sws/sws.h"
 
 namespace sws::med {
@@ -20,30 +21,22 @@ namespace sws::med {
 ///
 /// Components are referenced by index into the component vector supplied
 /// at run/validation time; all components and the mediator share the
-/// schemas R, R_in, R_out (the paper's w.l.o.g. assumption).
+/// schemas R, R_in, R_out (the paper's w.l.o.g. assumption). States,
+/// rules and depth live in the StateGraph that services use too; MDT_nr
+/// means an acyclic state graph, and the components of a nonrecursive
+/// mediator may themselves be recursive (Section 2 / Definition 5.1
+/// remark).
 struct MediatorTarget {
   int state = 0;
   size_t component = 0;  // index into the component list
 };
 
-class Mediator {
+class Mediator : public core::StateGraph<MediatorTarget, core::RelQuery> {
  public:
   Mediator(size_t rin_arity, size_t rout_arity);
 
   size_t rin_arity() const { return rin_arity_; }
   size_t rout_arity() const { return rout_arity_; }
-
-  int AddState(std::string name);
-  int num_states() const { return static_cast<int>(states_.size()); }
-  int start_state() const { return 0; }
-  const std::string& StateName(int q) const;
-
-  void SetTransition(int q, std::vector<MediatorTarget> successors);
-  void SetSynthesis(int q, core::RelQuery synthesis);
-
-  const std::vector<MediatorTarget>& Successors(int q) const;
-  const core::RelQuery& Synthesis(int q) const;
-  bool IsFinalState(int q) const { return Successors(q).empty(); }
 
   /// Well-formedness against a component list: component indices in
   /// range, matching schemas, q0 not in any rhs, and synthesis reading
@@ -51,46 +44,21 @@ class Mediator {
   std::optional<std::string> Validate(
       const std::vector<const core::Sws*>& components) const;
 
-  /// The dependency graph over mediator states; MDT_nr = acyclic. Note
-  /// that components of a nonrecursive mediator may themselves be
-  /// recursive (Section 2 / Definition 5.1 remark).
-  bool IsRecursive() const;
-  std::optional<size_t> MaxDepth() const;
-
   std::string ToString(
       const std::vector<const core::Sws*>& components = {}) const;
 
  private:
-  struct StateRules {
-    std::string name;
-    std::vector<MediatorTarget> successors;
-    core::RelQuery synthesis;
-    bool has_synthesis = false;
-  };
   size_t rin_arity_;
   size_t rout_arity_;
-  std::vector<StateRules> states_;
 };
 
 /// The PL counterpart: mediators over SWS(PL, PL) components. Registers
 /// are truth values; internal synthesis formulas use variable i for the
 /// i-th successor's action bit; final synthesis uses variable 0 for the
 /// message register ("from Msg(q) to Act(q)").
-class PlMediator {
+class PlMediator : public core::StateGraph<MediatorTarget, logic::PlFormula> {
  public:
   PlMediator() = default;
-
-  int AddState(std::string name);
-  int num_states() const { return static_cast<int>(states_.size()); }
-  int start_state() const { return 0; }
-  const std::string& StateName(int q) const;
-
-  void SetTransition(int q, std::vector<MediatorTarget> successors);
-  void SetSynthesis(int q, logic::PlFormula synthesis);
-
-  const std::vector<MediatorTarget>& Successors(int q) const;
-  const logic::PlFormula& Synthesis(int q) const;
-  bool IsFinalState(int q) const { return Successors(q).empty(); }
 
   /// The variable a final state's synthesis uses for its register bit.
   static constexpr int kMsgVar = 0;
@@ -98,23 +66,11 @@ class PlMediator {
   std::optional<std::string> Validate(
       const std::vector<const core::PlSws*>& components) const;
 
-  bool IsRecursive() const;
-  std::optional<size_t> MaxDepth() const;
-
   /// True iff every synthesis formula is a pure disjunction of its
   /// allowed variables — the MDT(∨) subclass of Theorem 5.3.
   bool IsDisjunctionOnly() const;
 
   std::string ToString() const;
-
- private:
-  struct StateRules {
-    std::string name;
-    std::vector<MediatorTarget> successors;
-    logic::PlFormula synthesis;
-    bool has_synthesis = false;
-  };
-  std::vector<StateRules> states_;
 };
 
 }  // namespace sws::med

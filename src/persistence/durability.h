@@ -29,9 +29,6 @@ struct DurabilityOptions {
   /// Capture a shard snapshot (and GC its older files) every this many
   /// journal appends.
   uint64_t snapshot_interval_appends = 1024;
-  /// Recovery re-runs acknowledged sessions and checks the recomputed
-  /// output byte-for-byte against the journaled one (determinism audit).
-  bool verify_replay_outputs = true;
 
   bool enabled() const { return !dir.empty(); }
 };

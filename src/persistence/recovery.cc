@@ -13,6 +13,10 @@ namespace sws::persistence {
 
 namespace {
 
+/// Retries for transiently failing segment reads (injected short reads)
+/// before giving up.
+constexpr uint32_t kMaxReadRetries = 3;
+
 /// Journaled history of one session, keyed by seq with keep-first dedup
 /// (a record can at most repeat across a consolidation crash window; the
 /// first copy is as good as any — they are byte-identical).
@@ -47,7 +51,7 @@ RecoveryResult RecoveryManager::Run(bool mutate) {
     core::Status status;
     for (uint32_t attempt = 0;; ++attempt) {
       status = read();
-      if (status.ok() || attempt >= options_.max_read_retries) return status;
+      if (status.ok() || attempt >= kMaxReadRetries) return status;
       ++result.stats.short_read_retries;
     }
   };

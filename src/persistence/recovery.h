@@ -66,9 +66,6 @@ struct RecoveryOptions {
   bool verify_replay_outputs = true;
   /// Node budget for replay runs (matches RunOptions::max_nodes).
   size_t run_max_nodes = 50'000'000;
-  /// Retries for transiently failing segment reads (injected short
-  /// reads) before giving up.
-  uint32_t max_read_retries = 3;
 };
 
 /// Deterministic crash recovery over a durable directory (DESIGN.md §9):

@@ -145,9 +145,9 @@ ServiceRuntime::ServiceRuntime(const core::Sws* sws, rel::Database initial_db,
     if (!dir_status.ok()) {
       init_error_ = std::move(dir_status);
     } else {
+      // Replay always audits recomputed outputs against the journal
+      // (RecoveryOptions::verify_replay_outputs keeps its default).
       persistence::RecoveryOptions recovery_options;
-      recovery_options.verify_replay_outputs =
-          options_.durability.verify_replay_outputs;
       recovery_options.run_max_nodes = options_.run_options.max_nodes;
       persistence::RecoveryManager manager(options_.durability.dir, sws,
                                            initial_db_, recovery_options,

@@ -227,7 +227,7 @@ class ServiceRuntime {
   }
 
   /// Ok unless durable startup failed (unreachable dir, corrupt or
-  /// foreign journal, replay-divergence with verify_replay_outputs).
+  /// foreign journal, replay divergence).
   /// These are environmental, not programmer errors, so construction
   /// surfaces them here instead of aborting: the runtime comes up in a
   /// failed state that rejects every Submit with this status, letting

@@ -12,64 +12,10 @@ PlSws::PlSws(int num_input_vars) : num_input_vars_(num_input_vars) {
   SWS_CHECK_GE(num_input_vars, 0);
 }
 
-int PlSws::AddState(std::string name) {
-  SWS_CHECK(FindState(name) < 0) << "duplicate state name " << name;
-  StateRules rules;
-  rules.name = std::move(name);
-  rules.synthesis = logic::PlFormula::False();
-  states_.push_back(std::move(rules));
-  return num_states() - 1;
-}
-
-const std::string& PlSws::StateName(int q) const {
-  SWS_CHECK(q >= 0 && q < num_states());
-  return states_[q].name;
-}
-
-int PlSws::FindState(const std::string& name) const {
-  for (int q = 0; q < num_states(); ++q) {
-    if (states_[q].name == name) return q;
-  }
-  return -1;
-}
-
-void PlSws::SetTransition(int q, std::vector<Successor> successors) {
-  SWS_CHECK(q >= 0 && q < num_states());
-  for (const auto& s : successors) {
-    SWS_CHECK(s.state >= 0 && s.state < num_states());
-  }
-  states_[q].successors = std::move(successors);
-}
-
-void PlSws::SetSynthesis(int q, logic::PlFormula synthesis) {
-  SWS_CHECK(q >= 0 && q < num_states());
-  states_[q].synthesis = std::move(synthesis);
-  states_[q].has_synthesis = true;
-}
-
-const std::vector<PlSws::Successor>& PlSws::Successors(int q) const {
-  SWS_CHECK(q >= 0 && q < num_states());
-  return states_[q].successors;
-}
-
-const logic::PlFormula& PlSws::Synthesis(int q) const {
-  SWS_CHECK(q >= 0 && q < num_states());
-  SWS_CHECK(states_[q].has_synthesis)
-      << "state " << states_[q].name << " has no synthesis rule";
-  return states_[q].synthesis;
-}
-
 std::optional<std::string> PlSws::Validate() const {
-  if (states_.empty()) return "service has no states";
-  for (int q = 0; q < num_states(); ++q) {
-    const StateRules& rules = states_[q];
-    if (!rules.has_synthesis) {
-      return "state " + rules.name + " has no synthesis rule";
-    }
+  if (auto err = ValidateGraph("service"); err.has_value()) return err;
+  for (const State& rules : states()) {
     for (const auto& s : rules.successors) {
-      if (s.state == start_state()) {
-        return "start state appears in the rhs of " + rules.name;
-      }
       for (int v : s.guard.Vars()) {
         if (v > msg_var()) {
           return "transition formula of " + rules.name +
@@ -93,38 +39,12 @@ std::optional<std::string> PlSws::Validate() const {
   return std::nullopt;
 }
 
-bool PlSws::IsRecursive() const { return !MaxDepth().has_value(); }
-
-std::optional<size_t> PlSws::MaxDepth() const {
-  enum class Color { kWhite, kGray, kBlack };
-  std::vector<Color> color(num_states(), Color::kWhite);
-  std::vector<size_t> depth(num_states(), 1);
-  bool cyclic = false;
-  std::function<void(int)> dfs = [&](int q) {
-    color[q] = Color::kGray;
-    size_t best = 1;
-    for (const auto& s : states_[q].successors) {
-      if (color[s.state] == Color::kGray) {
-        cyclic = true;
-        continue;
-      }
-      if (color[s.state] == Color::kWhite) dfs(s.state);
-      best = std::max(best, 1 + depth[s.state]);
-    }
-    depth[q] = best;
-    color[q] = Color::kBlack;
-  };
-  dfs(start_state());
-  if (cyclic) return std::nullopt;
-  return depth[start_state()];
-}
-
 std::string PlSws::Classify() const {
   return IsRecursive() ? "SWS(PL, PL)" : "SWSnr(PL, PL)";
 }
 
 bool PlSws::FinalValue(int state, const Symbol& a, bool msg) const {
-  const StateRules& rules = states_[state];
+  const State& rules = states()[state];
   SWS_CHECK(rules.successors.empty());
   return rules.synthesis.EvalWith([this, &a, msg](int v) {
     if (v == msg_var()) return msg;
@@ -134,7 +54,7 @@ bool PlSws::FinalValue(int state, const Symbol& a, bool msg) const {
 
 bool PlSws::InternalValue(int state, const Symbol& a, bool msg,
                           const std::vector<bool>& next_values) const {
-  const StateRules& rules = states_[state];
+  const State& rules = states()[state];
   SWS_CHECK(!rules.successors.empty());
   auto input_assignment = [this, &a, msg](int v) {
     if (v == msg_var()) return msg;
@@ -155,8 +75,7 @@ std::vector<bool> PlSws::ValuesAt(const std::vector<bool>& carry,
   SWS_CHECK_EQ(carry.size(), static_cast<size_t>(num_states()));
   std::vector<bool> values(num_states());
   for (int q = 0; q < num_states(); ++q) {
-    values[q] = states_[q].successors.empty() ? FinalValue(q, a, /*msg=*/true)
-                                              : carry[q];
+    values[q] = IsFinalState(q) ? FinalValue(q, a, /*msg=*/true) : carry[q];
   }
   return values;
 }
@@ -167,7 +86,7 @@ std::vector<bool> PlSws::InitialCarry() const {
   std::vector<bool> all_false(num_states(), false);
   std::vector<bool> carry(num_states(), false);
   for (int q = 0; q < num_states(); ++q) {
-    if (!states_[q].successors.empty()) {
+    if (!IsFinalState(q)) {
       // The input message is irrelevant: children are dead regardless.
       carry[q] = InternalValue(q, Symbol{}, /*msg=*/true, all_false);
     }
@@ -180,7 +99,7 @@ std::vector<bool> PlSws::StepBack(const std::vector<bool>& carry,
   std::vector<bool> values = ValuesAt(carry, a);
   std::vector<bool> out(num_states(), false);
   for (int q = 0; q < num_states(); ++q) {
-    if (!states_[q].successors.empty()) {
+    if (!IsFinalState(q)) {
       out[q] = InternalValue(q, a, /*msg=*/true, values);
     }
   }
@@ -189,7 +108,7 @@ std::vector<bool> PlSws::StepBack(const std::vector<bool>& carry,
 
 bool PlSws::RootValue(const std::vector<bool>& carry, const Symbol& a,
                       bool root_msg) const {
-  if (states_[start_state()].successors.empty()) {
+  if (IsFinalState(start_state())) {
     // A final-state root reads I_0, the empty message.
     return FinalValue(start_state(), Symbol{}, root_msg);
   }
@@ -205,7 +124,7 @@ bool PlSws::RunSeeded(const Word& input, bool initial_msg) const {
   if (input.empty() && !initial_msg) return false;  // Act(r) = ∅
   if (input.empty()) {
     // Seeded register, no input: only a final-state root can act.
-    if (!states_[start_state()].successors.empty()) {
+    if (!IsFinalState(start_state())) {
       // Children would live past the end of the input.
       return InternalValue(start_state(), Symbol{}, initial_msg,
                            std::vector<bool>(num_states(), false));
@@ -272,7 +191,7 @@ PlSws::RunInfo PlSws::RunWithInfo(const Word& input, bool initial_msg) const {
 
 std::set<int> PlSws::RelevantInputVars() const {
   std::set<int> vars;
-  for (const StateRules& rules : states_) {
+  for (const State& rules : states()) {
     for (const auto& s : rules.successors) {
       for (int v : s.guard.Vars()) {
         if (v < num_input_vars_) vars.insert(v);
@@ -299,14 +218,13 @@ std::string PlSws::ToString(const logic::PlVarPool* pool) const {
   }
   std::ostringstream out;
   out << Classify() << " with " << num_input_vars_ << " input variables\n";
-  for (int q = 0; q < num_states(); ++q) {
-    const StateRules& rules = states_[q];
+  for (const State& rules : states()) {
     out << "  " << rules.name << " ->";
     if (rules.successors.empty()) {
       out << " .";
     } else {
       for (const auto& s : rules.successors) {
-        out << " (" << states_[s.state].name << ", "
+        out << " (" << StateName(s.state) << ", "
             << s.guard.ToString(name) << ")";
       }
     }

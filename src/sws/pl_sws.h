@@ -12,6 +12,12 @@
 
 namespace sws::core {
 
+/// One successor entry (q_i, φ_i) of a PL transition rule.
+struct PlSuccessor {
+  int state = 0;
+  logic::PlFormula guard;  // φ_i over input vars and msg_var()
+};
+
 /// A synthesized Web service in SWS(PL, PL) (Section 2, "SWS classes"):
 /// the service is not data-driven; an input message is a truth assignment
 /// over propositional variables (represented as the set of true
@@ -29,8 +35,10 @@ namespace sws::core {
 /// assignments, a Boolean output — i.e. it defines a language (run
 /// semantics below mirror Section 2 with ∅/"nonempty" read as
 /// false/true).
-class PlSws {
+class PlSws : public StateGraph<PlSuccessor, logic::PlFormula> {
  public:
+  using Successor = PlSuccessor;
+
   explicit PlSws(int num_input_vars);
 
   int num_input_vars() const { return num_input_vars_; }
@@ -38,31 +46,7 @@ class PlSws {
   /// formulas.
   int msg_var() const { return num_input_vars_; }
 
-  /// Adds a state; the first state added is the start state q0.
-  int AddState(std::string name);
-  int num_states() const { return static_cast<int>(states_.size()); }
-  int start_state() const { return 0; }
-  const std::string& StateName(int q) const;
-  int FindState(const std::string& name) const;
-
-  struct Successor {
-    int state = 0;
-    logic::PlFormula guard;  // φ_i over input vars and msg_var()
-  };
-
-  void SetTransition(int q, std::vector<Successor> successors);
-  void SetSynthesis(int q, logic::PlFormula synthesis);
-
-  const std::vector<Successor>& Successors(int q) const;
-  const logic::PlFormula& Synthesis(int q) const;
-  bool IsFinalState(int q) const { return Successors(q).empty(); }
-
   std::optional<std::string> Validate() const;
-
-  bool IsRecursive() const;
-  /// Longest state-chain from q0 (nonrecursive only): inputs beyond this
-  /// prefix length never influence the output.
-  std::optional<size_t> MaxDepth() const;
 
   /// "SWS(PL, PL)" or "SWSnr(PL, PL)".
   std::string Classify() const;
@@ -136,15 +120,7 @@ class PlSws {
   std::vector<bool> ValuesAt(const std::vector<bool>& carry,
                              const Symbol& a) const;
 
-  struct StateRules {
-    std::string name;
-    std::vector<Successor> successors;
-    logic::PlFormula synthesis;
-    bool has_synthesis = false;
-  };
-
   int num_input_vars_;
-  std::vector<StateRules> states_;
 };
 
 /// Encodes a PlSws as a data-driven Sws over an empty database schema:

@@ -1,9 +1,6 @@
 #include "sws/sws.h"
 
-#include <functional>
 #include <sstream>
-
-#include "util/common.h"
 
 namespace sws::core {
 
@@ -12,66 +9,9 @@ Sws::Sws(rel::Schema db_schema, size_t rin_arity, size_t rout_arity)
       rin_arity_(rin_arity),
       rout_arity_(rout_arity) {}
 
-int Sws::AddState(std::string name) {
-  SWS_CHECK(FindState(name) < 0) << "duplicate state name " << name;
-  StateRules rules;
-  rules.name = std::move(name);
-  states_.push_back(std::move(rules));
-  return num_states() - 1;
-}
-
-const std::string& Sws::StateName(int q) const {
-  SWS_CHECK(q >= 0 && q < num_states());
-  return states_[q].name;
-}
-
-int Sws::FindState(const std::string& name) const {
-  for (int q = 0; q < num_states(); ++q) {
-    if (states_[q].name == name) return q;
-  }
-  return -1;
-}
-
-void Sws::SetTransition(int q, std::vector<TransitionTarget> successors) {
-  SWS_CHECK(q >= 0 && q < num_states());
-  for (const auto& t : successors) {
-    SWS_CHECK(t.state >= 0 && t.state < num_states())
-        << "transition to unknown state " << t.state;
-  }
-  states_[q].successors = std::move(successors);
-}
-
-void Sws::SetSynthesis(int q, RelQuery synthesis) {
-  SWS_CHECK(q >= 0 && q < num_states());
-  states_[q].synthesis = std::move(synthesis);
-  states_[q].has_synthesis = true;
-}
-
-const std::vector<TransitionTarget>& Sws::Successors(int q) const {
-  SWS_CHECK(q >= 0 && q < num_states());
-  return states_[q].successors;
-}
-
-const RelQuery& Sws::Synthesis(int q) const {
-  SWS_CHECK(q >= 0 && q < num_states());
-  SWS_CHECK(states_[q].has_synthesis)
-      << "state " << states_[q].name << " has no synthesis rule";
-  return states_[q].synthesis;
-}
-
 std::optional<std::string> Sws::Validate() const {
-  if (states_.empty()) return "service has no states";
-  for (int q = 0; q < num_states(); ++q) {
-    const StateRules& rules = states_[q];
-    if (!rules.has_synthesis) {
-      return "state " + rules.name + " has no synthesis rule";
-    }
-    // q0 must not appear in any rhs.
-    for (const auto& t : rules.successors) {
-      if (t.state == start_state()) {
-        return "start state appears in the rhs of " + rules.name;
-      }
-    }
+  if (auto err = ValidateGraph("service"); err.has_value()) return err;
+  for (const State& rules : states()) {
     // Transition queries: head arity R_in; may read DB ∪ {In, Msg}.
     for (const auto& t : rules.successors) {
       if (auto err = t.query.Validate(); err.has_value()) {
@@ -118,35 +58,6 @@ std::optional<std::string> Sws::Validate() const {
   return std::nullopt;
 }
 
-bool Sws::IsRecursive() const { return !MaxDepth().has_value(); }
-
-std::optional<size_t> Sws::MaxDepth() const {
-  // Longest path (in states) from q0 in the dependency graph; cycle
-  // detection via DFS colors.
-  enum class Color { kWhite, kGray, kBlack };
-  std::vector<Color> color(num_states(), Color::kWhite);
-  std::vector<size_t> depth(num_states(), 1);
-  bool cyclic = false;
-  std::function<void(int)> dfs = [&](int q) {
-    color[q] = Color::kGray;
-    size_t best = 1;
-    for (const auto& t : states_[q].successors) {
-      if (color[t.state] == Color::kGray) {
-        cyclic = true;
-        continue;
-      }
-      if (color[t.state] == Color::kWhite) dfs(t.state);
-      best = std::max(best, 1 + depth[t.state]);
-    }
-    depth[q] = best;
-    color[q] = Color::kBlack;
-  };
-  if (num_states() == 0) return 0;
-  dfs(start_state());
-  if (cyclic) return std::nullopt;
-  return depth[start_state()];
-}
-
 namespace {
 int LanguageRank(RelQuery::Language lang) {
   switch (lang) {
@@ -174,7 +85,7 @@ const char* LanguageName(int rank) {
 std::string Sws::Classify() const {
   int msg_rank = 0;
   int act_rank = 0;
-  for (const StateRules& rules : states_) {
+  for (const State& rules : states()) {
     for (const auto& t : rules.successors) {
       msg_rank = std::max(msg_rank, LanguageRank(t.query.language()));
     }
@@ -191,7 +102,7 @@ std::string Sws::Classify() const {
 }
 
 bool Sws::IsCqUcq() const {
-  for (const StateRules& rules : states_) {
+  for (const State& rules : states()) {
     for (const auto& t : rules.successors) {
       if (!t.query.is_cq()) return false;
     }
@@ -201,7 +112,7 @@ bool Sws::IsCqUcq() const {
 }
 
 bool Sws::UsesFo() const {
-  for (const StateRules& rules : states_) {
+  for (const State& rules : states()) {
     for (const auto& t : rules.successors) {
       if (t.query.is_fo()) return true;
     }
@@ -214,14 +125,13 @@ std::string Sws::ToString() const {
   std::ostringstream out;
   out << Classify() << " over R=" << db_schema_.ToString() << ", |R_in|="
       << rin_arity_ << ", |R_out|=" << rout_arity_ << "\n";
-  for (int q = 0; q < num_states(); ++q) {
-    const StateRules& rules = states_[q];
+  for (const State& rules : states()) {
     out << "  " << rules.name << " ->";
     if (rules.successors.empty()) {
       out << " .";
     } else {
       for (const auto& t : rules.successors) {
-        out << " (" << states_[t.state].name << ", " << t.query.ToString()
+        out << " (" << StateName(t.state) << ", " << t.query.ToString()
             << ")";
       }
     }

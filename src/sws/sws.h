@@ -7,6 +7,7 @@
 
 #include "relational/schema.h"
 #include "sws/query.h"
+#include "sws/state_graph.h"
 
 namespace sws::core {
 
@@ -27,7 +28,8 @@ struct TransitionTarget {
 /// current input ("In") and the message register ("Msg").
 ///
 /// State 0 is the start state q0; it must not occur on the right-hand
-/// side of any transition rule.
+/// side of any transition rule. States, rules and depth live in the
+/// shared StateGraph.
 ///
 /// The class of the service — SWS(PL,PL) is modeled separately by PlSws;
 /// here the rule languages are CQ/UCQ/FO — is reported by Classify().
@@ -40,7 +42,7 @@ struct TransitionTarget {
 /// runtime's workers all point at one instance). Mutators (AddState,
 /// SetTransition, SetSynthesis) must not race with reads: build the
 /// service first, then share it.
-class Sws {
+class Sws : public StateGraph<TransitionTarget, RelQuery> {
  public:
   /// `rin_arity`/`rout_arity` are the payload arities of the input and
   /// external schemas (the timestamp attribute of R_in is implicit: the
@@ -51,38 +53,10 @@ class Sws {
   size_t rin_arity() const { return rin_arity_; }
   size_t rout_arity() const { return rout_arity_; }
 
-  /// Adds a state; returns its id. The first state added is q0.
-  int AddState(std::string name);
-  int num_states() const { return static_cast<int>(states_.size()); }
-  int start_state() const { return 0; }
-  const std::string& StateName(int q) const;
-  /// State id by name; -1 if absent.
-  int FindState(const std::string& name) const;
-
-  /// Sets the transition rule of q (replacing any previous one). An empty
-  /// vector makes q a final state.
-  void SetTransition(int q, std::vector<TransitionTarget> successors);
-  /// Sets the synthesis rule of q.
-  void SetSynthesis(int q, RelQuery synthesis);
-
-  const std::vector<TransitionTarget>& Successors(int q) const;
-  const RelQuery& Synthesis(int q) const;
-  bool IsFinalState(int q) const { return Successors(q).empty(); }
-
   /// Whole-service well-formedness: arities, q0 not in any rhs, and each
   /// rule reading only the relations its position allows. Returns an
   /// error message or nullopt.
   std::optional<std::string> Validate() const;
-
-  /// The dependency graph G_τ has an edge q → q_i per successor entry;
-  /// τ is recursive iff G_τ is cyclic (Section 2, "SWS classes").
-  bool IsRecursive() const;
-
-  /// For nonrecursive services: the number of levels of any execution
-  /// tree, i.e. the longest state-chain from q0 (the root is at timestamp
-  /// 0 and the deepest nodes at depth − 1, so inputs beyond I_{depth−1}
-  /// are never read). nullopt if recursive.
-  std::optional<size_t> MaxDepth() const;
 
   /// Class name per the paper's notation, e.g. "SWS(CQ, UCQ)" or
   /// "SWSnr(FO, FO)". L_Msg is the join of the transition-rule languages,
@@ -97,17 +71,9 @@ class Sws {
   std::string ToString() const;
 
  private:
-  struct StateRules {
-    std::string name;
-    std::vector<TransitionTarget> successors;
-    RelQuery synthesis;
-    bool has_synthesis = false;
-  };
-
   rel::Schema db_schema_;
   size_t rin_arity_;
   size_t rout_arity_;
-  std::vector<StateRules> states_;
 };
 
 }  // namespace sws::core

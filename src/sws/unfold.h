@@ -68,11 +68,6 @@ class Unfolder {
 /// Unfolder(sws).At(n).ucq, for a single length.
 logic::UnionQuery UnfoldToUcq(const Sws& sws, size_t n);
 
-/// Backward-compatible name for nonrecursive callers.
-inline logic::UnionQuery UnfoldNonrecursive(const Sws& sws, size_t n) {
-  return UnfoldToUcq(sws, n);
-}
-
 /// Number of UCQ disjuncts the unfolding would produce before
 /// unsatisfiable-disjunct pruning (growth statistic for the Table 1
 /// benchmarks).

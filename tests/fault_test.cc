@@ -461,7 +461,9 @@ TEST(FaultInjectorTest, CrossPointInterleavingNeverShiftsAPointsStream) {
     const size_t fired = std::count(da[p].begin(), da[p].end(), true);
     EXPECT_GT(fired, 0u);
     EXPECT_LT(fired, static_cast<size_t>(kDraws));
-    if (p > 0) EXPECT_NE(da[p], da[0]);
+    if (p > 0) {
+      EXPECT_NE(da[p], da[0]);
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include "mediator/pl_composition.h"
 #include "models/travel.h"
 #include "rewriting/cq_rewriting.h"
+#include "state_graph_cases.h"
 #include "sws/execution.h"
 #include "sws/generator.h"
 
@@ -591,6 +592,62 @@ TEST(PlMediatorTest, RegularRewritingComposition) {
       ComposePlViaRegularRewriting(goal, {&self});
   EXPECT_TRUE(exact.composable);
   EXPECT_TRUE(exact.rewriting.max_rewriting.Accepts({0}));
+}
+
+// The state graph mediators share with services (sws/state_graph.h).
+MediatorTarget FirstComponentEdge(int q) { return MediatorTarget{q, 0}; }
+
+// Act ← {(1)}: reads no relation, so every state may use it.
+RelQuery ConstantRule() {
+  return RelQuery::Cq(logic::ConjunctiveQuery({Term::Int(1)}, {}));
+}
+
+TEST(MediatorStateGraphTest, EmptyMediatorHasDepthZero) {
+  Mediator pi(1, 1);
+  graph_cases::ExpectEmptyGraph(pi);
+  EXPECT_EQ(pi.ToString(), "MDTnr with 0 states\n");
+}
+
+TEST(MediatorStateGraphTest, DepthOfChainsAndCycles) {
+  graph_cases::ExpectChainDepthsAndCycle(Mediator(1, 1), FirstComponentEdge,
+                                         ConstantRule());
+}
+
+TEST(MediatorStateGraphTest, ValidateReportsEachShapeError) {
+  Sws component(rel::Schema{}, 1, 1);
+  graph_cases::ExpectShapeErrors(
+      Mediator(1, 1), FirstComponentEdge, ConstantRule(),
+      [&component](const Mediator& pi) { return pi.Validate({&component}); },
+      "mediator");
+}
+
+TEST(MediatorStateGraphTest, DuplicateStateNameAborts) {
+  graph_cases::ExpectDuplicateNameAborts(Mediator(1, 1));
+}
+
+TEST(PlMediatorStateGraphTest, EmptyMediatorHasDepthZero) {
+  PlMediator pi;
+  graph_cases::ExpectEmptyGraph(pi);
+  EXPECT_EQ(pi.ToString(), "MDTnr(PL) with 0 states\n");
+}
+
+TEST(PlMediatorStateGraphTest, DepthOfChainsAndCycles) {
+  graph_cases::ExpectChainDepthsAndCycle(PlMediator(), FirstComponentEdge,
+                                         F::True());
+}
+
+TEST(PlMediatorStateGraphTest, ValidateReportsEachShapeError) {
+  PlSws component(1);
+  graph_cases::ExpectShapeErrors(
+      PlMediator(), FirstComponentEdge, F::True(),
+      [&component](const PlMediator& pi) {
+        return pi.Validate({&component});
+      },
+      "mediator");
+}
+
+TEST(PlMediatorStateGraphTest, DuplicateStateNameAborts) {
+  graph_cases::ExpectDuplicateNameAborts(PlMediator());
 }
 
 }  // namespace

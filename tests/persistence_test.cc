@@ -1086,7 +1086,6 @@ TEST(DurableRuntimeTest, InputSyncFailureDoesNotForkTheJournal) {
   options.num_shards = 1;
   options.durability.dir = dir.path();
   options.durability.fsync = FsyncPolicy::kAlways;
-  options.durability.verify_replay_outputs = true;
   options.run_options.fault_injector = &injector;
 
   // Life 1: the first input's fsync fails mid-session; the session then

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "state_graph_cases.h"
 #include "sws/execution.h"
 #include "sws/generator.h"
 #include "sws/pl_sws.h"
@@ -199,6 +200,28 @@ TEST(PlSwsTest, RecursionFlagFromGenerator) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_FALSE(gen.RandomPlSws(params).IsRecursive());
   }
+}
+
+PlSws::Successor TrueEdge(int q) { return {q, F::True()}; }
+
+TEST(PlSwsStateGraphTest, EmptyServiceHasDepthZero) {
+  PlSws sws(1);
+  graph_cases::ExpectEmptyGraph(sws);
+  EXPECT_EQ(sws.Classify(), "SWSnr(PL, PL)");
+}
+
+TEST(PlSwsStateGraphTest, DepthOfChainsAndCycles) {
+  graph_cases::ExpectChainDepthsAndCycle(PlSws(1), TrueEdge, F::True());
+}
+
+TEST(PlSwsStateGraphTest, ValidateReportsEachShapeError) {
+  graph_cases::ExpectShapeErrors(
+      PlSws(1), TrueEdge, F::True(),
+      [](const PlSws& sws) { return sws.Validate(); }, "service");
+}
+
+TEST(PlSwsStateGraphTest, DuplicateStateNameAborts) {
+  graph_cases::ExpectDuplicateNameAborts(PlSws(1));
 }
 
 }  // namespace

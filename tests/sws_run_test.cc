@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "models/travel.h"
+#include "state_graph_cases.h"
 #include "sws/execution.h"
 #include "sws/sws.h"
 
@@ -258,6 +259,40 @@ TEST(RunOptionsTest, NodeBudgetAborts) {
   // session layer and the concurrent runtime rely on ok=false ⇒ empty.
   EXPECT_TRUE(result.output.empty());
   EXPECT_EQ(result.output.arity(), service.sws.rout_arity());
+}
+
+// The state graph services share with mediators (sws/state_graph.h).
+TransitionTarget EchoEdge(int q) {
+  return TransitionTarget{
+      q, RelQuery::Cq(logic::ConjunctiveQuery(
+             {logic::Term::Var(0)},
+             {logic::Atom{kInputRelation, {logic::Term::Var(0)}}}))};
+}
+
+// Act ← {(1)}: reads no relation, so every state may use it.
+RelQuery ConstantRule() {
+  return RelQuery::Cq(logic::ConjunctiveQuery({logic::Term::Int(1)}, {}));
+}
+
+TEST(SwsStateGraphTest, EmptyServiceHasDepthZero) {
+  Sws sws(rel::Schema{}, 1, 1);
+  graph_cases::ExpectEmptyGraph(sws);
+  EXPECT_EQ(sws.Classify(), "SWSnr(CQ, CQ)");
+}
+
+TEST(SwsStateGraphTest, DepthOfChainsAndCycles) {
+  graph_cases::ExpectChainDepthsAndCycle(Sws(rel::Schema{}, 1, 1), EchoEdge,
+                                         ConstantRule());
+}
+
+TEST(SwsStateGraphTest, ValidateReportsEachShapeError) {
+  graph_cases::ExpectShapeErrors(
+      Sws(rel::Schema{}, 1, 1), EchoEdge, ConstantRule(),
+      [](const Sws& sws) { return sws.Validate(); }, "service");
+}
+
+TEST(SwsStateGraphTest, DuplicateStateNameAborts) {
+  graph_cases::ExpectDuplicateNameAborts(Sws(rel::Schema{}, 1, 1));
 }
 
 }  // namespace

@@ -23,7 +23,7 @@ TEST(UnfoldTest, TravelCqUcqMatchesRun) {
   for (const char* dest : {"orlando", "paris", "tokyo"}) {
     InputSequence input(3);
     input.Append(MakeTravelRequest(dest, 1000));
-    UnionQuery unfolded = UnfoldNonrecursive(service.sws, input.size());
+    UnionQuery unfolded = UnfoldToUcq(service.sws, input.size());
     EXPECT_EQ(sws::core::Run(service.sws, db, input).output,
               unfolded.Evaluate(PackDatabaseAndInput(db, input)))
         << dest;
@@ -32,7 +32,7 @@ TEST(UnfoldTest, TravelCqUcqMatchesRun) {
 
 TEST(UnfoldTest, ZeroLengthInputIsEmptyQuery) {
   auto service = MakeTravelServiceCqUcq();
-  UnionQuery unfolded = UnfoldNonrecursive(service.sws, 0);
+  UnionQuery unfolded = UnfoldToUcq(service.sws, 0);
   EXPECT_TRUE(unfolded.empty());
 }
 
@@ -61,7 +61,7 @@ TEST(UnfoldTest, RandomServicesMatchRunSemantics) {
       // Skip pathological blowups: the bench measures those; the property
       // test wants breadth across many services.
       if (UnfoldDisjunctBound(sws, n) > 200) continue;
-      UnionQuery unfolded = UnfoldNonrecursive(sws, n);
+      UnionQuery unfolded = UnfoldToUcq(sws, n);
       ASSERT_FALSE(unfolded.Validate().has_value())
           << *unfolded.Validate() << "\n" << unfolded.ToString();
       for (int r = 0; r < 2; ++r) {
@@ -108,8 +108,8 @@ TEST(UnfoldTest, UnfoldingSelfEquivalence) {
   params.max_ucq_disjuncts = 1;
   Sws sws = gen.RandomCqSws(params);
   size_t depth = *sws.MaxDepth();
-  UnionQuery a = UnfoldNonrecursive(sws, depth);
-  UnionQuery b = UnfoldNonrecursive(sws, depth);
+  UnionQuery a = UnfoldToUcq(sws, depth);
+  UnionQuery b = UnfoldToUcq(sws, depth);
   EXPECT_TRUE(logic::UcqEquivalent(a, b));
 }
 
