@@ -1,7 +1,6 @@
 #include "logic/cq.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 #include "util/cancellation.h"
@@ -27,19 +26,28 @@ std::string Comparison::ToString(
 }
 
 std::optional<std::string> ConjunctiveQuery::Validate() const {
-  std::set<int> body_vars;
-  std::map<std::string, size_t> arities;
-  for (const Atom& a : body_) {
-    auto [it, inserted] = arities.emplace(a.relation, a.args.size());
-    if (!inserted && it->second != a.args.size()) {
-      return "relation " + a.relation + " used with inconsistent arities";
+  size_t num_args = 0;
+  for (const Atom& a : body_) num_args += a.args.size();
+  std::vector<int> body_vars;
+  body_vars.reserve(num_args);
+  for (size_t i = 0; i < body_.size(); ++i) {
+    const Atom& a = body_[i];
+    // Each atom must agree with the first atom of its relation.
+    for (size_t first = 0; first < i; ++first) {
+      if (body_[first].relation != a.relation) continue;
+      if (body_[first].args.size() != a.args.size()) {
+        return "relation " + a.relation + " used with inconsistent arities";
+      }
+      break;
     }
     for (const Term& t : a.args) {
-      if (t.is_var()) body_vars.insert(t.var());
+      if (t.is_var()) body_vars.push_back(t.var());
     }
   }
+  std::sort(body_vars.begin(), body_vars.end());
   auto check_safe = [&body_vars](const Term& t) {
-    return t.is_const() || body_vars.count(t.var()) > 0;
+    return t.is_const() ||
+           std::binary_search(body_vars.begin(), body_vars.end(), t.var());
   };
   for (const Term& t : head_) {
     if (!check_safe(t)) return "unsafe head variable " + t.ToString();
@@ -150,37 +158,14 @@ bool ConjunctiveQuery::EvaluatesNonempty(const rel::Database& db) const {
   return PreparedCq(*this).EvaluatesNonempty(db);
 }
 
-namespace {
-
-// Calls f on every term of the query, in place: the head, the body
-// atoms, then the comparisons.
-template <typename F>
-void RewriteTerms(ConjunctiveQuery* q, F f) {
-  for (Term& t : *q->mutable_head()) f(t);
-  for (Atom& a : *q->mutable_body()) {
-    for (Term& t : a.args) f(t);
-  }
-  for (Comparison& c : *q->mutable_comparisons()) {
-    f(c.lhs);
-    f(c.rhs);
-  }
-}
-
-}  // namespace
-
 std::vector<int> ConjunctiveQuery::Vars() const {
+  size_t terms = head_.size() + 2 * comparisons_.size();
+  for (const Atom& a : body_) terms += a.args.size();
   std::vector<int> vars;
-  auto add = [&vars](const Term& t) {
+  vars.reserve(terms);
+  ForEachTerm([&vars](const Term& t) {
     if (t.is_var()) vars.push_back(t.var());
-  };
-  for (const Term& t : head_) add(t);
-  for (const Atom& a : body_) {
-    for (const Term& t : a.args) add(t);
-  }
-  for (const Comparison& c : comparisons_) {
-    add(c.lhs);
-    add(c.rhs);
-  }
+  });
   std::sort(vars.begin(), vars.end());
   vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
   return vars;
@@ -200,15 +185,9 @@ std::vector<Term> ConjunctiveQuery::AllTerms() const {
   return terms;
 }
 
-std::set<std::string> ConjunctiveQuery::BodyRelations() const {
-  std::set<std::string> names;
-  for (const Atom& a : body_) names.insert(a.relation);
-  return names;
-}
-
 ConjunctiveQuery ConjunctiveQuery::ShiftVars(int offset) const {
   ConjunctiveQuery out = *this;
-  RewriteTerms(&out, [offset](Term& t) {
+  out.ForEachTerm([offset](Term& t) {
     if (t.is_var()) t = Term::Var(t.var() + offset);
   });
   return out;
@@ -218,7 +197,7 @@ ConjunctiveQuery ConjunctiveQuery::Renumbered(int first) const {
   SlotMap rank;  // slot = rank, as the ids are numbered in ascending order
   rank.Extend(Vars());
   ConjunctiveQuery out = *this;
-  RewriteTerms(&out, [&rank, first](Term& t) {
+  out.ForEachTerm([&rank, first](Term& t) {
     if (t.is_var()) t = Term::Var(first + rank[t.var()]);
   });
   return out;
@@ -226,27 +205,28 @@ ConjunctiveQuery ConjunctiveQuery::Renumbered(int first) const {
 
 int ConjunctiveQuery::MaxVar() const {
   std::optional<int> max_var;
-  auto see = [&max_var](const Term& t) {
+  ForEachTerm([&max_var](const Term& t) {
     if (t.is_var() && (!max_var.has_value() || t.var() > *max_var)) {
       max_var = t.var();
     }
-  };
-  for (const Term& t : head_) see(t);
-  for (const Atom& a : body_) {
-    for (const Term& t : a.args) see(t);
-  }
-  for (const Comparison& c : comparisons_) {
-    see(c.lhs);
-    see(c.rhs);
-  }
+  });
   return max_var.value_or(-1);
 }
 
-std::optional<ConjunctiveQuery> ConjunctiveQuery::Normalize() const {
-  if (comparisons_.empty()) return *this;
+std::optional<ConjunctiveQuery> ConjunctiveQuery::Normalize() const& {
+  return NormalizeImpl(*this);
+}
+
+std::optional<ConjunctiveQuery> ConjunctiveQuery::Normalize() && {
+  return NormalizeImpl(std::move(*this));
+}
+
+template <typename Self>
+std::optional<ConjunctiveQuery> ConjunctiveQuery::NormalizeImpl(Self&& self) {
+  if (self.comparisons_.empty()) return std::forward<Self>(self);
   // Union-find over the variables, numbered densely by rank; a class's
   // root carries the constant the class equals, if any.
-  const std::vector<int> ids = Vars();
+  const std::vector<int> ids = self.Vars();
   SlotMap rank;
   rank.Extend(ids);
   std::vector<size_t> parent(ids.size());
@@ -265,7 +245,7 @@ std::optional<ConjunctiveQuery> ConjunctiveQuery::Normalize() const {
     return *constant[root] == value;
   };
   bool has_equalities = false;
-  for (const Comparison& c : comparisons_) {
+  for (const Comparison& c : self.comparisons_) {
     if (!c.is_equality) continue;
     has_equalities = true;
     if (c.lhs.is_const() && c.rhs.is_const()) {
@@ -286,7 +266,7 @@ std::optional<ConjunctiveQuery> ConjunctiveQuery::Normalize() const {
       }
     }
   }
-  ConjunctiveQuery out = *this;
+  ConjunctiveQuery out = std::forward<Self>(self);
   if (has_equalities) {
     // A class's representative: its constant, else its smallest
     // variable (the first met, as ids ascend).
@@ -301,24 +281,27 @@ std::optional<ConjunctiveQuery> ConjunctiveQuery::Normalize() const {
       if (!smallest[root].has_value()) smallest[root] = ids[i];
       rep[i] = Term::Var(*smallest[root]);
     }
-    RewriteTerms(&out, [&](Term& t) {
+    out.ForEachTerm([&](Term& t) {
       if (t.is_var()) t = rep[rank[t.var()]];
     });
   }
   // Keep only inequalities, oriented, sorted and deduplicated; fail on
   // t != t; drop trivially-true constant inequalities.
-  std::vector<Comparison> kept;
-  for (const Comparison& c : out.comparisons_) {
+  std::vector<Comparison>& comparisons = out.comparisons_;
+  size_t kept = 0;
+  for (size_t i = 0; i < comparisons.size(); ++i) {
+    Comparison& c = comparisons[i];
     if (c.is_equality) continue;
     if (c.lhs == c.rhs) return std::nullopt;
     if (c.lhs.is_const() && c.rhs.is_const()) continue;  // distinct: true
-    Comparison norm = c;
-    if (norm.rhs < norm.lhs) std::swap(norm.lhs, norm.rhs);
-    kept.push_back(std::move(norm));
+    if (c.rhs < c.lhs) std::swap(c.lhs, c.rhs);
+    if (kept != i) comparisons[kept] = std::move(c);
+    ++kept;
   }
-  std::sort(kept.begin(), kept.end());
-  kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
-  out.comparisons_ = std::move(kept);
+  comparisons.erase(comparisons.begin() + kept, comparisons.end());
+  std::sort(comparisons.begin(), comparisons.end());
+  comparisons.erase(std::unique(comparisons.begin(), comparisons.end()),
+                    comparisons.end());
   return out;
 }
 
@@ -381,6 +364,7 @@ void SlotMap::Extend(std::vector<int> vars) {
   std::sort(vars.begin(), vars.end());
   vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
   const size_t numbered = by_id_.size();
+  by_id_.reserve(numbered + vars.size());
   for (int v : vars) {
     auto it = std::lower_bound(by_id_.begin(), by_id_.begin() + numbered,
                                std::make_pair(v, uint16_t{0}));

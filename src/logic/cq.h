@@ -87,14 +87,24 @@ class ConjunctiveQuery {
   /// True iff Evaluate(db) would be nonempty (stops at first match).
   bool EvaluatesNonempty(const rel::Database& db) const;
 
+  /// Calls f on every term in order: the head, the body atoms'
+  /// arguments, then each comparison's lhs and rhs. The non-const
+  /// overload rewrites the terms in place.
+  template <typename F>
+  void ForEachTerm(F f) const {
+    ForEachTermOf(*this, f);
+  }
+  template <typename F>
+  void ForEachTerm(F f) {
+    ForEachTermOf(*this, f);
+  }
+
   /// The distinct variable ids occurring anywhere in the query,
   /// ascending.
   std::vector<int> Vars() const;
   /// All terms (variables and constants) occurring anywhere: distinct,
   /// variables first (ascending ids), then constants (ascending).
   std::vector<Term> AllTerms() const;
-  /// All relation names occurring in the body.
-  std::set<std::string> BodyRelations() const;
 
   /// Renames all variables by adding `offset` (for making queries
   /// variable-disjoint before unfolding or containment tests).
@@ -112,7 +122,9 @@ class ConjunctiveQuery {
   /// its smallest variable. The result has only '≠' comparisons, each
   /// oriented lhs < rhs, sorted and deduplicated; a query with no
   /// comparisons is returned as it is.
-  std::optional<ConjunctiveQuery> Normalize() const;
+  std::optional<ConjunctiveQuery> Normalize() const&;
+  /// The same, normalizing this query in place instead of a copy.
+  std::optional<ConjunctiveQuery> Normalize() &&;
 
   /// Canonical ("frozen") database: every variable v becomes the labeled
   /// null _N{v}. Requires a normalized query. Also returns the frozen
@@ -136,6 +148,23 @@ class ConjunctiveQuery {
       default;
 
  private:
+  template <typename Self, typename F>
+  static void ForEachTermOf(Self& self, F& f) {
+    for (auto& t : self.head_) f(t);
+    for (auto& a : self.body_) {
+      for (auto& t : a.args) f(t);
+    }
+    for (auto& c : self.comparisons_) {
+      f(c.lhs);
+      f(c.rhs);
+    }
+  }
+
+  /// Normalize's one body: reads `self`, then copies or moves it into
+  /// the result only once the equalities are known to be satisfiable.
+  template <typename Self>
+  static std::optional<ConjunctiveQuery> NormalizeImpl(Self&& self);
+
   std::vector<Term> head_;
   std::vector<Atom> body_;
   std::vector<Comparison> comparisons_;

@@ -22,22 +22,19 @@ std::optional<std::string> Mediator::Validate(
         return "state " + rules.name + " invokes unknown component";
       }
     }
-    if (rules.synthesis.head_arity() != rout_arity_) {
+    if (rules.synthesis->head_arity() != rout_arity_) {
       return "synthesis of " + rules.name + " must produce R_out arity";
     }
-    std::set<std::string> allowed;
-    if (rules.successors.empty()) {
-      allowed.insert(core::kMsgRelation);
-    } else {
-      for (size_t i = 1; i <= rules.successors.size(); ++i) {
-        allowed.insert(core::ActRelation(i));
-      }
-    }
-    for (const std::string& r : rules.synthesis.ReadRelations()) {
-      if (allowed.count(r) == 0) {
-        return "synthesis of " + rules.name + " reads disallowed relation " +
-               r + " (mediators never access the database or input)";
-      }
+    // Final synthesis reads Msg only; internal synthesis Act1..Actk.
+    const size_t k = rules.successors.size();
+    std::optional<std::string> r =
+        rules.synthesis->FirstDisallowed([k](const std::string& name) {
+          const size_t i = core::ActIndex(name);
+          return k == 0 ? name == core::kMsgRelation : i >= 1 && i <= k;
+        });
+    if (r.has_value()) {
+      return "synthesis of " + rules.name + " reads disallowed relation " +
+             *r + " (mediators never access the database or input)";
     }
   }
   return std::nullopt;
@@ -64,8 +61,8 @@ std::string Mediator::ToString(
       }
     }
     out << "\n";
-    if (rules.has_synthesis) {
-      out << "    Act <- " << rules.synthesis.ToString() << "\n";
+    if (rules.synthesis.has_value()) {
+      out << "    Act <- " << rules.synthesis->ToString() << "\n";
     }
   }
   return out.str();
@@ -83,7 +80,7 @@ std::optional<std::string> PlMediator::Validate(
     int max_var = rules.successors.empty()
                       ? kMsgVar
                       : static_cast<int>(rules.successors.size()) - 1;
-    for (int v : rules.synthesis.Vars()) {
+    for (int v : rules.synthesis->Vars()) {
       if (v > max_var) {
         return "synthesis of " + rules.name + " uses out-of-range variable";
       }
@@ -95,7 +92,7 @@ std::optional<std::string> PlMediator::Validate(
 bool PlMediator::IsDisjunctionOnly() const {
   using Kind = logic::PlFormula::Kind;
   for (const State& rules : states()) {
-    if (!rules.has_synthesis) continue;
+    if (!rules.synthesis.has_value()) continue;
     std::function<bool(const logic::PlFormula&)> pure =
         [&](const logic::PlFormula& f) {
           switch (f.kind()) {
@@ -113,7 +110,7 @@ bool PlMediator::IsDisjunctionOnly() const {
               return false;
           }
         };
-    if (!pure(rules.synthesis)) return false;
+    if (!pure(*rules.synthesis)) return false;
   }
   return true;
 }
@@ -132,7 +129,8 @@ std::string PlMediator::ToString() const {
             << "))";
       }
     }
-    out << "\n    Act <- " << rules.synthesis.ToString() << "\n";
+    out << "\n    Act <- "
+        << rules.synthesis.value_or(logic::PlFormula()).ToString() << "\n";
   }
   return out.str();
 }

@@ -23,7 +23,7 @@ std::optional<std::string> PlSws::Validate() const {
         }
       }
     }
-    for (int v : rules.synthesis.Vars()) {
+    for (int v : rules.synthesis->Vars()) {
       if (rules.successors.empty()) {
         if (v > msg_var()) {
           return "final synthesis of " + rules.name +
@@ -44,9 +44,8 @@ std::string PlSws::Classify() const {
 }
 
 bool PlSws::FinalValue(int state, const Symbol& a, bool msg) const {
-  const State& rules = states()[state];
-  SWS_CHECK(rules.successors.empty());
-  return rules.synthesis.EvalWith([this, &a, msg](int v) {
+  SWS_CHECK(IsFinalState(state));
+  return Synthesis(state).EvalWith([this, &a, msg](int v) {
     if (v == msg_var()) return msg;
     return a.count(v) > 0;
   });
@@ -66,7 +65,7 @@ bool PlSws::InternalValue(int state, const Symbol& a, bool msg,
     bool child_msg = s.guard.EvalWith(input_assignment);
     child_values[i] = child_msg && next_values[s.state];
   }
-  return rules.synthesis.EvalWith(
+  return Synthesis(state).EvalWith(
       [&child_values](int i) { return child_values[i]; });
 }
 
@@ -197,8 +196,8 @@ std::set<int> PlSws::RelevantInputVars() const {
         if (v < num_input_vars_) vars.insert(v);
       }
     }
-    if (rules.has_synthesis && rules.successors.empty()) {
-      for (int v : rules.synthesis.Vars()) {
+    if (rules.synthesis.has_value() && rules.successors.empty()) {
+      for (int v : rules.synthesis->Vars()) {
         if (v < num_input_vars_) vars.insert(v);
       }
     }
@@ -229,10 +228,12 @@ std::string PlSws::ToString(const logic::PlVarPool* pool) const {
       }
     }
     out << "\n    Act(" << rules.name << ") <- ";
+    const logic::PlFormula synthesis =
+        rules.synthesis.value_or(logic::PlFormula());
     if (rules.successors.empty()) {
-      out << rules.synthesis.ToString(name) << "\n";
+      out << synthesis.ToString(name) << "\n";
     } else {
-      out << rules.synthesis.ToString() << "  /* vars = successor acts */\n";
+      out << synthesis.ToString() << "  /* vars = successor acts */\n";
     }
   }
   return out.str();

@@ -9,6 +9,21 @@ std::string ActRelation(size_t successor_index_1based) {
   return "Act" + std::to_string(successor_index_1based);
 }
 
+size_t ActIndex(const std::string& relation) {
+  // "Act" and 1 to 9 digits, the first not 0.
+  if (relation.size() < 4 || relation.size() > 12 ||
+      relation.compare(0, 3, "Act") != 0 || relation[3] == '0') {
+    return 0;
+  }
+  size_t i = 0;
+  for (size_t pos = 3; pos < relation.size(); ++pos) {
+    const char c = relation[pos];
+    if (c < '0' || c > '9') return 0;
+    i = i * 10 + static_cast<size_t>(c - '0');
+  }
+  return i;
+}
+
 RelQuery::RelQuery(logic::ConjunctiveQuery q)
     : query_(std::move(q)),
       prepared_(std::make_shared<const logic::PreparedUcq>(
@@ -107,26 +122,9 @@ size_t RelQuery::head_arity() const {
 }
 
 std::set<std::string> RelQuery::ReadRelations() const {
-  switch (language()) {
-    case Language::kCq:
-      return cq().BodyRelations();
-    case Language::kUcq: {
-      std::set<std::string> out;
-      for (const auto& d : ucq().disjuncts()) {
-        auto names = d.BodyRelations();
-        out.insert(names.begin(), names.end());
-      }
-      return out;
-    }
-    case Language::kFo: {
-      std::set<std::string> out;
-      for (const auto& [name, arity] : fo().formula().RelationArities()) {
-        out.insert(name);
-      }
-      return out;
-    }
-  }
-  return {};
+  std::set<std::string> out;
+  ForEachReadRelation([&out](const std::string& r) { out.insert(r); });
+  return out;
 }
 
 std::optional<std::string> RelQuery::Validate() const {

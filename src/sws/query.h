@@ -24,6 +24,9 @@ namespace sws::core {
 inline constexpr const char* kInputRelation = "In";
 inline constexpr const char* kMsgRelation = "Msg";
 std::string ActRelation(size_t successor_index_1based);
+/// The i of an action register named ActRelation(i); 0 for any other
+/// name ("Act0", "Act01", "In", ...).
+size_t ActIndex(const std::string& relation);
 
 /// A relational query usable in SWS transition/synthesis rules: a CQ, a
 /// UCQ, or an FO query. The variant kind determines which SWS class
@@ -35,8 +38,6 @@ std::string ActRelation(size_t successor_index_1based);
 class RelQuery {
  public:
   enum class Language { kCq, kUcq, kFo };
-
-  RelQuery() : RelQuery(logic::ConjunctiveQuery()) {}
 
   static RelQuery Cq(logic::ConjunctiveQuery q) { return RelQuery(std::move(q)); }
   static RelQuery Ucq(logic::UnionQuery q) { return RelQuery(std::move(q)); }
@@ -60,6 +61,16 @@ class RelQuery {
 
   /// Relation names the query reads.
   std::set<std::string> ReadRelations() const;
+  /// The lexicographically first relation the query reads for which
+  /// `allowed` is false (the first such in ReadRelations()), or nullopt.
+  template <typename Allowed>
+  std::optional<std::string> FirstDisallowed(Allowed allowed) const {
+    std::optional<std::string> first;
+    ForEachReadRelation([&](const std::string& r) {
+      if (!allowed(r) && (!first.has_value() || r < *first)) first = r;
+    });
+    return first;
+  }
 
   /// Well-formedness of the underlying query.
   std::optional<std::string> Validate() const;
@@ -70,6 +81,11 @@ class RelQuery {
   std::string ToString() const;
 
  private:
+  /// Calls f on the relation of each atom the query reads, without
+  /// building a set: a name may come more than once, in any order.
+  template <typename F>
+  void ForEachReadRelation(F f) const;
+
   explicit RelQuery(logic::ConjunctiveQuery q);
   explicit RelQuery(logic::UnionQuery q);
   explicit RelQuery(logic::FoQuery q) : query_(std::move(q)) {}
@@ -79,6 +95,25 @@ class RelQuery {
   /// The CQ/UCQ prepared for evaluation; null for FO.
   std::shared_ptr<const logic::PreparedUcq> prepared_;
 };
+
+template <typename F>
+void RelQuery::ForEachReadRelation(F f) const {
+  switch (language()) {
+    case Language::kCq:
+      for (const logic::Atom& a : cq().body()) f(a.relation);
+      return;
+    case Language::kUcq:
+      for (const logic::ConjunctiveQuery& d : ucq().disjuncts()) {
+        for (const logic::Atom& a : d.body()) f(a.relation);
+      }
+      return;
+    case Language::kFo:
+      for (const auto& [name, arity] : fo().formula().RelationArities()) {
+        f(name);
+      }
+      return;
+  }
+}
 
 }  // namespace sws::core
 

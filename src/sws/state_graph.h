@@ -64,7 +64,6 @@ class StateGraph {
   void SetSynthesis(int q, Rule synthesis) {
     SWS_CHECK(q >= 0 && q < num_states());
     states_[q].synthesis = std::move(synthesis);
-    states_[q].has_synthesis = true;
   }
 
   const std::vector<Successor>& Successors(int q) const {
@@ -73,9 +72,9 @@ class StateGraph {
   }
   const Rule& Synthesis(int q) const {
     SWS_CHECK(q >= 0 && q < num_states());
-    SWS_CHECK(states_[q].has_synthesis)
+    SWS_CHECK(states_[q].synthesis.has_value())
         << "state " << states_[q].name << " has no synthesis rule";
-    return states_[q].synthesis;
+    return *states_[q].synthesis;
   }
   bool IsFinalState(int q) const { return Successors(q).empty(); }
 
@@ -97,13 +96,12 @@ class StateGraph {
   }
 
  protected:
-  /// One state's name and rules; `synthesis` is the default Rule until
-  /// SetSynthesis sets it.
+  /// One state's name and rules; `synthesis` is empty until SetSynthesis
+  /// sets it.
   struct State {
     std::string name;
     std::vector<Successor> successors;
-    Rule synthesis;
-    bool has_synthesis = false;
+    std::optional<Rule> synthesis;
   };
 
   StateGraph() = default;
@@ -117,7 +115,7 @@ class StateGraph {
   std::optional<std::string> ValidateGraph(const std::string& kind) const {
     if (states_.empty()) return kind + " has no states";
     for (const State& state : states_) {
-      if (!state.has_synthesis) {
+      if (!state.synthesis.has_value()) {
         return "state " + state.name + " has no synthesis rule";
       }
       for (const Successor& s : state.successors) {

@@ -11,8 +11,13 @@ Sws::Sws(rel::Schema db_schema, size_t rin_arity, size_t rout_arity)
 
 std::optional<std::string> Sws::Validate() const {
   if (auto err = ValidateGraph("service"); err.has_value()) return err;
+  // Transition rules and final synthesis read DB ∪ {In, Msg}; internal
+  // synthesis reads Act1..Actk only.
+  auto reads_base = [this](const std::string& r) {
+    return r == kInputRelation || r == kMsgRelation || db_schema_.Contains(r);
+  };
   for (const State& rules : states()) {
-    // Transition queries: head arity R_in; may read DB ∪ {In, Msg}.
+    // Transition queries: head arity R_in.
     for (const auto& t : rules.successors) {
       if (auto err = t.query.Validate(); err.has_value()) {
         return "transition query of " + rules.name + ": " + *err;
@@ -21,38 +26,31 @@ std::optional<std::string> Sws::Validate() const {
         return "transition query of " + rules.name +
                " must produce R_in arity " + std::to_string(rin_arity_);
       }
-      for (const std::string& r : t.query.ReadRelations()) {
-        if (r != kInputRelation && r != kMsgRelation &&
-            !db_schema_.Contains(r)) {
-          return "transition query of " + rules.name +
-                 " reads unknown relation " + r;
-        }
+      if (auto r = t.query.FirstDisallowed(reads_base); r.has_value()) {
+        return "transition query of " + rules.name +
+               " reads unknown relation " + *r;
       }
     }
-    // Synthesis query: head arity R_out; final states read DB ∪ {In,
-    // Msg}, internal states read Act1..Actk only.
-    if (auto err = rules.synthesis.Validate(); err.has_value()) {
+    // Synthesis query: head arity R_out.
+    const RelQuery& synthesis = *rules.synthesis;
+    if (auto err = synthesis.Validate(); err.has_value()) {
       return "synthesis query of " + rules.name + ": " + *err;
     }
-    if (rules.synthesis.head_arity() != rout_arity_) {
+    if (synthesis.head_arity() != rout_arity_) {
       return "synthesis query of " + rules.name +
              " must produce R_out arity " + std::to_string(rout_arity_);
     }
-    std::set<std::string> allowed;
-    if (rules.successors.empty()) {
-      allowed.insert(kInputRelation);
-      allowed.insert(kMsgRelation);
-      for (const auto& r : db_schema_.relations()) allowed.insert(r.name());
-    } else {
-      for (size_t i = 1; i <= rules.successors.size(); ++i) {
-        allowed.insert(ActRelation(i));
-      }
-    }
-    for (const std::string& r : rules.synthesis.ReadRelations()) {
-      if (allowed.count(r) == 0) {
-        return "synthesis query of " + rules.name +
-               " reads disallowed relation " + r;
-      }
+    const size_t k = rules.successors.size();
+    auto reads_act = [k](const std::string& r) {
+      const size_t i = ActIndex(r);
+      return i >= 1 && i <= k;
+    };
+    std::optional<std::string> r = k == 0
+                                       ? synthesis.FirstDisallowed(reads_base)
+                                       : synthesis.FirstDisallowed(reads_act);
+    if (r.has_value()) {
+      return "synthesis query of " + rules.name +
+             " reads disallowed relation " + *r;
     }
   }
   return std::nullopt;
@@ -89,8 +87,8 @@ std::string Sws::Classify() const {
     for (const auto& t : rules.successors) {
       msg_rank = std::max(msg_rank, LanguageRank(t.query.language()));
     }
-    if (rules.has_synthesis) {
-      act_rank = std::max(act_rank, LanguageRank(rules.synthesis.language()));
+    if (rules.synthesis.has_value()) {
+      act_rank = std::max(act_rank, LanguageRank(rules.synthesis->language()));
     }
   }
   std::string name = IsRecursive() ? "SWS(" : "SWSnr(";
@@ -106,7 +104,7 @@ bool Sws::IsCqUcq() const {
     for (const auto& t : rules.successors) {
       if (!t.query.is_cq()) return false;
     }
-    if (rules.has_synthesis && rules.synthesis.is_fo()) return false;
+    if (rules.synthesis.has_value() && rules.synthesis->is_fo()) return false;
   }
   return true;
 }
@@ -116,7 +114,7 @@ bool Sws::UsesFo() const {
     for (const auto& t : rules.successors) {
       if (t.query.is_fo()) return true;
     }
-    if (rules.has_synthesis && rules.synthesis.is_fo()) return true;
+    if (rules.synthesis.has_value() && rules.synthesis->is_fo()) return true;
   }
   return false;
 }
@@ -136,8 +134,8 @@ std::string Sws::ToString() const {
       }
     }
     out << "\n";
-    if (rules.has_synthesis) {
-      out << "    Act(" << rules.name << ") <- " << rules.synthesis.ToString()
+    if (rules.synthesis.has_value()) {
+      out << "    Act(" << rules.name << ") <- " << rules.synthesis->ToString()
           << "\n";
     }
   }

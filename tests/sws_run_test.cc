@@ -221,6 +221,74 @@ TEST(SwsValidateTest, RejectsDisallowedRelationReads) {
   EXPECT_NE(err->find("disallowed"), std::string::npos);
 }
 
+// Validate's messages name what is wrong. An unknown or disallowed
+// relation is the lexicographically first one the rule reads; a rule
+// that is not well-formed names the relation of the first atom whose
+// arity disagrees with an earlier atom's, or the first unsafe term.
+TEST(SwsValidateTest, MessagesNameTheOffendingRelationOrTerm) {
+  using logic::Atom;
+  using logic::Comparison;
+  using logic::ConjunctiveQuery;
+  using logic::Term;
+  auto v = [](int i) { return Term::Var(i); };
+  auto reads = [&v](std::vector<std::string> relations) {
+    std::vector<Atom> body;
+    for (std::string& r : relations) body.push_back(Atom{std::move(r), {v(0)}});
+    return ConjunctiveQuery({v(0)}, std::move(body));
+  };
+  rel::Schema schema;
+  schema.Add(rel::RelationSchema("R", {"a"}));
+  // q0 → (leaf, transition); Act(q0) ← root; Act(leaf) ← leaf.
+  auto validate = [&schema](const ConjunctiveQuery& transition,
+                            const ConjunctiveQuery& root,
+                            const ConjunctiveQuery& leaf) {
+    Sws sws(schema, 1, 1);
+    const int q0 = sws.AddState("q0");
+    const int leaf_state = sws.AddState("leaf");
+    sws.SetTransition(q0, {TransitionTarget{leaf_state, RelQuery::Cq(transition)}});
+    sws.SetSynthesis(q0, RelQuery::Cq(root));
+    sws.SetTransition(leaf_state, {});
+    sws.SetSynthesis(leaf_state, RelQuery::Cq(leaf));
+    return sws.Validate();
+  };
+  const ConjunctiveQuery transition = reads({kInputRelation, "R"});
+  const ConjunctiveQuery root = reads({ActRelation(1)});
+  const ConjunctiveQuery leaf = reads({kMsgRelation, "R", kInputRelation});
+  EXPECT_EQ(validate(transition, root, leaf), std::nullopt);
+
+  EXPECT_EQ(validate(reads({kInputRelation, "Zeta", "Beta"}), root, leaf),
+            "transition query of q0 reads unknown relation Beta");
+  EXPECT_EQ(validate(transition, root, reads({"R", ActRelation(2), "Act1"})),
+            "synthesis query of leaf reads disallowed relation Act1");
+  for (const char* r : {"Act0", "Act01", "Act2", "R", "In", "Msg"}) {
+    EXPECT_EQ(validate(transition, reads({"Act1", r}), leaf),
+              std::string("synthesis query of q0 reads disallowed relation ") +
+                  r);
+  }
+  EXPECT_EQ(validate(transition, reads({"R", "Act1", "Act0"}), leaf),
+            "synthesis query of q0 reads disallowed relation Act0");
+
+  const ConjunctiveQuery arities(
+      {v(0)}, {Atom{kInputRelation, {v(0)}}, Atom{"R", {v(0)}},
+               Atom{"S", {v(0)}}, Atom{"S", {v(0), v(1)}},
+               Atom{"R", {v(0), v(1)}}});
+  EXPECT_EQ(validate(arities, root, leaf),
+            "transition query of q0: relation S used with inconsistent "
+            "arities");
+  EXPECT_EQ(validate(transition, root,
+                     ConjunctiveQuery({v(5)}, {Atom{kMsgRelation, {v(0)}}})),
+            "synthesis query of leaf: unsafe head variable X5");
+  EXPECT_EQ(validate(ConjunctiveQuery({v(0)}, {Atom{kInputRelation, {v(0)}}},
+                                      {Comparison{v(0), v(8), false},
+                                       Comparison{v(9), v(0), false}}),
+                     root, leaf),
+            "transition query of q0: unsafe comparison term X8");
+  EXPECT_EQ(validate(ConjunctiveQuery({v(0)}, {Atom{kInputRelation, {v(0)}}},
+                                      {Comparison{v(9), v(0), true}}),
+                     root, leaf),
+            "transition query of q0: unsafe comparison term X9");
+}
+
 TEST(SeededRunTest, SeedReachesLeafRegister) {
   // Single final-state service: Act = Msg contents (echo service).
   Sws sws(rel::Schema{}, 1, 1);

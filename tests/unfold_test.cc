@@ -7,6 +7,7 @@
 #include "sws/execution.h"
 #include "sws/generator.h"
 #include "sws/unfold.h"
+#include "unfold_oracle.h"
 
 namespace sws::core {
 namespace {
@@ -16,6 +17,46 @@ using models::MakeTravelDatabase;
 using models::MakeTravelRequest;
 using models::MakeTravelServiceCqUcq;
 using rel::InputSequence;
+
+// Nonrecursive generated services of 2 to 5 states whose unfoldings up
+// to length MaxDepth() + 2 stay small enough to compare exactly.
+std::vector<Sws> GeneratedServices() {
+  WorkloadGenerator gen(112358);
+  std::vector<Sws> services;
+  for (int trial = 0; trial < 400; ++trial) {
+    WorkloadGenerator::CqSwsParams params;
+    params.num_states = 2 + trial % 4;
+    params.rin_arity = 1 + gen.rng()() % 2;
+    params.rout_arity = 1 + gen.rng()() % 2;
+    Sws sws = gen.RandomCqSws(params);
+    if (UnfoldDisjunctBound(sws, *sws.MaxDepth() + 2) > 500) continue;
+    services.push_back(std::move(sws));
+  }
+  return services;
+}
+
+// Recursive services (the property_test family: one state loops back to
+// itself) whose unfoldings up to length 5 stay small.
+std::vector<Sws> RecursiveServices() {
+  std::vector<Sws> services;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    WorkloadGenerator gen(seed * 7 + 1);
+    WorkloadGenerator::CqSwsParams params;
+    params.num_states = 3;
+    Sws sws = gen.RandomCqSws(params);
+    for (int q = 1; q < sws.num_states(); ++q) {
+      auto successors = sws.Successors(q);
+      if (!successors.empty()) {
+        successors.push_back(TransitionTarget{q, successors[0].query});
+        sws.SetTransition(q, successors);
+        break;
+      }
+    }
+    if (!sws.IsRecursive() || UnfoldDisjunctBound(sws, 5) > 500) continue;
+    services.push_back(std::move(sws));
+  }
+  return services;
+}
 
 TEST(UnfoldTest, TravelCqUcqMatchesRun) {
   auto service = MakeTravelServiceCqUcq();
@@ -119,18 +160,11 @@ TEST(UnfoldTest, UnfoldingSelfEquivalence) {
 // max(1, MaxDepth() − 1), since its deepest nodes sit at timestamp
 // MaxDepth() − 1; and the empty input never is.
 TEST(UnfoldTest, CompleteUnfoldingRepeatsAtLongerLengths) {
-  WorkloadGenerator gen(112358);
   int services = 0;
   int complete_lengths = 0;
   std::map<size_t, int> first_complete;  // length -> services
-  for (int trial = 0; trial < 400; ++trial) {
-    WorkloadGenerator::CqSwsParams params;
-    params.num_states = 2 + trial % 4;
-    params.rin_arity = 1 + gen.rng()() % 2;
-    params.rout_arity = 1 + gen.rng()() % 2;
-    Sws sws = gen.RandomCqSws(params);
+  for (const Sws& sws : GeneratedServices()) {
     const size_t depth = *sws.MaxDepth();
-    if (UnfoldDisjunctBound(sws, depth + 2) > 500) continue;
     ++services;
     const Unfolder unfolder(sws);
     std::optional<size_t> first;
@@ -169,20 +203,7 @@ TEST(UnfoldTest, CompleteUnfoldingRepeatsAtLongerLengths) {
 TEST(UnfoldTest, RecursiveServicesKeepTheFlagExact) {
   int recursive = 0;
   int never_complete = 0;
-  for (uint64_t seed = 1; seed <= 60; ++seed) {
-    WorkloadGenerator gen(seed * 7 + 1);
-    WorkloadGenerator::CqSwsParams params;
-    params.num_states = 3;
-    Sws sws = gen.RandomCqSws(params);
-    for (int q = 1; q < sws.num_states(); ++q) {
-      auto successors = sws.Successors(q);
-      if (!successors.empty()) {
-        successors.push_back(TransitionTarget{q, successors[0].query});
-        sws.SetTransition(q, successors);
-        break;
-      }
-    }
-    if (!sws.IsRecursive() || UnfoldDisjunctBound(sws, 5) > 500) continue;
+  for (const Sws& sws : RecursiveServices()) {
     ++recursive;
     const Unfolder unfolder(sws);
     bool ever_complete = false;
@@ -202,6 +223,59 @@ TEST(UnfoldTest, RecursiveServicesKeepTheFlagExact) {
   std::printf("%d recursive services, %d cut at every length\n", recursive,
               never_complete);
   EXPECT_GT(never_complete, 0);
+}
+
+// Expects Unfolder(sws).At(n) to equal the reference unfolding of
+// unfold_oracle.h for every n ≤ max_n; returns the lengths compared.
+int ExpectMatchesOracle(const Sws& sws, size_t max_n) {
+  const Unfolder unfolder(sws);
+  for (size_t n = 0; n <= max_n; ++n) {
+    const Unfolding got = unfolder.At(n);
+    const Unfolding want = oracle::Unfold(sws, n);
+    if (got.ucq == want.ucq && got.complete == want.complete) continue;
+    ADD_FAILURE() << sws.ToString() << "n=" << n << ": complete "
+                  << got.complete << " vs " << want.complete << "\n"
+                  << got.ucq.ToString() << "\nvs the oracle's\n"
+                  << want.ucq.ToString();
+    return 0;
+  }
+  return static_cast<int>(max_n) + 1;
+}
+
+// The unfolder builds each disjunct in place, numbering registers and
+// child disjuncts densely once; the oracle copies and renames at every
+// use. Both give the same disjuncts in the same order, with the same
+// variable numbering and the same flag, on the generated and recursive
+// families above, the travel goal and its tickets-only variant, and the
+// three Example 5.1 components.
+TEST(UnfoldTest, InPlaceUnfoldingMatchesTheOracle) {
+  int lengths = 0;
+  const std::vector<Sws> generated = GeneratedServices();
+  for (const Sws& sws : generated) {
+    lengths += ExpectMatchesOracle(sws, *sws.MaxDepth() + 1);
+  }
+  const std::vector<Sws> recursive = RecursiveServices();
+  for (const Sws& sws : recursive) lengths += ExpectMatchesOracle(sws, 5);
+  std::vector<Sws> travel = {MakeTravelServiceCqUcq().sws};
+  {
+    Sws tickets_only = travel.back();
+    const logic::UnionQuery& psi = tickets_only.Synthesis(0).ucq();
+    UnionQuery first(psi.head_arity());
+    first.Add(psi.disjuncts()[0]);
+    tickets_only.SetSynthesis(0, RelQuery::Ucq(std::move(first)));
+    travel.push_back(std::move(tickets_only));
+  }
+  travel.push_back(models::MakeTravelComponentAirfare().sws);
+  travel.push_back(models::MakeTravelComponentHotelTickets().sws);
+  travel.push_back(models::MakeTravelComponentHotelCar().sws);
+  for (const Sws& sws : travel) {
+    lengths += ExpectMatchesOracle(sws, *sws.MaxDepth() + 1);
+  }
+  std::printf("%zu generated, %zu recursive and %zu travel services: %d "
+              "(service, length) pairs\n",
+              generated.size(), recursive.size(), travel.size(), lengths);
+  EXPECT_EQ(generated.size(), 398u);
+  EXPECT_EQ(recursive.size(), 14u);
 }
 
 // Empty registers can end the tree of a recursive service: q loops back
