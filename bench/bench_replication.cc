@@ -145,13 +145,8 @@ struct Cluster {
       options.runtime.durability.fsync = sws::persistence::FsyncPolicy::kNever;
       options.runtime.durability.segment_bytes = 1u << 22;
       options.runtime.durability.snapshot_interval_appends = 1u << 20;
-      if (auto_failover) {
-        // The watchdog pumps the suspicion clock; its interval bounds
-        // how fast silence can be noticed at all.
-        options.runtime.governance.enable_watchdog = true;
-        options.runtime.governance.watchdog_interval =
-            std::chrono::microseconds(500);
-      }
+      // Governance stays at its defaults: the node's failover
+      // coordinator, not the runtime's watchdog, notices silence.
       nodes[i] = std::make_unique<sws::replication::ReplicatedNode>(
           options, &sws, LoggerDb(), &group, transport.get());
     }
@@ -299,6 +294,23 @@ void BM_FailoverDowntime(benchmark::State& state) {
     std::vector<std::string> spares;
     for (int k = 0; k < 128; ++k) spares.push_back(cluster.NextSessionOn("n0"));
     const std::string outage = spares.back();
+    // Settle before the kill: every first life asks its peers for
+    // catch-up, a request sent before its peer was bound is dropped and
+    // re-sent only every ack_timeout, and until it is served the heir
+    // does not campaign (ReadyForElection). An unsettled kill would time
+    // that retry, not the failover.
+    const auto settle_deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    for (;;) {
+      bool settled = true;
+      for (auto& node : cluster.nodes) {
+        settled &= node->replicator()->pending_catchup_count() == 0;
+      }
+      if (settled) break;
+      SWS_CHECK(std::chrono::steady_clock::now() < settle_deadline)
+          << "catch-up never settled";
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
     const auto t0 = std::chrono::steady_clock::now();
     cluster.node("n0")->Kill();
     // The outage ends at the first acked commit of an n0-owned session;

@@ -1,6 +1,7 @@
 #include "replication/failover.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "sws/fault.h"  // SplitMix64
 
@@ -69,41 +70,67 @@ FailoverCoordinator::~FailoverCoordinator() {
   worker_.join();
 }
 
-void FailoverCoordinator::NoteSuspect(const std::string& peer) {
-  if (peer == self_) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    suspects_.try_emplace(peer, std::chrono::steady_clock::now());
-  }
-  cv_.notify_all();
-}
-
 void FailoverCoordinator::NoteAlive(const std::string& peer) {
   if (peer == self_) return;
-  bool revived = false;
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    last_heard_[peer] = std::chrono::steady_clock::now();
-    revived = suspects_.erase(peer) > 0;
+    auto [it, added] = clocks_.try_emplace(peer);
+    it->second.last_heard = std::chrono::steady_clock::now();
+    // The worker's sleep covers only peers it could still report: a new
+    // one, or one whose episode just ended, needs a fresh deadline.
+    wake = added || std::exchange(it->second.reported, false);
+    wake |= suspects_.erase(peer) > 0;
   }
-  // A flapping peer returning mid-campaign: the worker re-validates
-  // silence before promoting, so waking it is enough.
-  if (revived) cv_.notify_all();
+  if (wake) cv_.notify_all();
 }
 
 void FailoverCoordinator::ResetClocks() {
   const auto now = std::chrono::steady_clock::now();
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const std::string& peer : group_->nodes()) {
-    if (peer != self_) last_heard_[peer] = now;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const std::string& peer : group_->nodes()) {
+      if (peer != self_) clocks_[peer] = PeerClock{now, false};
+    }
+    suspects_.clear();
   }
+  cv_.notify_all();
+}
+
+std::vector<std::string> FailoverCoordinator::ReportSilent(
+    std::chrono::steady_clock::time_point now) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto wake = now;
+  return ReportSilentLocked(now, &wake);
+}
+
+std::vector<std::string> FailoverCoordinator::ReportSilentLocked(
+    std::chrono::steady_clock::time_point now,
+    std::chrono::steady_clock::time_point* wake) {
+  std::vector<std::string> silent;
+  for (auto& [peer, clock] : clocks_) {
+    const auto due = clock.last_heard + suspicion_timeout_;
+    if (now < due) {
+      *wake = std::min(*wake, due);
+      continue;
+    }
+    if (!clock.reported) {
+      clock.reported = true;
+      silent.push_back(peer);
+    }
+    // try_emplace keeps the retry schedule of entries already present.
+    if (hooks_.promote && !group_->IsDeposed(peer)) {
+      suspects_.try_emplace(peer, now);
+    }
+  }
+  return silent;
 }
 
 bool FailoverCoordinator::PeerLooksDeadLocked(
     const std::string& peer, std::chrono::steady_clock::time_point now) const {
-  auto it = last_heard_.find(peer);
-  if (it == last_heard_.end()) return false;  // unknown: assume alive
-  return now - it->second >= suspicion_timeout_;
+  auto it = clocks_.find(peer);
+  if (it == clocks_.end()) return false;  // unknown: assume alive
+  return now - it->second.last_heard >= suspicion_timeout_;
 }
 
 void FailoverCoordinator::OnVoteRequest(const std::string& from, uint64_t epoch,
@@ -156,11 +183,6 @@ uint64_t FailoverCoordinator::votes_granted() const {
   return votes_granted_;
 }
 
-uint64_t FailoverCoordinator::suspect_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return suspects_.size();
-}
-
 std::string FailoverCoordinator::SuspectIds() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
@@ -179,35 +201,27 @@ void FailoverCoordinator::WorkerLoop() {
 
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {
-    auto now = std::chrono::steady_clock::now();
-    // Re-derive suspicion from our own liveness clocks. The applier's
-    // NoteSuspect is only a wake-up hint — it latches once per silence
-    // episode — so an entry lost to any erase below (a marginal
-    // revalidation, a suspect that revived for one beat mid-election)
-    // must grow back here or the partition goes undetected for good.
-    // try_emplace keeps the retry schedule of entries already present.
-    for (const auto& [peer, at] : last_heard_) {
-      if (now - at >= suspicion_timeout_ && !group_->IsDeposed(peer)) {
-        suspects_.try_emplace(peer, now);
+    const auto now = std::chrono::steady_clock::now();
+    auto wake = now + std::chrono::hours(24);
+    const std::vector<std::string> silent = ReportSilentLocked(now, &wake);
+    if (!silent.empty()) {
+      lock.unlock();
+      if (hooks_.suspected) {
+        for (const std::string& peer : silent) hooks_.suspected(peer);
       }
+      lock.lock();
+      continue;
     }
     // Pick the suspect whose retry time is soonest due.
     std::string dead;
-    auto soonest = now + std::chrono::hours(24);
+    auto soonest = wake;
     for (const auto& [peer, at] : suspects_) {
       if (at < soonest) {
         soonest = at;
         dead = peer;
       }
     }
-    if (dead.empty()) {
-      // Bounded wait: the scan above must re-run even if no hint ever
-      // arrives (the hint can be permanently spent).
-      cv_.wait_for(lock, std::max<std::chrono::nanoseconds>(
-                             suspicion_timeout_, std::chrono::milliseconds(1)));
-      continue;
-    }
-    if (soonest > now) {
+    if (dead.empty() || soonest > now) {
       cv_.wait_until(lock, soonest);
       continue;
     }
@@ -219,17 +233,6 @@ void FailoverCoordinator::WorkerLoop() {
       return std::chrono::steady_clock::now() + base + jitter;
     };
 
-    // Validate the suspicion with our own clock. Not-yet-silent is NOT
-    // proof of life: the applier's liveness clock runs slightly ahead of
-    // ours, and it latches its suspicion once per silence episode — if
-    // we dropped the entry here, nothing would ever re-raise it and the
-    // partition would go undetected for good. Re-check after a grace
-    // period instead; a peer that genuinely revived is erased by
-    // NoteAlive when its next heartbeat lands.
-    if (!PeerLooksDeadLocked(dead, now)) {
-      suspects_[dead] = retry_at();
-      continue;
-    }
     std::vector<std::string> exclude;
     for (const auto& [peer, at] : suspects_) {
       if (peer != dead) exclude.push_back(peer);
@@ -290,11 +293,10 @@ void FailoverCoordinator::WorkerLoop() {
       continue;
     }
     // Final revalidation before committing: the suspect may have revived
-    // after the votes were cast (fencing keeps even the lost race safe,
-    // but deposing a live primary for nothing is churn worth avoiding).
-    now = std::chrono::steady_clock::now();
-    const bool still_dead =
-        suspects_.count(dead) > 0 && PeerLooksDeadLocked(dead, now);
+    // after the votes were cast, and NoteAlive then dropped it (fencing
+    // keeps even the lost race safe, but deposing a live primary for
+    // nothing is churn worth avoiding).
+    const bool still_dead = suspects_.count(dead) > 0;
     lock.unlock();
     bool promoted = false;
     if (still_dead && !group_->IsDeposed(dead)) {

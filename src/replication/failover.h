@@ -70,37 +70,46 @@ class FencingEpoch {
 /// coordinator's worker thread with no coordinator lock held, so they
 /// may take the node's lifecycle lock.
 struct FailoverHooks {
+  /// `peer` has been silent for the whole window: called once per
+  /// silence episode (a sign of life, or ResetClocks, opens the next).
+  /// Null = nobody listens.
+  std::function<void(const std::string& peer)> suspected;
   /// Is this node fit to run for election right now? (running, and not
   /// itself mid-catch-up — a joiner with an incomplete prefix must not
   /// seize sessions it has not bootstrapped.)
   std::function<bool()> ready;
   /// Commit a won election: bump the fencing epoch to `epoch`, register
   /// the group override and restart the life over the merged journals
-  /// (ReplicatedNode::PromoteWithEpoch).
+  /// (ReplicatedNode::PromoteWithEpoch). Null = detect only: the node
+  /// never campaigns (manual failover), and `ready` is never called.
   std::function<core::Status(const std::string& dead, uint64_t epoch)> promote;
 };
 
-/// Drives automatic failover for one node: turns watchdog suspicion
-/// into a quorum-confirmed election and the election win into a
-/// promotion, with no harness involvement (DESIGN.md §13).
+/// The node's failure detector, and under automatic failover its
+/// election driver (DESIGN.md §13).
 ///
-/// Election protocol: the deterministic heir (ReplicaGroup::HeirOf —
-/// the next live owner clockwise from the dead node's arc) campaigns
-/// for epoch current+1; every node grants at most one vote per epoch
-/// (persisted first), and only for a suspect its *own* liveness clock
-/// agrees is silent. A majority of the whole group (candidate
-/// included) wins; the winner bumps the epoch and runs the existing
-/// Promote/recovery path. Losers retry with fresh epochs while the
-/// suspect stays silent, so duelling candidates (asymmetric partitions)
-/// converge instead of split-braining — at most one candidate can
-/// assemble a majority per epoch.
+/// Detection: one liveness clock per peer (NoteAlive, ResetClocks). The
+/// worker sleeps until the earliest moment a peer's silence can reach
+/// `suspicion_timeout` and reports each silent peer through
+/// FailoverHooks::suspected once per silence episode.
 ///
-/// Threading: NoteSuspect arrives on the runtime watchdog thread and
-/// NoteAlive / OnVote* on the transport delivery thread; all are brief
-/// and never touch the node. The worker thread alone calls the hooks
-/// (promotion tears down and restarts the node's life, which must not
-/// happen on either of those threads), and never holds the coordinator
-/// mutex while doing so.
+/// Election protocol (only with FailoverHooks::promote set): the
+/// deterministic heir (ReplicaGroup::HeirOf — the next live owner
+/// clockwise from the dead node's arc) campaigns for epoch current+1;
+/// every node grants at most one vote per epoch (persisted first), and
+/// only for a suspect its *own* liveness clock agrees is silent. A
+/// majority of the whole group (candidate included) wins; the winner
+/// bumps the epoch and runs the existing Promote/recovery path. Losers
+/// retry with fresh epochs while the suspect stays silent, so duelling
+/// candidates (asymmetric partitions) converge instead of
+/// split-braining — at most one candidate can assemble a majority per
+/// epoch.
+///
+/// Threading: NoteAlive / OnVote* arrive on the transport delivery
+/// thread; they are brief and never touch the node. The worker thread
+/// alone calls the hooks (promotion tears down and restarts the node's
+/// life, which must not happen on the delivery thread), and never holds
+/// the coordinator mutex while doing so.
 class FailoverCoordinator {
  public:
   FailoverCoordinator(std::string self, ReplicaGroup* group,
@@ -113,17 +122,23 @@ class FailoverCoordinator {
   FailoverCoordinator(const FailoverCoordinator&) = delete;
   FailoverCoordinator& operator=(const FailoverCoordinator&) = delete;
 
-  /// Watchdog signal: `peer`'s replication stream went silent.
-  void NoteSuspect(const std::string& peer);
-
-  /// Any receipt from `peer` (shipment, ack, heartbeat, vote) — feeds
-  /// the coordinator's own liveness clock, which validates vote grants
-  /// and retries without touching the node's per-life applier.
+  /// Any receipt from `peer` (shipment, ack, heartbeat, vote, catch-up
+  /// request) — a sign of life: restarts its silence clock and ends its
+  /// silence episode.
   void NoteAlive(const std::string& peer);
 
-  /// Re-arms every peer's liveness clock (node restart: a long downtime
-  /// must not read as everyone-is-dead).
+  /// Re-arms every group member's liveness clock and forgets every
+  /// suspicion (node restart: a long downtime must not read as
+  /// everyone-is-dead, and a member that dies before its first
+  /// heartbeat lands is still suspected one window later).
   void ResetClocks();
+
+  /// The peers whose silence reached the window by `now` and has not
+  /// been reported yet this episode; each is marked reported. The
+  /// worker runs this scan at each wake-up and hands the result to
+  /// FailoverHooks::suspected; a test passes its own `now`.
+  std::vector<std::string> ReportSilent(
+      std::chrono::steady_clock::time_point now);
 
   // Election wire (routed by the node's endpoint, transport thread).
   void OnVoteRequest(const std::string& from, uint64_t epoch,
@@ -133,15 +148,24 @@ class FailoverCoordinator {
   // Telemetry.
   uint64_t elections_started() const;
   uint64_t votes_granted() const;
-  /// Peers currently under suspicion (including entries awaiting a
-  /// revalidation retry).
-  uint64_t suspect_count() const;
-  /// The suspects themselves, comma-joined — chaos-harness diagnostics.
+  /// Peers awaiting a candidacy attempt (automatic failover),
+  /// comma-joined — chaos-harness diagnostics.
   std::string SuspectIds() const;
 
  private:
+  struct PeerClock {
+    std::chrono::steady_clock::time_point last_heard;
+    bool reported = false;  // this silence episode already reported
+  };
+
   bool PeerLooksDeadLocked(const std::string& peer,
                            std::chrono::steady_clock::time_point now) const;
+  /// ReportSilent under mu_; also lists silent undeposed peers as
+  /// suspects when campaigning is on, and lowers `*wake` to the earliest
+  /// moment a peer still heard from could fall silent.
+  std::vector<std::string> ReportSilentLocked(
+      std::chrono::steady_clock::time_point now,
+      std::chrono::steady_clock::time_point* wake);
   void WorkerLoop();
 
   const std::string self_;
@@ -156,9 +180,9 @@ class FailoverCoordinator {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
+  std::map<std::string, PeerClock> clocks_;
   /// Suspect → earliest next candidacy attempt (retry backoff).
   std::map<std::string, std::chrono::steady_clock::time_point> suspects_;
-  std::map<std::string, std::chrono::steady_clock::time_point> last_heard_;
   bool election_active_ = false;
   uint64_t election_epoch_ = 0;
   size_t grants_ = 0;

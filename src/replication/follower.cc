@@ -22,13 +22,11 @@ FollowerApplier::FollowerApplier(std::string node_id, Options options,
       counters_(counters) {}
 
 FollowerApplier::SourceLink& FollowerApplier::LinkFor(
-    const std::string& source, std::chrono::steady_clock::time_point now) {
+    const std::string& source) {
   SourceLink& link = sources_[source];
   if (link.replica_shard == 0) {
     link.replica_shard = kReplicaShardBase + next_ordinal_++;
   }
-  link.last_heard = now;
-  link.suspected = false;
   return link;
 }
 
@@ -114,9 +112,8 @@ void FollowerApplier::OnShipment(const Shipment& shipment) {
   uint64_t ack = 0;
   bool rejected = false;
   {
-    const auto now = std::chrono::steady_clock::now();
     std::lock_guard<std::mutex> lock(mu_);
-    SourceLink& link = LinkFor(shipment.source, now);
+    SourceLink& link = LinkFor(shipment.source);
     if (fence_ != nullptr) {
       if (shipment.epoch > fence_->current()) {
         // News travels on every message: a shipment can be the first
@@ -201,37 +198,11 @@ bool FollowerApplier::AbsorbSnapshotLocked(SourceLink* link,
   return true;
 }
 
-void FollowerApplier::ExpectPeers(const std::vector<std::string>& peers) {
-  const auto now = std::chrono::steady_clock::now();
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const std::string& peer : peers) {
-    if (peer == node_id_) continue;
-    if (sources_.find(peer) == sources_.end()) LinkFor(peer, now);
-  }
-}
-
 void FollowerApplier::OnHeartbeat(const std::string& from,
                                   uint64_t incarnation, uint64_t epoch) {
-  (void)incarnation;  // liveness only; stream resets ride on shipments
+  (void)from;
+  (void)incarnation;
   if (fence_ != nullptr && epoch > fence_->current()) fence_->Adopt(epoch);
-  const auto now = std::chrono::steady_clock::now();
-  std::lock_guard<std::mutex> lock(mu_);
-  LinkFor(from, now);
-}
-
-std::vector<std::string> FollowerApplier::SuspectPeers(
-    std::chrono::steady_clock::time_point now,
-    std::chrono::nanoseconds timeout) {
-  std::vector<std::string> suspects;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [source, link] : sources_) {
-    if (link.suspected) continue;
-    if (now - link.last_heard >= timeout) {
-      link.suspected = true;  // once per silence episode
-      suspects.push_back(source);
-    }
-  }
-  return suspects;
 }
 
 uint64_t FollowerApplier::applied() const {

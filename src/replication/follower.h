@@ -1,13 +1,11 @@
 #ifndef SWS_REPLICATION_FOLLOWER_H_
 #define SWS_REPLICATION_FOLLOWER_H_
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "persistence/durability.h"
 #include "replication/failover.h"
@@ -28,9 +26,8 @@ inline constexpr uint64_t kReplicaShardBase = 1ull << 40;
 /// Follower-side replication: receives shipped journal records, applies
 /// them in link order through the node's own journal writers (fsync
 /// before ack — "acknowledged ⇒ durable" holds across the wire), and
-/// acks cumulatively. Also the node's liveness monitor
-/// (rt::FailoverMonitor): any source gone silent past the failover
-/// timeout is reported once per silence episode.
+/// acks cumulatively. Liveness is not its business: the node's
+/// FailoverCoordinator keeps the one liveness clock.
 ///
 /// Out-of-order shipments buffer until the gap fills (retransmission
 /// guarantees it does); duplicates re-ack. A shipment whose
@@ -46,11 +43,11 @@ inline constexpr uint64_t kReplicaShardBase = 1ull << 40;
 /// forked by the old primary's in-flight or restart-reshipped tail.
 ///
 /// Thread-safety: OnShipment/OnHeartbeat run on the transport delivery
-/// thread; SuspectPeers on the runtime watchdog thread; one mutex guards
-/// everything. The ShardDurability writers are created lazily per source
-/// under the mutex, so the "drain-role holder only" contract those
-/// writers assume maps here to "delivery thread under mu_".
-class FollowerApplier : public rt::FailoverMonitor {
+/// thread; one mutex guards everything. The ShardDurability writers are
+/// created lazily per source under the mutex, so the "drain-role holder
+/// only" contract those writers assume maps here to "delivery thread
+/// under mu_".
+class FollowerApplier {
  public:
   struct Options {
     /// The node's own durable dir (shared with its runtime).
@@ -76,21 +73,10 @@ class FollowerApplier : public rt::FailoverMonitor {
   /// merges it exactly like a locally-captured snapshot (largest
   /// next_seq per session wins). Both ack only once durable.
   void OnShipment(const Shipment& shipment);
+  /// Adopts a higher epoch the heartbeat carries; nothing else (a
+  /// heartbeat opens no link).
   void OnHeartbeat(const std::string& from, uint64_t incarnation,
                    uint64_t epoch);
-
-  /// Registers peers the monitor should expect to hear from, starting
-  /// the silence clock now. Without this a peer that dies (or is
-  /// starved off the CPU) before its first heartbeat lands is never
-  /// suspectable — silence is only measurable against a baseline. The
-  /// node calls this at startup with its group when failover is armed;
-  /// peers already heard from are left untouched.
-  void ExpectPeers(const std::vector<std::string>& peers);
-
-  // rt::FailoverMonitor
-  std::vector<std::string> SuspectPeers(
-      std::chrono::steady_clock::time_point now,
-      std::chrono::nanoseconds timeout) override;
 
   // Telemetry.
   uint64_t applied() const;
@@ -106,13 +92,10 @@ class FollowerApplier : public rt::FailoverMonitor {
     std::map<uint64_t, Shipment> pending;  // out-of-order buffer
     std::unique_ptr<persistence::ShardDurability> durability;
     uint64_t replica_shard = 0;
-    std::chrono::steady_clock::time_point last_heard{};
-    bool suspected = false;
     uint64_t snapshots_absorbed = 0;  // names absorbed snapshot files
   };
 
-  SourceLink& LinkFor(const std::string& source,
-                      std::chrono::steady_clock::time_point now);
+  SourceLink& LinkFor(const std::string& source);
   /// Applies pending shipments in order until a gap or a failure;
   /// returns true if applied_seq advanced.
   bool DrainPendingLocked(SourceLink* link);

@@ -39,6 +39,20 @@ std::chrono::nanoseconds ReplicatedNode::EffectiveFailoverTimeout() const {
   return std::chrono::nanoseconds{0};
 }
 
+void ReplicatedNode::OnPeerSuspected(const std::string& peer) {
+  {
+    std::shared_lock<std::shared_mutex> lock(life_mu_);
+    // A node that is down reports nothing: its clock went quiet with it,
+    // and the next Start re-arms it.
+    if (!running_.load(std::memory_order_acquire)) return;
+    counters_.Add(rt::Counter::kPeerSuspicions);
+    // A suspected peer cannot serve our catch-up; stop waiting on it
+    // (its heir answers future requests under its own name).
+    replicator_->CancelCatchup(peer);
+  }
+  if (options_.on_peer_suspected) options_.on_peer_suspected(options_.id, peer);
+}
+
 bool ReplicatedNode::ReadyForElection() const {
   std::shared_lock<std::shared_mutex> lock(life_mu_);
   return running_.load(std::memory_order_acquire) && replicator_ != nullptr &&
@@ -109,25 +123,25 @@ core::Status ReplicatedNode::StartLife() {
   applier_ = std::make_unique<FollowerApplier>(
       options_.id, applier_options, transport_, incarnation, injector_.get(),
       &fence_, &counters_);
-  const std::chrono::nanoseconds failover_timeout = EffectiveFailoverTimeout();
-  if (failover_timeout.count() > 0) {
-    // Arm the silence clock for every peer now: a peer that dies before
-    // its first heartbeat lands must still become suspect.
-    applier_->ExpectPeers(group_->nodes());
-  }
   replicator_ = std::make_unique<Replicator>(
       options_.id, group_, options_.replication, transport_, incarnation,
       &fence_, &counters_);
 
-  if (options_.auto_failover && coordinator_ == nullptr) {
+  const std::chrono::nanoseconds failover_timeout = EffectiveFailoverTimeout();
+  if (failover_timeout.count() > 0 && coordinator_ == nullptr) {
     // Created once, on the first life: election state and liveness
     // clocks must survive restarts (a node that crashes mid-election
     // must not forget the epoch arithmetic its durable vote implies).
     FailoverHooks hooks;
-    hooks.ready = [this]() { return ReadyForElection(); };
-    hooks.promote = [this](const std::string& dead, uint64_t epoch) {
-      return PromoteWithEpoch(dead, epoch);
+    hooks.suspected = [this](const std::string& peer) {
+      OnPeerSuspected(peer);
     };
+    if (options_.auto_failover) {
+      hooks.ready = [this]() { return ReadyForElection(); };
+      hooks.promote = [this](const std::string& dead, uint64_t epoch) {
+        return PromoteWithEpoch(dead, epoch);
+      };
+    }
     coordinator_ = std::make_unique<FailoverCoordinator>(
         options_.id, group_, transport_, &fence_, options_.replication,
         failover_timeout, std::move(hooks), &counters_);
@@ -138,30 +152,7 @@ core::Status ReplicatedNode::StartLife() {
   runtime_options.run_options.fault_injector = injector_.get();
   runtime_options.replication.client =
       options_.replication.replicas > 0 ? replicator_.get() : nullptr;
-  runtime_options.replication.monitor = applier_.get();
-  runtime_options.replication.failover_timeout = failover_timeout;
   runtime_options.replication.counters = &counters_;
-  if (options_.auto_failover) {
-    // Self-healing needs the suspicion signal; the watchdog is its pump.
-    runtime_options.governance.enable_watchdog = true;
-  }
-  if (options_.on_peer_suspected || coordinator_ != nullptr) {
-    const std::string node_id = options_.id;
-    auto callback = options_.on_peer_suspected;
-    FailoverCoordinator* coordinator = coordinator_.get();
-    Replicator* replicator = replicator_.get();
-    // Watchdog thread. The runtime's Shutdown joins the watchdog before
-    // Teardown resets the replicator, so the raw captures stay valid.
-    runtime_options.replication.on_peer_suspected =
-        [node_id, callback, coordinator,
-         replicator](const std::string& peer) {
-          // A suspected peer cannot serve our catch-up; stop waiting on
-          // it (its heir answers future requests under its own name).
-          replicator->CancelCatchup(peer);
-          if (coordinator != nullptr) coordinator->NoteSuspect(peer);
-          if (callback) callback(node_id, peer);
-        };
-  }
 
   // The constructor recovers the dir: own journal *and* replica
   // journals consolidate into one snapshot, sessions install warm.
@@ -196,7 +187,8 @@ core::Status ReplicatedNode::StartLife() {
   transport_->Bind(options_.id, this);
   if (coordinator_ != nullptr) {
     // A long downtime must not read as everyone-is-dead the moment the
-    // node returns.
+    // node returns; a peer that never speaks to this life is suspected
+    // one window from now.
     coordinator_->ResetClocks();
   }
   // With the binding up (acks can flow back), converge the followers:
@@ -221,7 +213,15 @@ core::Status ReplicatedNode::StartLife() {
   return core::Status::Ok();
 }
 
-void ReplicatedNode::CollectOwnedTail(std::vector<TailRecord>* tail) const {
+bool ReplicatedNode::BySessionSeq(const TailRecord& a, const TailRecord& b) {
+  return std::tie(a.record.session_id, a.record.seq) <
+         std::tie(b.record.session_id, b.record.seq);
+}
+
+void ReplicatedNode::ReadDurableDir(
+    const std::function<bool(const std::string&)>& keep,
+    std::map<std::string, persistence::SessionImage>* images,
+    std::vector<TailRecord>* tail) const {
   std::vector<persistence::DurableFile> files;
   if (!persistence::ListDurableFiles(options_.dir, &files).ok()) return;
   // Segment order within a shard (incarnation, then n) is append order;
@@ -232,38 +232,49 @@ void ReplicatedNode::CollectOwnedTail(std::vector<TailRecord>* tail) const {
                      return std::tie(a.shard, a.incarnation, a.n) <
                             std::tie(b.shard, b.incarnation, b.n);
                    });
-  // Uncommitted inputs that were consolidated into a snapshot by a
-  // previous life no longer exist as journal records, but a follower
-  // that missed their original shipment still needs them — a replayed
-  // outcome's ack is only as good as the input prefix shipped before it.
-  // SessionImage::pending holds those messages verbatim (recovery
-  // replays from them), so input records synthesized here are exact.
-  std::map<std::string, persistence::SessionImage> snapshot_images;
   for (const persistence::DurableFile& file : files) {
     const std::string path = options_.dir + "/" + file.name;
     if (file.is_snapshot) {
       persistence::SnapshotData snap;
       if (!persistence::ReadSnapshot(path, nullptr, &snap).ok()) continue;
       for (persistence::SessionImage& image : snap.sessions) {
-        if (group_->PrimaryOf(image.session_id) != options_.id) continue;
+        if (!keep(image.session_id)) continue;
         auto [it, inserted] =
-            snapshot_images.try_emplace(image.session_id, std::move(image));
+            images->try_emplace(image.session_id, std::move(image));
         if (!inserted && image.next_seq > it->second.next_seq) {
-          it->second = std::move(image);  // recovery's merge rule
+          it->second = std::move(image);
         }
       }
       continue;
     }
     persistence::SegmentContents contents;
-    if (!persistence::ReadSegment(path, nullptr, &contents).ok()) {
-      continue;  // unreadable segment: recovery decides its fate, not us
-    }
+    if (!persistence::ReadSegment(path, nullptr, &contents).ok()) continue;
     for (persistence::JournalRecord& record : contents.records) {
-      if (group_->PrimaryOf(record.session_id) != options_.id) continue;
+      if (!keep(record.session_id)) continue;
       tail->push_back({std::move(record), file.shard, file.n});
     }
   }
-  for (const auto& [session_id, image] : snapshot_images) {
+  // Ship in per-session seq order so a follower applies without gaps.
+  // The same record may appear twice (own journal and a replica journal
+  // both hold it); follower recovery dedups by seq.
+  std::stable_sort(tail->begin(), tail->end(), BySessionSeq);
+}
+
+void ReplicatedNode::CollectOwnedTail(std::vector<TailRecord>* tail) const {
+  std::map<std::string, persistence::SessionImage> images;
+  ReadDurableDir(
+      [&](const std::string& session_id) {
+        return group_->PrimaryOf(session_id) == options_.id;
+      },
+      &images, tail);
+  // Uncommitted inputs that were consolidated into a snapshot by a
+  // previous life no longer exist as journal records, but a follower
+  // that missed their original shipment still needs them — a replayed
+  // outcome's ack is only as good as the input prefix shipped before it.
+  // SessionImage::pending holds those messages verbatim (recovery
+  // replays from them), so input records synthesized here are exact.
+  const size_t from_segments = tail->size();
+  for (const auto& [session_id, image] : images) {
     const size_t count = image.pending.size();
     for (size_t j = 1; j <= count; ++j) {
       persistence::JournalRecord record;
@@ -278,14 +289,10 @@ void ReplicatedNode::CollectOwnedTail(std::vector<TailRecord>* tail) const {
       tail->push_back({std::move(record), /*shard=*/0, /*segment_n=*/0});
     }
   }
-  // Ship in per-session seq order so a follower applies without gaps.
-  // The same record may appear twice (own journal and a replica journal
-  // both hold it); follower recovery dedups by seq.
-  std::stable_sort(tail->begin(), tail->end(),
-                   [](const TailRecord& a, const TailRecord& b) {
-                     return std::tie(a.record.session_id, a.record.seq) <
-                            std::tie(b.record.session_id, b.record.seq);
-                   });
+  // Both halves are in (session, seq) order; the merge is stable, so a
+  // segment copy stays ahead of its synthesized twin.
+  std::inplace_merge(tail->begin(), tail->begin() + from_segments,
+                     tail->end(), BySessionSeq);
 }
 
 void ReplicatedNode::ReplicateRecoveredState(
@@ -330,11 +337,9 @@ void ReplicatedNode::ReplicateRecoveredState(
 }
 
 void ReplicatedNode::Teardown(bool crash) {
-  // The runtime references the replicator and applier through its
-  // options; it dies first. (Its Shutdown also joins the watchdog, so
-  // no SuspectPeers poll can touch the applier afterwards.) A
-  // runtime_snapshot() holder may outlive the reset — the runtime it
-  // holds is already shut down and self-contained.
+  // The runtime references the replicator through its options; it dies
+  // first. A runtime_snapshot() holder may outlive the reset — the
+  // runtime it holds is already shut down and self-contained.
   runtime_.reset();
   replicator_.reset();
   applier_.reset();
@@ -439,53 +444,19 @@ void ReplicatedNode::ServeCatchup(const std::string& requester) {
   bootstrap.header.incarnation = incarnation_;
   bootstrap.header.shard = 0;
   bootstrap.header.service_fingerprint = persistence::SwsFingerprint(*sws_);
+  std::map<std::string, persistence::SessionImage> images;
   std::vector<TailRecord> tail;
-  std::vector<persistence::DurableFile> files;
-  auto serves = [&](const std::string& session_id) {
-    if (group_->PrimaryOf(session_id) != options_.id) return false;
-    const std::vector<std::string> followers =
-        group_->FollowersOf(session_id, options_.replication.replicas);
-    return std::find(followers.begin(), followers.end(), requester) !=
-           followers.end();
-  };
-  if (persistence::ListDurableFiles(options_.dir, &files).ok()) {
-    std::stable_sort(files.begin(), files.end(),
-                     [](const persistence::DurableFile& a,
-                        const persistence::DurableFile& b) {
-                       return std::tie(a.shard, a.incarnation, a.n) <
-                              std::tie(b.shard, b.incarnation, b.n);
-                     });
-    std::map<std::string, persistence::SessionImage> images;
-    for (const persistence::DurableFile& file : files) {
-      const std::string path = options_.dir + "/" + file.name;
-      if (file.is_snapshot) {
-        persistence::SnapshotData snap;
-        if (!persistence::ReadSnapshot(path, nullptr, &snap).ok()) continue;
-        for (persistence::SessionImage& image : snap.sessions) {
-          if (!serves(image.session_id)) continue;
-          auto [it, inserted] =
-              images.try_emplace(image.session_id, std::move(image));
-          if (!inserted && image.next_seq > it->second.next_seq) {
-            it->second = std::move(image);
-          }
-        }
-        continue;
-      }
-      persistence::SegmentContents contents;
-      if (!persistence::ReadSegment(path, nullptr, &contents).ok()) continue;
-      for (persistence::JournalRecord& record : contents.records) {
-        if (!serves(record.session_id)) continue;
-        tail.push_back({std::move(record), file.shard, file.n});
-      }
-    }
-    for (auto& [session_id, image] : images) {
-      bootstrap.sessions.push_back(std::move(image));
-    }
-    std::stable_sort(tail.begin(), tail.end(),
-                     [](const TailRecord& a, const TailRecord& b) {
-                       return std::tie(a.record.session_id, a.record.seq) <
-                              std::tie(b.record.session_id, b.record.seq);
-                     });
+  ReadDurableDir(
+      [&](const std::string& session_id) {
+        if (group_->PrimaryOf(session_id) != options_.id) return false;
+        const std::vector<std::string> followers =
+            group_->FollowersOf(session_id, options_.replication.replicas);
+        return std::find(followers.begin(), followers.end(), requester) !=
+               followers.end();
+      },
+      &images, &tail);
+  for (auto& [session_id, image] : images) {
+    bootstrap.sessions.push_back(std::move(image));
   }
 
   // The snapshot ships even when empty: its arrival is what tells the

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -30,20 +31,23 @@ struct NodeOptions {
   std::string dir;
   ReplicationOptions replication;
   /// Base runtime options; the node overrides durability.dir and the
-  /// replication wiring per life. governance.enable_watchdog plus
-  /// failover_timeout > 0 arm the watchdog-driven failover signal
-  /// (auto_failover arms both itself).
+  /// replication wiring per life. Governance is independent of
+  /// failover: the node's FailoverCoordinator, not the runtime's
+  /// watchdog, detects silent peers.
   rt::RuntimeOptions runtime;
-  /// Silence window before a peer is suspected. 0 with auto_failover on
-  /// derives replication.suspicion_misses × heartbeat_interval.
+  /// Silence window before a peer is suspected; > 0 arms the node's
+  /// failure detector. 0 with auto_failover on derives
+  /// replication.suspicion_misses × heartbeat_interval; 0 without it
+  /// leaves detection off.
   std::chrono::nanoseconds failover_timeout{0};
   /// Self-healing mode (DESIGN.md §13): suspicion feeds this node's own
   /// FailoverCoordinator, which campaigns for a quorum-confirmed fenced
   /// promotion — no harness Promote() involved — and a fresh node
   /// bootstraps itself via catch-up before entering any ack quorum.
   bool auto_failover = false;
-  /// Fired from the node's watchdog thread when a peer's replication
-  /// stream goes silent past failover_timeout (once per episode).
+  /// Fired from the failover coordinator's thread, with no node lock
+  /// held, when a peer has been silent for the whole failover_timeout
+  /// (once per silence episode, only while this node runs).
   std::function<void(const std::string& node, const std::string& peer)>
       on_peer_suspected;
   /// Fired after a life comes up — Start(), Promote() and automatic
@@ -187,6 +191,8 @@ class ReplicatedNode : public ReplicationEndpoint {
     uint64_t shard = 0;
     uint64_t segment_n = 0;
   };
+  /// (session, seq): the order a follower applies a session's records in.
+  static bool BySessionSeq(const TailRecord& a, const TailRecord& b);
 
   core::Status StartLife();
   core::Status PromoteLocked(const std::string& dead, uint64_t epoch);
@@ -194,13 +200,24 @@ class ReplicatedNode : public ReplicationEndpoint {
   /// The silence window in force (explicit, or derived from
   /// suspicion_misses × heartbeat_interval under auto_failover).
   std::chrono::nanoseconds EffectiveFailoverTimeout() const;
+  /// FailoverHooks::suspected (coordinator thread): counts the
+  /// suspicion, stops waiting on the peer's catch-up serve and fires
+  /// NodeOptions::on_peer_suspected — only while the node runs.
+  void OnPeerSuspected(const std::string& peer);
   /// FailoverHooks::ready — fit to campaign? Running, and not itself
   /// awaiting a catch-up serve (a joiner with an incomplete prefix must
   /// not seize sessions it has not bootstrapped).
   bool ReadyForElection() const;
-  /// Reads every journal segment in the dir (own shards and replica
-  /// shards alike) and collects the records of sessions this node
-  /// currently owns, ordered (session, seq). Must run before the runtime
+  /// One pass over the durable dir, own shards and replica shards alike,
+  /// keeping the sessions `keep` selects: each one's newest snapshot
+  /// image (largest next_seq — recovery's merge rule) into `images`, and
+  /// every journal record into `tail`, ordered (session, seq).
+  /// Unreadable files are skipped: recovery decides their fate.
+  void ReadDurableDir(const std::function<bool(const std::string&)>& keep,
+                      std::map<std::string, persistence::SessionImage>* images,
+                      std::vector<TailRecord>* tail) const;
+  /// The records of sessions this node currently owns, ordered (session,
+  /// seq), snapshot-pending inputs included. Must run before the runtime
   /// constructor: its recovery consolidates the dir and deletes the
   /// segments being read.
   void CollectOwnedTail(std::vector<TailRecord>* tail) const;
@@ -236,9 +253,11 @@ class ReplicatedNode : public ReplicationEndpoint {
   uint64_t suppressed_reemissions_ = 0;
   std::atomic<bool> running_{false};
 
-  /// Lives across lives (election state and liveness clocks must survive
-  /// restarts). Created on the first auto_failover Start; destroyed only
-  /// by ~ReplicatedNode, after the transport binding is down.
+  /// The node's failure detector (and, under auto_failover, its election
+  /// driver). Lives across lives (election state and liveness clocks
+  /// must survive restarts). Created on the first Start with a nonzero
+  /// EffectiveFailoverTimeout(); destroyed only by ~ReplicatedNode,
+  /// after the transport binding is down.
   std::unique_ptr<FailoverCoordinator> coordinator_;
 };
 

@@ -34,8 +34,9 @@ struct ReplicationOptions {
   /// Liveness beacons to every peer (failover detection); 0 = none.
   std::chrono::milliseconds heartbeat_interval{20};
   /// Failure detector: consecutive missed heartbeat intervals before a
-  /// peer is suspected. NodeOptions::failover_timeout, when zero, is
-  /// derived as suspicion_misses × heartbeat_interval.
+  /// peer is suspected. Under auto_failover a zero
+  /// NodeOptions::failover_timeout is derived as suspicion_misses ×
+  /// heartbeat_interval, the window the node's FailoverCoordinator uses.
   uint32_t suspicion_misses = 3;
   /// Fraction of heartbeat_interval each probe is jittered by (±), drawn
   /// from a per-node deterministic SplitMix64 stream — de-synchronizes

@@ -1,11 +1,7 @@
 #ifndef SWS_RUNTIME_REPLICATION_HOOKS_H_
 #define SWS_RUNTIME_REPLICATION_HOOKS_H_
 
-#include <chrono>
 #include <cstdint>
-#include <functional>
-#include <string>
-#include <vector>
 
 #include "persistence/journal.h"
 #include "runtime/runtime_stats.h"
@@ -49,20 +45,6 @@ class ReplicationClient {
   virtual uint64_t MinUnackedSegment(uint64_t shard) const = 0;
 };
 
-/// Follower-side failover signal, implemented by
-/// replication::FollowerApplier and polled by the runtime watchdog: a
-/// peer whose replication stream (records or heartbeats) has gone silent
-/// past the failover timeout is reported once per silence episode, and
-/// the runtime fires RuntimeOptions::replication.on_peer_suspected so
-/// the operator (or a chaos harness) can decide to promote.
-class FailoverMonitor {
- public:
-  virtual ~FailoverMonitor() = default;
-  virtual std::vector<std::string> SuspectPeers(
-      std::chrono::steady_clock::time_point now,
-      std::chrono::nanoseconds timeout) = 0;
-};
-
 /// Replication wiring carried by RuntimeOptions::replication. All
 /// defaults off: a runtime constructed without touching this struct is
 /// byte-for-byte the unreplicated runtime.
@@ -70,20 +52,11 @@ struct ReplicationRuntimeOptions {
   /// Primary-side shipping + ack barrier; null = replication off.
   /// Must outlive the runtime.
   ReplicationClient* client = nullptr;
-  /// Follower-side silence detection; null = no failover trigger.
-  /// Must outlive the runtime.
-  FailoverMonitor* monitor = nullptr;
-  /// Silence window after which a peer is suspected dead. Requires the
-  /// watchdog (governance.enable_watchdog) and `monitor`; 0 disables.
-  std::chrono::nanoseconds failover_timeout{0};
-  /// Fired from the watchdog thread, once per silence episode per peer.
-  /// Must not block: promotion work belongs on the caller's own thread.
-  std::function<void(const std::string& peer)> on_peer_suspected;
   /// The node-owned counter set ("node:" metrics in runtime_stats.h),
   /// shared across the node's lives so it survives the runtime rebuilds
-  /// promotions and restarts perform. The watchdog ticks peer_suspicions
-  /// here; Stats() adds the set to the runtime's own. Null = none (those
-  /// fields stay zero). Must outlive the runtime.
+  /// promotions and restarts perform. Stats() adds the set to the
+  /// runtime's own. Null = none (those fields stay zero). Must outlive
+  /// the runtime.
   Counters* counters = nullptr;
 };
 

@@ -86,20 +86,10 @@ core::Status ValidateRuntimeOptions(const RuntimeOptions& options) {
   if (gov.recovery_fraction <= 0.0 || gov.recovery_fraction > 1.0) {
     return invalid("governance.recovery_fraction must be in (0, 1]");
   }
-  const ReplicationRuntimeOptions& repl = options.replication;
-  if (repl.client != nullptr && !options.durability.enabled()) {
+  if (options.replication.client != nullptr && !options.durability.enabled()) {
     return invalid(
         "replication.client requires durability (the replicated unit is "
         "the journal record; there is nothing to ship without a journal)");
-  }
-  if (repl.failover_timeout.count() < 0) {
-    return invalid("replication.failover_timeout must be >= 0 (0 = off)");
-  }
-  if (repl.failover_timeout.count() > 0 &&
-      (repl.monitor == nullptr || !gov.enable_watchdog)) {
-    return invalid(
-        "replication.failover_timeout requires a monitor and the watchdog "
-        "(governance.enable_watchdog) — the watchdog thread polls it");
   }
   return Status::Ok();
 }
@@ -401,22 +391,6 @@ void ServiceRuntime::WatchdogLoop() {
                                 "cancelled by watchdog: run overran its "
                                 "deadline past the grace factor")) {
         stats_.Add(Counter::kWatchdogCancels);
-      }
-    }
-    // Failover trigger: a peer whose replication stream has gone silent
-    // past the failover timeout is reported (once per silence episode by
-    // the monitor's contract) so the node above can decide to promote.
-    // Detection only — promotion itself tears this runtime down and
-    // recovers the follower journal, which cannot happen on this thread.
-    const ReplicationRuntimeOptions& repl = options_.replication;
-    if (repl.monitor != nullptr && repl.failover_timeout.count() > 0 &&
-        repl.on_peer_suspected) {
-      for (const std::string& peer :
-           repl.monitor->SuspectPeers(now, repl.failover_timeout)) {
-        if (repl.counters != nullptr) {
-          repl.counters->Add(Counter::kPeerSuspicions);
-        }
-        repl.on_peer_suspected(peer);
       }
     }
     // Memory-pressure ladder: one step per tick, up at ≥ threshold, down

@@ -111,10 +111,10 @@ struct RuntimeOptions {
   };
   GovernanceOptions governance;
   /// Cross-node replication wiring (DESIGN.md §11): the primary-side
-  /// shipper + quorum ack barrier, the follower-side silence monitor the
-  /// watchdog polls for failover, and the promotion counter. All-default
+  /// shipper + quorum ack barrier and the node's counter set. All-default
   /// = replication off; `client` requires durability (the shipped unit
-  /// is the journal record) and `failover_timeout` requires the watchdog.
+  /// is the journal record). Failure detection is the node's business
+  /// (replication::FailoverCoordinator), not the runtime's.
   ReplicationRuntimeOptions replication;
   /// Test/bench instrumentation; see SessionShard::Config.
   std::function<void(const std::string& session_id)> before_process_hook;

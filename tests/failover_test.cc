@@ -5,9 +5,11 @@
 // (snapshot-on-the-link), the replicator's catch-up quorum gate and
 // joiner broadcast loop, deposed-replicator self-fencing on *both* epoch
 // discovery paths (ack and heartbeat-adopted fence), coordinator vote
-// grant rules, and two end-to-end automatic-failover node tests: a
-// quorum election promoting the heir with no harness Promote call, and a
-// fresh joiner bootstrapping via catch-up before entering any quorum.
+// grant rules, the coordinator's failure detector on synthetic time, and
+// three end-to-end automatic-failover node tests: a quorum election
+// promoting the heir with no harness Promote call, a fresh joiner
+// bootstrapping via catch-up before entering any quorum, and suspicion
+// ending a catch-up wait on a peer that never starts.
 // The randomized kill-point harness lives in node_chaos_test.cc.
 
 #include <gtest/gtest.h>
@@ -681,6 +683,63 @@ TEST(CoordinatorVoteTest, GrantsRequireSilenceAndOneVotePerEpoch) {
 }
 
 // ---------------------------------------------------------------------
+// Coordinator failure detector (one clock, synthetic time)
+
+// The window is long enough that the worker thread, on real time, never
+// reports anything itself: every report below comes from ReportSilent
+// at the `now` the test passes in.
+constexpr std::chrono::seconds kLongWindow{10};
+
+TEST(CoordinatorDetectorTest, ReportsASilentPeerOncePerEpisode) {
+  TempDir dir;
+  FencingEpoch fence(dir.path());
+  ReplicaGroup group({"n0", "n1"});
+  InProcessTransport transport(nullptr);
+  FailoverCoordinator coordinator("n1", &group, &transport, &fence,
+                                  FastOptions(1, 1), kLongWindow,
+                                  FailoverHooks{}, nullptr);
+  const auto start = std::chrono::steady_clock::now();
+  coordinator.NoteAlive("n0");
+  EXPECT_TRUE(coordinator.ReportSilent(start).empty());
+  const auto later = start + 2 * kLongWindow;
+  EXPECT_EQ(coordinator.ReportSilent(later), std::vector<std::string>{"n0"});
+  // Same silence episode: not reported again, however long it lasts.
+  EXPECT_TRUE(coordinator.ReportSilent(later).empty());
+  EXPECT_TRUE(coordinator.ReportSilent(later + kLongWindow).empty());
+  // A sign of life, then silence again: a fresh episode is reported.
+  coordinator.NoteAlive("n0");
+  const auto much_later = std::chrono::steady_clock::now() + 2 * kLongWindow;
+  EXPECT_EQ(coordinator.ReportSilent(much_later),
+            std::vector<std::string>{"n0"});
+  // A restart re-arms the clock and opens a fresh episode too.
+  coordinator.ResetClocks();
+  const auto restarted = std::chrono::steady_clock::now();
+  EXPECT_TRUE(coordinator.ReportSilent(restarted).empty());
+  EXPECT_EQ(coordinator.ReportSilent(restarted + 2 * kLongWindow),
+            std::vector<std::string>{"n0"});
+}
+
+TEST(CoordinatorDetectorTest, SuspectsAGroupMemberNeverHeardFrom) {
+  TempDir dir;
+  FencingEpoch fence(dir.path());
+  ReplicaGroup group({"n0", "n1", "n2"});
+  InProcessTransport transport(nullptr);
+  // Construction arms the clock for every group member but self.
+  FailoverCoordinator coordinator("n1", &group, &transport, &fence,
+                                  FastOptions(2, 2), kLongWindow,
+                                  FailoverHooks{}, nullptr);
+  const auto armed = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  coordinator.NoteAlive("n0");  // n2 never speaks
+  coordinator.NoteAlive("n1");  // self: ignored
+  EXPECT_TRUE(coordinator.ReportSilent(armed).empty());
+  // One window after the arming: the member never heard from is suspect;
+  // the one heard since is not, and self never is.
+  EXPECT_EQ(coordinator.ReportSilent(armed + kLongWindow),
+            std::vector<std::string>{"n2"});
+}
+
+// ---------------------------------------------------------------------
 // End to end: automatic failover nodes
 
 struct AutoCluster {
@@ -701,9 +760,7 @@ struct AutoCluster {
       // Keep the journal tail (no snapshot consolidation): the joiner
       // test wants the catch-up serve to ship real records.
       options.runtime.durability.snapshot_interval_appends = 1 << 30;
-      options.runtime.governance.enable_watchdog = true;
-      options.runtime.governance.watchdog_interval =
-          std::chrono::microseconds(500);
+      // Governance stays at its defaults: failover needs no watchdog.
       nodes[i] = std::make_unique<ReplicatedNode>(options, &sws, LoggerDb(),
                                                   &group, &transport);
     }
@@ -912,6 +969,26 @@ TEST(AutoFailoverNodeTest, JoinerBootstrapsViaCatchupBeforeQuorum) {
     EXPECT_TRUE(it->second.db == oracle.db()) << id;
     EXPECT_EQ(it->second.db.Hash(), oracle.db().Hash()) << id;
   }
+}
+
+// A first life asks every peer for catch-up and waits on each answer. A
+// peer that never starts never answers: only its suspicion ends the
+// wait. The heir campaigns only once its own wait is over
+// (ReadyForElection), so the dead peer's deposition proves the
+// suspicion cancelled it.
+TEST(AutoFailoverNodeTest, SuspicionCancelsTheCatchupWaitOnASilentPeer) {
+  AutoCluster cluster(FastOptions(2, 2));
+  ASSERT_TRUE(cluster.node("n0")->Start().ok());
+  ASSERT_TRUE(cluster.node("n1")->Start().ok());
+  // n2 never starts.
+  ASSERT_TRUE(WaitFor([&] { return cluster.group.IsDeposed("n2"); },
+                      std::chrono::seconds(15)))
+      << "the heir still waits on a peer that never started";
+  EXPECT_GE(cluster.node("n0")->counters()->Load(rt::Counter::kPeerSuspicions) +
+                cluster.node("n1")->counters()->Load(
+                    rt::Counter::kPeerSuspicions),
+            2u);
+  for (auto& node : cluster.nodes) node->Stop();
 }
 
 }  // namespace
