@@ -1,6 +1,8 @@
 #include "net/messages.h"
 
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "persistence/serde.h"
 
@@ -177,143 +179,99 @@ std::optional<InspectReply> DecodeInspectReply(std::string_view payload) {
 // ---------------------------------------------------------------------------
 // Replication protocol.
 
-std::string EncodeShipment(const replication::Shipment& shipment) {
+namespace {
+
+/// The two directions of the replication codec. Both walk the same
+/// field list (WireFields), so encoder and decoder cannot drift apart.
+struct FieldWriter {
   ByteWriter w;
-  w.PutString(shipment.source);
-  w.PutString(shipment.dest);
-  w.PutU64(shipment.source_incarnation);
-  w.PutU64(shipment.link_seq);
-  w.PutU64(shipment.first_unacked);
-  w.PutU64(shipment.epoch);
-  w.PutU64(shipment.shard);
-  w.PutU64(shipment.segment_n);
-  w.PutU8(shipment.snapshot ? 1 : 0);
-  w.PutString(shipment.frame);
-  return w.Take();
+  void operator()(const std::string& s) { w.PutString(s); }
+  void operator()(uint64_t v) { w.PutU64(v); }
+  void operator()(bool b) { w.PutU8(b ? 1 : 0); }
+};
+
+struct FieldReader {
+  ByteReader r;
+  void operator()(std::string& s) { s = r.GetString(); }
+  void operator()(uint64_t& v) { v = r.GetU64(); }
+  void operator()(bool& b) {
+    const uint8_t byte = r.GetU8();
+    if (byte > 1) r.MarkFailed();
+    b = byte == 1;
+  }
+};
+
+/// Each kind's wire fields, in wire order. `M` is const when encoding.
+template <typename Io, typename M>
+void WireFields(Io& io, M& m) {
+  using Kind = std::remove_const_t<M>;
+  io(m.from);
+  io(m.to);
+  if constexpr (std::is_same_v<Kind, replication::Shipment>) {
+    io(m.source_incarnation);
+    io(m.link_seq);
+    io(m.first_unacked);
+    io(m.epoch);
+    io(m.shard);
+    io(m.segment_n);
+    io(m.snapshot);
+    io(m.frame);
+  } else if constexpr (std::is_same_v<Kind, replication::Ack>) {
+    io(m.source_incarnation);
+    io(m.acked_link_seq);
+    io(m.epoch);
+  } else if constexpr (std::is_same_v<Kind, replication::Heartbeat>) {
+    io(m.incarnation);
+    io(m.epoch);
+  } else if constexpr (std::is_same_v<Kind, replication::VoteRequest>) {
+    io(m.epoch);
+    io(m.suspect);
+  } else if constexpr (std::is_same_v<Kind, replication::VoteGrant>) {
+    io(m.epoch);
+    io(m.granted);
+  } else {
+    static_assert(std::is_same_v<Kind, replication::CatchupRequest>);
+    io(m.epoch);
+  }
 }
 
-std::optional<replication::Shipment> DecodeShipment(std::string_view payload) {
-  ByteReader r(payload);
-  replication::Shipment shipment;
-  shipment.source = r.GetString();
-  shipment.dest = r.GetString();
-  shipment.source_incarnation = r.GetU64();
-  shipment.link_seq = r.GetU64();
-  shipment.first_unacked = r.GetU64();
-  shipment.epoch = r.GetU64();
-  shipment.shard = r.GetU64();
-  shipment.segment_n = r.GetU64();
-  uint8_t snapshot = r.GetU8();
-  if (snapshot > 1) return std::nullopt;
-  shipment.snapshot = snapshot == 1;
-  // session_id is sender-side bookkeeping (see transport.h) and is
-  // deliberately not on the wire; the receiver never reads it.
-  shipment.frame = r.GetString();
-  if (!Done(r)) return std::nullopt;
-  return shipment;
+/// Default-constructs alternative `kind` of `*message`; false when the
+/// variant has no such alternative.
+template <size_t I = 0>
+bool EmplaceKind(size_t kind, replication::Message* message) {
+  if constexpr (I < std::variant_size_v<replication::Message>) {
+    if (kind == I) {
+      message->emplace<I>();
+      return true;
+    }
+    return EmplaceKind<I + 1>(kind, message);
+  } else {
+    return false;
+  }
 }
 
-std::string EncodeAckMsg(const AckMsg& ack) {
-  ByteWriter w;
-  w.PutString(ack.from);
-  w.PutString(ack.to);
-  w.PutU64(ack.source_incarnation);
-  w.PutU64(ack.acked_link_seq);
-  w.PutU64(ack.epoch);
-  return w.Take();
+}  // namespace
+
+std::string EncodeReplication(const replication::Message& message) {
+  FieldWriter writer;
+  std::visit([&](const auto& m) { WireFields(writer, m); }, message);
+  const auto type = static_cast<MsgType>(
+      static_cast<size_t>(MsgType::kShipment) + message.index());
+  return EncodeFrame(type, writer.w.str());
 }
 
-std::optional<AckMsg> DecodeAckMsg(std::string_view payload) {
-  ByteReader r(payload);
-  AckMsg ack;
-  ack.from = r.GetString();
-  ack.to = r.GetString();
-  ack.source_incarnation = r.GetU64();
-  ack.acked_link_seq = r.GetU64();
-  ack.epoch = r.GetU64();
-  if (!Done(r)) return std::nullopt;
-  return ack;
-}
-
-std::string EncodeHeartbeatMsg(const HeartbeatMsg& heartbeat) {
-  ByteWriter w;
-  w.PutString(heartbeat.from);
-  w.PutString(heartbeat.to);
-  w.PutU64(heartbeat.incarnation);
-  w.PutU64(heartbeat.epoch);
-  return w.Take();
-}
-
-std::optional<HeartbeatMsg> DecodeHeartbeatMsg(std::string_view payload) {
-  ByteReader r(payload);
-  HeartbeatMsg heartbeat;
-  heartbeat.from = r.GetString();
-  heartbeat.to = r.GetString();
-  heartbeat.incarnation = r.GetU64();
-  heartbeat.epoch = r.GetU64();
-  if (!Done(r)) return std::nullopt;
-  return heartbeat;
-}
-
-std::string EncodeVoteRequestMsg(const VoteRequestMsg& request) {
-  ByteWriter w;
-  w.PutString(request.from);
-  w.PutString(request.to);
-  w.PutU64(request.epoch);
-  w.PutString(request.suspect);
-  return w.Take();
-}
-
-std::optional<VoteRequestMsg> DecodeVoteRequestMsg(std::string_view payload) {
-  ByteReader r(payload);
-  VoteRequestMsg request;
-  request.from = r.GetString();
-  request.to = r.GetString();
-  request.epoch = r.GetU64();
-  request.suspect = r.GetString();
-  if (!Done(r)) return std::nullopt;
-  return request;
-}
-
-std::string EncodeVoteGrantMsg(const VoteGrantMsg& grant) {
-  ByteWriter w;
-  w.PutString(grant.from);
-  w.PutString(grant.to);
-  w.PutU64(grant.epoch);
-  w.PutU8(grant.granted ? 1 : 0);
-  return w.Take();
-}
-
-std::optional<VoteGrantMsg> DecodeVoteGrantMsg(std::string_view payload) {
-  ByteReader r(payload);
-  VoteGrantMsg grant;
-  grant.from = r.GetString();
-  grant.to = r.GetString();
-  grant.epoch = r.GetU64();
-  uint8_t granted = r.GetU8();
-  if (granted > 1) return std::nullopt;
-  grant.granted = granted == 1;
-  if (!Done(r)) return std::nullopt;
-  return grant;
-}
-
-std::string EncodeCatchupRequestMsg(const CatchupRequestMsg& request) {
-  ByteWriter w;
-  w.PutString(request.from);
-  w.PutString(request.to);
-  w.PutU64(request.epoch);
-  return w.Take();
-}
-
-std::optional<CatchupRequestMsg> DecodeCatchupRequestMsg(
-    std::string_view payload) {
-  ByteReader r(payload);
-  CatchupRequestMsg request;
-  request.from = r.GetString();
-  request.to = r.GetString();
-  request.epoch = r.GetU64();
-  if (!Done(r)) return std::nullopt;
-  return request;
+std::optional<replication::Message> DecodeReplication(const Frame& frame) {
+  replication::Message message;
+  if (frame.type < MsgType::kShipment ||
+      !EmplaceKind(static_cast<size_t>(frame.type) -
+                       static_cast<size_t>(MsgType::kShipment),
+                   &message)) {
+    return std::nullopt;  // an RPC frame type
+  }
+  FieldReader reader{ByteReader(frame.payload)};
+  std::visit([&](auto& m) { WireFields(reader, m); }, message);
+  if (!Done(reader.r)) return std::nullopt;
+  return message;
 }
 
 }  // namespace sws::net

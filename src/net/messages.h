@@ -106,58 +106,17 @@ std::string EncodeInspectReply(const InspectReply& reply);
 std::optional<InspectReply> DecodeInspectReply(std::string_view payload);
 
 // ---------------------------------------------------------------------------
-// Replication protocol (SocketTransport). One message kind per
-// ReplicationTransport verb; `to` is carried on the wire so a transport
-// hosting several nodes behind one listener can route after accept.
+// Replication protocol (SocketTransport): one codec for every
+// replication::Message. Kind i travels as frame type kShipment + i, its
+// fields in declaration order; Shipment::session_id stays off the wire.
+// `to` is carried so a transport hosting several nodes behind one
+// listener can route after accept.
 
-std::string EncodeShipment(const replication::Shipment& shipment);
-std::optional<replication::Shipment> DecodeShipment(std::string_view payload);
-
-struct AckMsg {
-  std::string from;
-  std::string to;
-  uint64_t source_incarnation = 0;
-  uint64_t acked_link_seq = 0;
-  uint64_t epoch = 0;
-};
-std::string EncodeAckMsg(const AckMsg& ack);
-std::optional<AckMsg> DecodeAckMsg(std::string_view payload);
-
-struct HeartbeatMsg {
-  std::string from;
-  std::string to;
-  uint64_t incarnation = 0;
-  uint64_t epoch = 0;
-};
-std::string EncodeHeartbeatMsg(const HeartbeatMsg& heartbeat);
-std::optional<HeartbeatMsg> DecodeHeartbeatMsg(std::string_view payload);
-
-struct VoteRequestMsg {
-  std::string from;
-  std::string to;
-  uint64_t epoch = 0;
-  std::string suspect;
-};
-std::string EncodeVoteRequestMsg(const VoteRequestMsg& request);
-std::optional<VoteRequestMsg> DecodeVoteRequestMsg(std::string_view payload);
-
-struct VoteGrantMsg {
-  std::string from;
-  std::string to;
-  uint64_t epoch = 0;
-  bool granted = false;
-};
-std::string EncodeVoteGrantMsg(const VoteGrantMsg& grant);
-std::optional<VoteGrantMsg> DecodeVoteGrantMsg(std::string_view payload);
-
-struct CatchupRequestMsg {
-  std::string from;
-  std::string to;
-  uint64_t epoch = 0;
-};
-std::string EncodeCatchupRequestMsg(const CatchupRequestMsg& request);
-std::optional<CatchupRequestMsg> DecodeCatchupRequestMsg(
-    std::string_view payload);
+/// The whole frame (header included) carrying `message`.
+std::string EncodeReplication(const replication::Message& message);
+/// nullopt for a malformed payload and for a frame type outside
+/// kShipment..kCatchupRequest.
+std::optional<replication::Message> DecodeReplication(const Frame& frame);
 
 }  // namespace sws::net
 

@@ -140,8 +140,7 @@ void SocketTransport::Unbind(const std::string& node) {
   });
 }
 
-void SocketTransport::Post(const std::string& src, const std::string& dst,
-                           MsgType type, std::string payload) {
+void SocketTransport::Send(replication::Message message) {
   // Fault decisions draw on the caller thread (the submit-time schedule,
   // like InProcessTransport) so a seed reproduces the same drop/garble
   // sequence regardless of loop timing.
@@ -153,7 +152,7 @@ void SocketTransport::Post(const std::string& src, const std::string& dst,
       return;
     }
   }
-  std::string bytes = EncodeFrame(type, payload);
+  std::string bytes = EncodeReplication(message);
   if (injector_ != nullptr) {
     const auto& opts = injector_->options();
     if (injector_->Draw(core::FaultPoint::kTransportGarble,
@@ -168,7 +167,9 @@ void SocketTransport::Post(const std::string& src, const std::string& dst,
       garbled_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  loop_->RunInLoop([this, src, dst, bytes = std::move(bytes)]() mutable {
+  loop_->RunInLoop([this, src = replication::From(message),
+                    dst = replication::To(message),
+                    bytes = std::move(bytes)]() mutable {
     SendOnLink(src, dst, std::move(bytes));
   });
 }
@@ -380,103 +381,14 @@ bool SocketTransport::Deliver(const std::string& peer,
     dropped_.fetch_add(1, std::memory_order_relaxed);  // receiver died
     return true;
   }
-  switch (frame.type) {
-    case MsgType::kShipment: {
-      auto shipment = DecodeShipment(frame.payload);
-      if (!shipment || shipment->source != peer || shipment->dest != local) {
-        return false;
-      }
-      delivered_.fetch_add(1, std::memory_order_relaxed);
-      endpoint->OnShipment(*shipment);
-      return true;
-    }
-    case MsgType::kAck: {
-      auto ack = DecodeAckMsg(frame.payload);
-      if (!ack || ack->from != peer || ack->to != local) return false;
-      delivered_.fetch_add(1, std::memory_order_relaxed);
-      endpoint->OnAck(ack->from, ack->source_incarnation, ack->acked_link_seq,
-                      ack->epoch);
-      return true;
-    }
-    case MsgType::kHeartbeat: {
-      auto heartbeat = DecodeHeartbeatMsg(frame.payload);
-      if (!heartbeat || heartbeat->from != peer || heartbeat->to != local) {
-        return false;
-      }
-      delivered_.fetch_add(1, std::memory_order_relaxed);
-      endpoint->OnHeartbeat(heartbeat->from, heartbeat->incarnation,
-                            heartbeat->epoch);
-      return true;
-    }
-    case MsgType::kVoteRequest: {
-      auto request = DecodeVoteRequestMsg(frame.payload);
-      if (!request || request->from != peer || request->to != local) {
-        return false;
-      }
-      delivered_.fetch_add(1, std::memory_order_relaxed);
-      endpoint->OnVoteRequest(request->from, request->epoch, request->suspect);
-      return true;
-    }
-    case MsgType::kVoteGrant: {
-      auto grant = DecodeVoteGrantMsg(frame.payload);
-      if (!grant || grant->from != peer || grant->to != local) return false;
-      delivered_.fetch_add(1, std::memory_order_relaxed);
-      endpoint->OnVoteGrant(grant->from, grant->epoch, grant->granted);
-      return true;
-    }
-    case MsgType::kCatchupRequest: {
-      auto request = DecodeCatchupRequestMsg(frame.payload);
-      if (!request || request->from != peer || request->to != local) {
-        return false;
-      }
-      delivered_.fetch_add(1, std::memory_order_relaxed);
-      endpoint->OnCatchupRequest(request->from, request->epoch);
-      return true;
-    }
-    default:
-      return false;  // RPC types on a replication conn: protocol error
+  const std::optional<replication::Message> message = DecodeReplication(frame);
+  if (!message || replication::From(*message) != peer ||
+      replication::To(*message) != local) {
+    return false;
   }
-}
-
-void SocketTransport::Ship(replication::Shipment shipment) {
-  std::string payload = EncodeShipment(shipment);
-  Post(shipment.source, shipment.dest, MsgType::kShipment,
-       std::move(payload));
-}
-
-void SocketTransport::SendAck(const std::string& from, const std::string& to,
-                              uint64_t source_incarnation,
-                              uint64_t acked_link_seq, uint64_t epoch) {
-  Post(from, to, MsgType::kAck,
-       EncodeAckMsg({from, to, source_incarnation, acked_link_seq, epoch}));
-}
-
-void SocketTransport::SendHeartbeat(const std::string& from,
-                                    const std::string& to,
-                                    uint64_t incarnation, uint64_t epoch) {
-  Post(from, to, MsgType::kHeartbeat,
-       EncodeHeartbeatMsg({from, to, incarnation, epoch}));
-}
-
-void SocketTransport::SendVoteRequest(const std::string& from,
-                                      const std::string& to, uint64_t epoch,
-                                      const std::string& suspect) {
-  Post(from, to, MsgType::kVoteRequest,
-       EncodeVoteRequestMsg({from, to, epoch, suspect}));
-}
-
-void SocketTransport::SendVoteGrant(const std::string& from,
-                                    const std::string& to, uint64_t epoch,
-                                    bool granted) {
-  Post(from, to, MsgType::kVoteGrant,
-       EncodeVoteGrantMsg({from, to, epoch, granted}));
-}
-
-void SocketTransport::SendCatchupRequest(const std::string& from,
-                                         const std::string& to,
-                                         uint64_t epoch) {
-  Post(from, to, MsgType::kCatchupRequest,
-       EncodeCatchupRequestMsg({from, to, epoch}));
+  delivered_.fetch_add(1, std::memory_order_relaxed);
+  endpoint->OnMessage(*message);
+  return true;
 }
 
 void SocketTransport::Partition(const std::string& src,

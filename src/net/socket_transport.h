@@ -22,7 +22,7 @@ namespace sws::net {
 /// ReplicationTransport over real loopback TCP (DESIGN.md §14). Each
 /// Bind opens a listener on an ephemeral port; each ordered (src, dst)
 /// pair gets one lazily-dialed outgoing connection carrying src's
-/// messages as wire frames (kShipment..kCatchupRequest), opened with a
+/// messages, one EncodeReplication frame each, opened with a
 /// kReplication Hello naming the source node. The receiving side runs
 /// every frame through the same defensive FrameDecoder as the RPC front
 /// door: a corrupt frame kills the connection — the sender re-dials on
@@ -62,18 +62,7 @@ class SocketTransport : public replication::ReplicationTransport {
   void Bind(const std::string& node,
             replication::ReplicationEndpoint* endpoint) override;
   void Unbind(const std::string& node) override;
-  void Ship(replication::Shipment shipment) override;
-  void SendAck(const std::string& from, const std::string& to,
-               uint64_t source_incarnation, uint64_t acked_link_seq,
-               uint64_t epoch) override;
-  void SendHeartbeat(const std::string& from, const std::string& to,
-                     uint64_t incarnation, uint64_t epoch) override;
-  void SendVoteRequest(const std::string& from, const std::string& to,
-                       uint64_t epoch, const std::string& suspect) override;
-  void SendVoteGrant(const std::string& from, const std::string& to,
-                     uint64_t epoch, bool granted) override;
-  void SendCatchupRequest(const std::string& from, const std::string& to,
-                          uint64_t epoch) override;
+  void Send(replication::Message message) override;
 
   void Partition(const std::string& src, const std::string& dst) override;
   void Heal(const std::string& src, const std::string& dst) override;
@@ -115,10 +104,6 @@ class SocketTransport : public replication::ReplicationTransport {
   /// Runs `fn` on the loop thread and waits for it (inline when already
   /// on the loop thread). All maps below are loop-thread-owned.
   void RunSync(std::function<void()> fn);
-  /// Submit-side half of every Send*: draws drop/garble faults, frames
-  /// the payload and hands it to the loop. Caller thread.
-  void Post(const std::string& src, const std::string& dst, MsgType type,
-            std::string payload);
   /// Loop thread: queue bytes on the (src, dst) link, dialing it first
   /// if needed.
   void SendOnLink(const std::string& src, const std::string& dst,
@@ -131,8 +116,9 @@ class SocketTransport : public replication::ReplicationTransport {
   void InConnReadable(int fd);
   /// Loop thread: decodes and delivers one received frame to the bound
   /// endpoint, honoring partitions/isolation at delivery time. Returns
-  /// false on a protocol violation (undecodable or misrouted frame) —
-  /// the caller kills the connection.
+  /// false on a protocol violation — undecodable, or naming another
+  /// sender than the connection's Hello or another receiver than
+  /// `local` — and the caller kills the connection.
   bool Deliver(const std::string& peer, const std::string& local,
                const Frame& frame);
   bool Blocked(const std::string& src, const std::string& dst) const;

@@ -20,6 +20,9 @@ core::Status FencingEpoch::Load() {
 }
 
 bool FencingEpoch::Adopt(uint64_t epoch) {
+  // Most messages carry the epoch already adopted, and the epoch only
+  // rises: that case needs no lock (a vote may hold it across a write).
+  if (epoch <= epoch_.load(std::memory_order_acquire)) return false;
   std::lock_guard<std::mutex> lock(mu_);
   if (epoch <= epoch_.load(std::memory_order_relaxed)) return false;
   // Publish before persisting: rejects must use the new epoch even if
@@ -133,8 +136,7 @@ bool FailoverCoordinator::PeerLooksDeadLocked(
   return now - it->second.last_heard >= suspicion_timeout_;
 }
 
-void FailoverCoordinator::OnVoteRequest(const std::string& from, uint64_t epoch,
-                                        const std::string& suspect) {
+void FailoverCoordinator::OnVoteRequest(const VoteRequest& request) {
   bool grant = false;
   {
     const auto now = std::chrono::steady_clock::now();
@@ -144,27 +146,26 @@ void FailoverCoordinator::OnVoteRequest(const std::string& from, uint64_t epoch,
     // side of an asymmetric partition still hears it and refuses, which
     // is what keeps a live primary from being deposed by one confused
     // observer.
-    grant = from != self_ && suspect != self_ &&
-            epoch > fence_->current() && PeerLooksDeadLocked(suspect, now);
+    grant = request.from != self_ && request.suspect != self_ &&
+            request.epoch > fence_->current() &&
+            PeerLooksDeadLocked(request.suspect, now);
   }
   // The vote itself must be durable before the grant leaves (TryVote
   // also enforces one vote per epoch, including votes this node cast as
   // a candidate).
-  if (grant) grant = fence_->TryVote(epoch);
+  if (grant) grant = fence_->TryVote(request.epoch);
   if (grant) {
     std::lock_guard<std::mutex> lock(mu_);
     ++votes_granted_;
   }
-  transport_->SendVoteGrant(self_, from, epoch, grant);
+  transport_->Send(VoteGrant{self_, request.from, request.epoch, grant});
 }
 
-void FailoverCoordinator::OnVoteGrant(const std::string& from, uint64_t epoch,
-                                      bool granted) {
-  (void)from;
+void FailoverCoordinator::OnVoteGrant(const VoteGrant& grant) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!election_active_ || epoch != election_epoch_) return;
-    if (granted) {
+    if (!election_active_ || grant.epoch != election_epoch_) return;
+    if (grant.granted) {
       ++grants_;
     } else {
       ++denials_;
@@ -275,7 +276,9 @@ void FailoverCoordinator::WorkerLoop() {
     const size_t majority = peers.size() / 2 + 1;
     lock.unlock();
     for (const std::string& peer : peers) {
-      if (peer != self_) transport_->SendVoteRequest(self_, peer, target, dead);
+      if (peer != self_) {
+        transport_->Send(VoteRequest{self_, peer, target, dead});
+      }
     }
 
     lock.lock();

@@ -141,9 +141,8 @@ class FailoverCoordinator {
       std::chrono::steady_clock::time_point now);
 
   // Election wire (routed by the node's endpoint, transport thread).
-  void OnVoteRequest(const std::string& from, uint64_t epoch,
-                     const std::string& suspect);
-  void OnVoteGrant(const std::string& from, uint64_t epoch, bool granted);
+  void OnVoteRequest(const VoteRequest& request);
+  void OnVoteGrant(const VoteGrant& grant);
 
   // Telemetry.
   uint64_t elections_started() const;

@@ -113,7 +113,17 @@ void FollowerApplier::OnShipment(const Shipment& shipment) {
   bool rejected = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    SourceLink& link = LinkFor(shipment.source);
+    if (shipment.first_unacked == 0 ||
+        shipment.first_unacked > shipment.link_seq) {
+      // No sender builds this (first_unacked = its cumulative ack + 1,
+      // and it only buffers seqs past that ack). Trusting it would move
+      // the cursor to first_unacked - 1: past records never applied, or
+      // to 2^64 - 1 on a wrap, after which the link drops every
+      // shipment as a duplicate and acks what it does not have.
+      ++rejected_;
+      return;
+    }
+    SourceLink& link = LinkFor(shipment.from);
     if (fence_ != nullptr) {
       if (shipment.epoch > fence_->current()) {
         // News travels on every message: a shipment can be the first
@@ -149,8 +159,7 @@ void FollowerApplier::OnShipment(const Shipment& shipment) {
       // by this node in a previous life if not this one — so they are in
       // the local journal already. Without this a restarted follower
       // would wait forever for records the primary no longer retains.
-      if (shipment.first_unacked > 0 &&
-          link.applied_seq < shipment.first_unacked - 1) {
+      if (link.applied_seq < shipment.first_unacked - 1) {
         link.applied_seq = shipment.first_unacked - 1;
       }
       if (shipment.link_seq <= link.applied_seq) {
@@ -165,8 +174,8 @@ void FollowerApplier::OnShipment(const Shipment& shipment) {
   // Ack outside mu_ (transport takes its own lock). Cumulative, so
   // acking after every shipment — duplicates included — is harmless
   // and re-seeds a primary whose acks were dropped in flight.
-  transport_->SendAck(node_id_, shipment.source, shipment.source_incarnation,
-                      ack, CurrentEpoch());
+  transport_->Send(Ack{node_id_, shipment.from, shipment.source_incarnation,
+                       ack, CurrentEpoch()});
 }
 
 bool FollowerApplier::AbsorbSnapshotLocked(SourceLink* link,
@@ -175,7 +184,7 @@ bool FollowerApplier::AbsorbSnapshotLocked(SourceLink* link,
   *corrupt = false;
   persistence::SnapshotData snap;
   if (!persistence::DecodeSnapshotPayload(
-           shipment.frame, "catch-up snapshot from " + shipment.source, &snap)
+           shipment.frame, "catch-up snapshot from " + shipment.from, &snap)
            .ok()) {
     *corrupt = true;  // damaged in flight; drop — retransmit is clean
     return false;
@@ -196,13 +205,6 @@ bool FollowerApplier::AbsorbSnapshotLocked(SourceLink* link,
   if (!persistence::WriteSnapshot(path, snap, injector_).ok()) return false;
   ++link->snapshots_absorbed;
   return true;
-}
-
-void FollowerApplier::OnHeartbeat(const std::string& from,
-                                  uint64_t incarnation, uint64_t epoch) {
-  (void)from;
-  (void)incarnation;
-  if (fence_ != nullptr && epoch > fence_->current()) fence_->Adopt(epoch);
 }
 
 uint64_t FollowerApplier::applied() const {

@@ -33,7 +33,9 @@ inline constexpr uint64_t kReplicaShardBase = 1ull << 40;
 /// guarantees it does); duplicates re-ack. A shipment whose
 /// first_unacked is ahead of the local cursor fast-forwards it — those
 /// records were acknowledged by a previous life of this node and are
-/// already in its journal (see Shipment::first_unacked).
+/// already in its journal (see Shipment::first_unacked). A shipment
+/// outside 1 <= first_unacked <= link_seq is malformed: rejected whole,
+/// like a corrupt frame, before it can touch a link or the epoch.
 ///
 /// Fencing (DESIGN.md §13): a shipment stamped with an epoch below this
 /// node's adopted epoch is from a deposed primary — it is counted,
@@ -42,8 +44,8 @@ inline constexpr uint64_t kReplicaShardBase = 1ull << 40;
 /// adopted. This is what keeps a promoted heir's history from being
 /// forked by the old primary's in-flight or restart-reshipped tail.
 ///
-/// Thread-safety: OnShipment/OnHeartbeat run on the transport delivery
-/// thread; one mutex guards everything. The ShardDurability writers are
+/// Thread-safety: OnShipment runs on the transport delivery thread; one
+/// mutex guards everything. The ShardDurability writers are
 /// created lazily per source under the mutex, so the "drain-role holder
 /// only" contract those writers assume maps here to "delivery thread
 /// under mu_".
@@ -73,15 +75,11 @@ class FollowerApplier {
   /// merges it exactly like a locally-captured snapshot (largest
   /// next_seq per session wins). Both ack only once durable.
   void OnShipment(const Shipment& shipment);
-  /// Adopts a higher epoch the heartbeat carries; nothing else (a
-  /// heartbeat opens no link).
-  void OnHeartbeat(const std::string& from, uint64_t incarnation,
-                   uint64_t epoch);
 
   // Telemetry.
   uint64_t applied() const;
   uint64_t duplicates() const;
-  uint64_t rejected() const;  // corrupt frames / failed appends dropped
+  uint64_t rejected() const;  // malformed / corrupt shipments, failed appends
   uint64_t fencing_rejects() const;  // stale-epoch shipments dropped
 
  private:

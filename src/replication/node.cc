@@ -4,6 +4,7 @@
 #include <map>
 #include <tuple>
 #include <utility>
+#include <variant>
 
 #include "persistence/durability.h"
 #include "persistence/journal.h"
@@ -474,54 +475,34 @@ void ReplicatedNode::ServeCatchup(const std::string& requester) {
   replicator_->UnpinCatchup();
 }
 
-void ReplicatedNode::OnShipment(const Shipment& shipment) {
-  if (coordinator_ != nullptr) coordinator_->NoteAlive(shipment.source);
-  if (shipment.snapshot && replicator_ != nullptr) {
-    // The bootstrap answer to our catch-up request — stop re-asking this
-    // source. (The applier below is what durably absorbs it.)
-    replicator_->NoteCatchupServed(shipment.source);
+void ReplicatedNode::OnMessage(const Message& message) {
+  if (coordinator_ != nullptr) coordinator_->NoteAlive(From(message));
+  if (const auto* shipment = std::get_if<Shipment>(&message)) {
+    if (shipment->snapshot && replicator_ != nullptr) {
+      // The bootstrap answer to our catch-up request — stop re-asking
+      // this source. (The applier below is what durably absorbs it.)
+      replicator_->NoteCatchupServed(shipment->from);
+    }
+    if (applier_ != nullptr) applier_->OnShipment(*shipment);
+  } else if (const auto* ack = std::get_if<Ack>(&message)) {
+    if (replicator_ != nullptr) replicator_->OnAck(*ack);
+  } else if (const auto* heartbeat = std::get_if<Heartbeat>(&message)) {
+    // News travels on every message: a heartbeat can be the first
+    // carrier of a promotion this node missed.
+    fence_.Adopt(heartbeat->epoch);
+  } else if (const auto* request = std::get_if<VoteRequest>(&message)) {
+    if (coordinator_ != nullptr) coordinator_->OnVoteRequest(*request);
+  } else if (const auto* grant = std::get_if<VoteGrant>(&message)) {
+    if (coordinator_ != nullptr) coordinator_->OnVoteGrant(*grant);
+  } else if (const auto* catchup = std::get_if<CatchupRequest>(&message)) {
+    // A refreshed joiner may know a newer epoch than we do (it heard the
+    // promotion first).
+    fence_.Adopt(catchup->epoch);
+    // Serving on the delivery thread is deliberate: DeliveryLoop releases
+    // the transport lock around endpoint calls, and the serve never takes
+    // the node's lifecycle lock, so Kill/Unbind can always drain it.
+    ServeCatchup(catchup->from);
   }
-  if (applier_ != nullptr) applier_->OnShipment(shipment);
-}
-
-void ReplicatedNode::OnAck(const std::string& from, uint64_t source_incarnation,
-                           uint64_t acked_link_seq, uint64_t epoch) {
-  if (coordinator_ != nullptr) coordinator_->NoteAlive(from);
-  if (replicator_ != nullptr) {
-    replicator_->OnAck(from, source_incarnation, acked_link_seq, epoch);
-  }
-}
-
-void ReplicatedNode::OnHeartbeat(const std::string& from, uint64_t incarnation,
-                                 uint64_t epoch) {
-  if (coordinator_ != nullptr) coordinator_->NoteAlive(from);
-  if (applier_ != nullptr) applier_->OnHeartbeat(from, incarnation, epoch);
-}
-
-void ReplicatedNode::OnVoteRequest(const std::string& from, uint64_t epoch,
-                                   const std::string& suspect) {
-  if (coordinator_ == nullptr) return;
-  coordinator_->NoteAlive(from);
-  coordinator_->OnVoteRequest(from, epoch, suspect);
-}
-
-void ReplicatedNode::OnVoteGrant(const std::string& from, uint64_t epoch,
-                                 bool granted) {
-  if (coordinator_ == nullptr) return;
-  coordinator_->NoteAlive(from);
-  coordinator_->OnVoteGrant(from, epoch, granted);
-}
-
-void ReplicatedNode::OnCatchupRequest(const std::string& from,
-                                      uint64_t epoch) {
-  if (coordinator_ != nullptr) coordinator_->NoteAlive(from);
-  // A refreshed joiner may know a newer epoch than we do (it heard the
-  // promotion first) — news travels on every message.
-  fence_.Adopt(epoch);
-  // Serving on the delivery thread is deliberate: DeliveryLoop releases
-  // the transport lock around endpoint calls, and the serve never takes
-  // the node's lifecycle lock, so Kill/Unbind can always drain it.
-  ServeCatchup(from);
 }
 
 std::string ChoosePromotionCandidate(

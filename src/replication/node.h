@@ -100,7 +100,7 @@ struct NodeOptions {
 /// harness-only (valid between transitions the harness itself drives);
 /// concurrent drivers use runtime_snapshot(), which keeps the runtime
 /// alive across a teardown (its Shutdown has already quiesced it). The
-/// endpoint methods (transport thread) never take the lifecycle lock —
+/// endpoint method (transport thread) never takes the lifecycle lock —
 /// Kill holds it across Unbind, which waits out in-flight deliveries —
 /// and only touch bound-stable pointers: Bind happens after the
 /// applier/replicator exist, Unbind before they die.
@@ -134,17 +134,11 @@ class ReplicatedNode : public ReplicationEndpoint {
   /// Promote but adopting the exact epoch the votes were granted at.
   core::Status PromoteWithEpoch(const std::string& dead, uint64_t epoch);
 
-  // ReplicationEndpoint (transport delivery thread).
-  void OnShipment(const Shipment& shipment) override;
-  void OnAck(const std::string& from, uint64_t source_incarnation,
-             uint64_t acked_link_seq, uint64_t epoch) override;
-  void OnHeartbeat(const std::string& from, uint64_t incarnation,
-                   uint64_t epoch) override;
-  void OnVoteRequest(const std::string& from, uint64_t epoch,
-                     const std::string& suspect) override;
-  void OnVoteGrant(const std::string& from, uint64_t epoch,
-                   bool granted) override;
-  void OnCatchupRequest(const std::string& from, uint64_t epoch) override;
+  /// ReplicationEndpoint (transport delivery thread): notes the sender
+  /// alive, then routes the message — shipments to the applier, acks to
+  /// the replicator, votes to the coordinator, catch-up requests to the
+  /// serve; a heartbeat only carries its epoch.
+  void OnMessage(const Message& message) override;
 
   bool running() const { return running_.load(std::memory_order_acquire); }
   const std::string& id() const { return options_.id; }

@@ -37,8 +37,8 @@ uint64_t Replicator::BufferLocked(const std::string& dest,
                                   std::vector<Shipment>* to_send) {
   Link& link = links_[dest];
   Shipment shipment;
-  shipment.source = node_id_;
-  shipment.dest = dest;
+  shipment.from = node_id_;
+  shipment.to = dest;
   shipment.source_incarnation = incarnation_;
   shipment.link_seq = link.next_link_seq++;
   shipment.first_unacked = link.acked + 1;
@@ -82,7 +82,7 @@ void Replicator::ShipRecord(const persistence::JournalRecord& record,
                    /*snapshot=*/false, &to_send);
     }
   }
-  for (Shipment& s : to_send) transport_->Ship(std::move(s));
+  for (Shipment& s : to_send) transport_->Send(std::move(s));
 }
 
 void Replicator::ShipRecordTo(const std::string& dest,
@@ -98,7 +98,7 @@ void Replicator::ShipRecordTo(const std::string& dest,
     BufferLocked(dest, record.session_id, frame, shard, segment_n,
                  /*snapshot=*/false, &to_send);
   }
-  for (Shipment& s : to_send) transport_->Ship(std::move(s));
+  for (Shipment& s : to_send) transport_->Send(std::move(s));
 }
 
 void Replicator::ShipSnapshotTo(const std::string& dest, std::string payload) {
@@ -112,7 +112,7 @@ void Replicator::ShipSnapshotTo(const std::string& dest, std::string payload) {
     BufferLocked(dest, /*session_id=*/"", payload, /*shard=*/0,
                  /*segment_n=*/0, /*snapshot=*/true, &to_send);
   }
-  for (Shipment& s : to_send) transport_->Ship(std::move(s));
+  for (Shipment& s : to_send) transport_->Send(std::move(s));
 }
 
 core::Status Replicator::ShipOutcomeAndWait(
@@ -139,7 +139,7 @@ core::Status Replicator::ShipOutcomeAndWait(
                                         &to_send));
     }
   }
-  for (Shipment& s : to_send) transport_->Ship(std::move(s));
+  for (Shipment& s : to_send) transport_->Send(std::move(s));
 
   // The barrier: quorum of the session's followers must cover the
   // outcome's link position. A group smaller than replicas+1 caps the
@@ -248,17 +248,20 @@ void Replicator::ReconcileEpoch() {
   ack_cv_.notify_all();
 }
 
-void Replicator::OnAck(const std::string& from, uint64_t source_incarnation,
-                       uint64_t acked_link_seq, uint64_t epoch) {
-  MaybeAdoptEpoch(epoch);
+void Replicator::OnAck(const Ack& ack) {
+  MaybeAdoptEpoch(ack.epoch);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (source_incarnation != incarnation_) return;  // a past life's ack
-    auto it = links_.find(from);
+    if (ack.source_incarnation != incarnation_) return;  // a past life's ack
+    auto it = links_.find(ack.from);
     if (it == links_.end()) return;
     Link& link = it->second;
-    if (acked_link_seq <= link.acked) return;  // duplicate / out of order
-    link.acked = acked_link_seq;
+    if (ack.acked_link_seq <= link.acked) return;  // duplicate / out of order
+    // An ack past the last link_seq shipped vouches for records that do
+    // not exist; counting it would let a barrier pass with no follower
+    // holding the outcome.
+    if (ack.acked_link_seq >= link.next_link_seq) return;
+    link.acked = ack.acked_link_seq;
     while (!link.unacked.empty() &&
            link.unacked.front().link_seq <= link.acked) {
       link.unacked.pop_front();
@@ -310,7 +313,7 @@ void Replicator::RequestCatchup(const std::vector<std::string>& sources) {
     last_catchup_send_ = std::chrono::steady_clock::now();
   }
   for (const std::string& source : to_ask) {
-    transport_->SendCatchupRequest(node_id_, source, epoch);
+    transport_->Send(CatchupRequest{node_id_, source, epoch});
   }
 }
 
@@ -360,15 +363,22 @@ void Replicator::BackgroundLoop() {
     return base + delta;  // positive: |delta| < base since jitter < 1
   };
 
+  const bool heartbeats = options_.heartbeat_interval.count() > 0;
+  auto tick = std::chrono::nanoseconds(options_.retransmit_interval);
+  if (heartbeats) {
+    tick = std::min(tick,
+                    std::chrono::nanoseconds(options_.heartbeat_interval));
+  }
   std::unique_lock<std::mutex> lock(mu_);
-  auto next_heartbeat = std::chrono::steady_clock::now();
+  auto next_heartbeat = std::chrono::steady_clock::now() + tick;
   while (!stop_) {
-    auto tick = std::chrono::nanoseconds(options_.retransmit_interval);
-    if (options_.heartbeat_interval.count() > 0) {
-      tick = std::min(tick,
-                      std::chrono::nanoseconds(options_.heartbeat_interval));
-    }
-    ack_cv_.wait_for(lock, tick);
+    // Wake for the next beat itself, not the first tick after it: a beat
+    // due just past a tick would otherwise wait out a whole extra tick,
+    // and gaps between beats would reach twice the interval. (An aborted
+    // replicator sends no beats, so its past-due one must not wake it.)
+    auto wake = std::chrono::steady_clock::now() + tick;
+    if (heartbeats && !aborted_) wake = std::min(wake, next_heartbeat);
+    ack_cv_.wait_until(lock, wake);
     if (stop_ || aborted_) {
       if (stop_) return;
       // Aborted but not destroyed: idle until destruction.
@@ -377,10 +387,11 @@ void Replicator::BackgroundLoop() {
     const auto now = std::chrono::steady_clock::now();
     const uint64_t epoch = CurrentEpoch();
     if (fence_ != nullptr && !fenced_ && reconciled_epoch_ < epoch) {
-      // The fence moved without an ack (heartbeat adoption by the
-      // applier, or a local promotion). Reconcile before retransmitting:
-      // a deposed node must never restamp its stale tail with the new
-      // epoch — followers would accept it (see class comment).
+      // The fence moved without an ack (an epoch the node adopted from a
+      // heartbeat, shipment or catch-up request, or a local promotion).
+      // Reconcile before retransmitting: a deposed node must never
+      // restamp its stale tail with the new epoch — followers would
+      // accept it (see class comment).
       lock.unlock();
       ReconcileEpoch();
       lock.lock();
@@ -404,7 +415,7 @@ void Replicator::BackgroundLoop() {
       }
     }
     std::vector<std::string> beat_peers;
-    if (options_.heartbeat_interval.count() > 0 && now >= next_heartbeat) {
+    if (heartbeats && now >= next_heartbeat) {
       next_heartbeat = now + jittered_heartbeat();
       for (const std::string& peer : group_->nodes()) {
         if (peer != node_id_) beat_peers.push_back(peer);
@@ -417,12 +428,12 @@ void Replicator::BackgroundLoop() {
       catchup_peers.assign(pending_catchup_.begin(), pending_catchup_.end());
     }
     lock.unlock();
-    for (Shipment& s : to_send) transport_->Ship(std::move(s));
+    for (Shipment& s : to_send) transport_->Send(std::move(s));
     for (const std::string& peer : beat_peers) {
-      transport_->SendHeartbeat(node_id_, peer, incarnation_, epoch);
+      transport_->Send(Heartbeat{node_id_, peer, incarnation_, epoch});
     }
     for (const std::string& peer : catchup_peers) {
-      transport_->SendCatchupRequest(node_id_, peer, epoch);
+      transport_->Send(CatchupRequest{node_id_, peer, epoch});
     }
     lock.lock();
   }

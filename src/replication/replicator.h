@@ -41,13 +41,14 @@ namespace sws::replication {
 /// all shipping stops, so pending ack barriers fail fast instead of
 /// timing out against followers that will reject the stale epoch anyway.
 /// The fence is shared node-wide, so the epoch can also move under the
-/// replicator's feet via an incoming heartbeat (FollowerApplier adopts
-/// it) or a local promotion; the background loop therefore reconciles
-/// deposed-ness against the fence whenever it observes the epoch moved,
-/// never only on the ack path. Without that, a deposed primary that
-/// learned the new epoch from a heartbeat would keep retransmitting its
-/// stale tail restamped with the *current* epoch — which followers
-/// would accept, forking acked history.
+/// replicator's feet via an incoming message the node adopts it from
+/// (heartbeat, shipment, catch-up request) or a local promotion; the
+/// background loop therefore reconciles deposed-ness against the fence
+/// whenever it observes the epoch moved, never only on the ack path.
+/// Without that, a deposed primary that learned the new epoch from a
+/// heartbeat would keep retransmitting its stale tail restamped with
+/// the *current* epoch — which followers would accept, forking acked
+/// history.
 ///
 /// Catch-up (DESIGN.md §13): a link to a bootstrapping joiner is marked
 /// not-caught-up and excluded from the ack quorum until the joiner has
@@ -59,7 +60,7 @@ namespace sws::replication {
 /// Thread-safety: ShipRecord/ShipOutcomeAndWait are called by shard
 /// drain workers, OnAck by the transport delivery thread, Abort by the
 /// node teardown path; one mutex guards the link table. Lock order:
-/// mu_ may be held while calling transport Ship (the transport never
+/// mu_ may be held while calling transport Send (the transport never
 /// calls back into the replicator while holding its own lock).
 class Replicator : public rt::ReplicationClient {
  public:
@@ -95,10 +96,10 @@ class Replicator : public rt::ReplicationClient {
   void ShipSnapshotTo(const std::string& dest, std::string payload);
 
   /// Transport ack, routed by the node's endpoint. Acks echoing a stale
-  /// incarnation (a past life of this node) are ignored, but their epoch
-  /// is adopted regardless — fencing news is never stale.
-  void OnAck(const std::string& from, uint64_t source_incarnation,
-             uint64_t acked_link_seq, uint64_t epoch);
+  /// incarnation (a past life of this node) or past the last link_seq
+  /// shipped on their link are ignored, but their epoch is adopted
+  /// regardless — fencing news is never stale.
+  void OnAck(const Ack& ack);
 
   // --- catch-up, serve side (called by the node's endpoint) ---
 

@@ -49,13 +49,15 @@ bool InProcessTransport::Blocked(const std::string& src,
          partitions_.count({src, dst}) > 0;
 }
 
-void InProcessTransport::Submit(Event event) {
+void InProcessTransport::Send(Message message) {
   const auto now = std::chrono::steady_clock::now();
   std::chrono::microseconds extra{0};
   bool duplicate = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stop_ || Blocked(event.src, event.dst)) {
+    const std::string& src = From(message);
+    const std::string& dst = To(message);
+    if (stop_ || Blocked(src, dst)) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -79,96 +81,16 @@ void InProcessTransport::Submit(Event event) {
         reordered_.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    auto lag = link_lag_.find({event.src, event.dst});
+    auto lag = link_lag_.find({src, dst});
     if (lag != link_lag_.end()) extra += lag->second;
-    event.due = now + extra;
-    event.order = next_order_++;
-    queue_.push(event);
+    const auto due = now + extra;
     if (duplicate) {
       duplicated_.fetch_add(1, std::memory_order_relaxed);
-      event.order = next_order_++;
-      queue_.push(std::move(event));
+      queue_.push(Event{message, due, next_order_++});
     }
+    queue_.push(Event{std::move(message), due, next_order_++});
   }
   cv_.notify_all();
-}
-
-void InProcessTransport::Ship(Shipment shipment) {
-  Event event;
-  event.kind = Kind::kShipment;
-  event.src = shipment.source;
-  event.dst = shipment.dest;
-  event.shipment = std::move(shipment);
-  event.source_incarnation = 0;
-  event.acked_link_seq = 0;
-  Submit(std::move(event));
-}
-
-void InProcessTransport::SendAck(const std::string& from, const std::string& to,
-                                 uint64_t source_incarnation,
-                                 uint64_t acked_link_seq, uint64_t epoch) {
-  Event event;
-  event.kind = Kind::kAck;
-  event.src = from;
-  event.dst = to;
-  event.source_incarnation = source_incarnation;
-  event.acked_link_seq = acked_link_seq;
-  event.epoch = epoch;
-  Submit(std::move(event));
-}
-
-void InProcessTransport::SendHeartbeat(const std::string& from,
-                                       const std::string& to,
-                                       uint64_t incarnation, uint64_t epoch) {
-  Event event;
-  event.kind = Kind::kHeartbeat;
-  event.src = from;
-  event.dst = to;
-  event.source_incarnation = incarnation;
-  event.acked_link_seq = 0;
-  event.epoch = epoch;
-  Submit(std::move(event));
-}
-
-void InProcessTransport::SendVoteRequest(const std::string& from,
-                                         const std::string& to, uint64_t epoch,
-                                         const std::string& suspect) {
-  Event event;
-  event.kind = Kind::kVoteRequest;
-  event.src = from;
-  event.dst = to;
-  event.source_incarnation = 0;
-  event.acked_link_seq = 0;
-  event.epoch = epoch;
-  event.text = suspect;
-  Submit(std::move(event));
-}
-
-void InProcessTransport::SendVoteGrant(const std::string& from,
-                                       const std::string& to, uint64_t epoch,
-                                       bool granted) {
-  Event event;
-  event.kind = Kind::kVoteGrant;
-  event.src = from;
-  event.dst = to;
-  event.source_incarnation = 0;
-  event.acked_link_seq = 0;
-  event.epoch = epoch;
-  event.granted = granted;
-  Submit(std::move(event));
-}
-
-void InProcessTransport::SendCatchupRequest(const std::string& from,
-                                            const std::string& to,
-                                            uint64_t epoch) {
-  Event event;
-  event.kind = Kind::kCatchupRequest;
-  event.src = from;
-  event.dst = to;
-  event.source_incarnation = 0;
-  event.acked_link_seq = 0;
-  event.epoch = epoch;
-  Submit(std::move(event));
 }
 
 void InProcessTransport::Partition(const std::string& src,
@@ -223,35 +145,17 @@ void InProcessTransport::DeliveryLoop() {
     // to it like a crashed receiver drops packets. Re-check under mu_
     // because the partition may have been installed after submission.
     std::shared_ptr<Slot> slot;
-    auto it = slots_.find(event.dst);
-    if (it != slots_.end() && !Blocked(event.src, event.dst)) slot = it->second;
+    const std::string& dst = To(event.message);
+    auto it = slots_.find(dst);
+    if (it != slots_.end() && !Blocked(From(event.message), dst)) {
+      slot = it->second;
+    }
     lock.unlock();
     if (slot != nullptr) {
       std::lock_guard<std::mutex> slot_lock(slot->mu);
       if (slot->endpoint != nullptr) {
         delivered_.fetch_add(1, std::memory_order_relaxed);
-        switch (event.kind) {
-          case Kind::kShipment:
-            slot->endpoint->OnShipment(event.shipment);
-            break;
-          case Kind::kAck:
-            slot->endpoint->OnAck(event.src, event.source_incarnation,
-                                  event.acked_link_seq, event.epoch);
-            break;
-          case Kind::kHeartbeat:
-            slot->endpoint->OnHeartbeat(event.src, event.source_incarnation,
-                                        event.epoch);
-            break;
-          case Kind::kVoteRequest:
-            slot->endpoint->OnVoteRequest(event.src, event.epoch, event.text);
-            break;
-          case Kind::kVoteGrant:
-            slot->endpoint->OnVoteGrant(event.src, event.epoch, event.granted);
-            break;
-          case Kind::kCatchupRequest:
-            slot->endpoint->OnCatchupRequest(event.src, event.epoch);
-            break;
-        }
+        slot->endpoint->OnMessage(event.message);
       } else {
         dropped_.fetch_add(1, std::memory_order_relaxed);
       }

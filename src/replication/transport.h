@@ -1,6 +1,7 @@
 #ifndef SWS_REPLICATION_TRANSPORT_H_
 #define SWS_REPLICATION_TRANSPORT_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -12,29 +13,36 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "sws/fault.h"
 
 namespace sws::replication {
 
-/// One journal record in flight on a (source, dest) link. `frame` is the
+// The replication protocol: one Message, six kinds. Every kind names
+// its endpoints `from`/`to` and carries the sender's fencing epoch plus
+// only its own fields, declared in wire order (net/messages.cc).
+
+/// One journal record in flight on a (from, to) link. `frame` is the
 /// exact CRC-framed byte string the primary's JournalWriter appended
 /// (persistence::EncodeRecordFrame) — the follower re-verifies the CRC
 /// on apply, so transport corruption surfaces exactly like torn storage.
 struct Shipment {
-  std::string source;
-  std::string dest;
+  std::string from;
+  std::string to;
   /// The source node's journal incarnation; bumps when the source
   /// restarts, resetting the link (link_seq restarts at 1).
   uint64_t source_incarnation = 0;
-  /// 1-based FIFO position on the (source, dest, source_incarnation)
-  /// link. Followers apply in link order and ack cumulatively.
+  /// 1-based FIFO position on the (from, to, source_incarnation) link.
+  /// Followers apply in link order and ack cumulatively.
   uint64_t link_seq = 0;
   /// Lowest link_seq the source may still retransmit (its cumulative
-  /// ack + 1 at last send). Everything below was acknowledged — i.e.
-  /// durably applied by some follower life — so a follower that lost its
-  /// in-memory link state (restart, promotion) may fast-forward to it.
+  /// ack + 1 at last send), so 1 <= first_unacked <= link_seq; a
+  /// follower rejects any other. Everything below was acknowledged —
+  /// i.e. durably applied by some follower life — so a follower that
+  /// lost its in-memory link state (restart, promotion) may
+  /// fast-forward to it.
   uint64_t first_unacked = 1;
   /// The sender's view of the group fencing epoch at (re)transmit time.
   /// A follower rejects shipments below its own epoch (a deposed
@@ -47,8 +55,8 @@ struct Shipment {
   uint64_t segment_n = 0;
   /// The session the record belongs to — sender-side bookkeeping used to
   /// re-check ownership when the group epoch moves while the shipment is
-  /// buffered. Redundant with the frame contents, so a socket transport
-  /// need not put it on the wire.
+  /// buffered. Redundant with the frame contents, so the socket
+  /// transport does not put it on the wire.
   std::string session_id;
   /// True for a catch-up bootstrap shipment: `frame` then holds
   /// persistence::EncodeSnapshotPayload bytes (not a record frame), which
@@ -60,46 +68,83 @@ struct Shipment {
   std::string frame;
 };
 
-/// A node's receive surface. Methods are invoked from the transport's
-/// delivery thread, one delivery at a time per node; they must not call
-/// back into the transport while blocking (sending acks is fine).
+/// Cumulative: `acked_link_seq` and everything below it is durably
+/// applied by `from`. `source_incarnation` echoes the shipments being
+/// acknowledged, so a restarted source ignores its past life's acks.
+/// `epoch` is the acker's — how a deposed primary learns it was fenced.
+struct Ack {
+  std::string from;
+  std::string to;
+  uint64_t source_incarnation = 0;
+  uint64_t acked_link_seq = 0;
+  uint64_t epoch = 0;
+};
+
+/// A node's periodic sign of life to every peer; the receiver adopts a
+/// higher epoch. `incarnation` rides the wire, but no receiver reads it.
+struct Heartbeat {
+  std::string from;
+  std::string to;
+  uint64_t incarnation = 0;
+  uint64_t epoch = 0;
+};
+
+/// Election traffic (DESIGN.md §13): `epoch` is the epoch the candidate
+/// wants to claim, `suspect` the node it wants to depose.
+struct VoteRequest {
+  std::string from;
+  std::string to;
+  uint64_t epoch = 0;
+  std::string suspect;
+};
+
+struct VoteGrant {
+  std::string from;
+  std::string to;
+  uint64_t epoch = 0;
+  bool granted = false;
+};
+
+/// Join/rejoin catch-up. A joining node broadcasts a request; each
+/// primary answers on the regular shipment link — a snapshot-flagged
+/// shipment of the sessions the requester follows, then the journal
+/// tail (see Shipment::snapshot).
+struct CatchupRequest {
+  std::string from;
+  std::string to;
+  uint64_t epoch = 0;
+};
+
+/// The alternative order is wire format: kind i travels as frame type
+/// net::MsgType::kShipment + i. Append only.
+using Message = std::variant<Shipment, Ack, Heartbeat, VoteRequest, VoteGrant,
+                             CatchupRequest>;
+
+inline const std::string& From(const Message& message) {
+  return std::visit([](const auto& m) -> const std::string& { return m.from; },
+                    message);
+}
+
+inline const std::string& To(const Message& message) {
+  return std::visit([](const auto& m) -> const std::string& { return m.to; },
+                    message);
+}
+
+/// A node's receive surface. OnMessage is invoked from the transport's
+/// delivery thread, one delivery at a time per node; it must not call
+/// back into the transport while blocking (sending replies is fine).
 class ReplicationEndpoint {
  public:
   virtual ~ReplicationEndpoint() = default;
-  virtual void OnShipment(const Shipment& shipment) = 0;
-  /// Cumulative: `acked_link_seq` and everything below it is durably
-  /// applied by `from`. `source_incarnation` echoes the shipments being
-  /// acknowledged, so a restarted source ignores its past life's acks.
-  /// `epoch` is the acker's fencing epoch — how a deposed primary learns
-  /// it was fenced.
-  virtual void OnAck(const std::string& from, uint64_t source_incarnation,
-                     uint64_t acked_link_seq, uint64_t epoch) = 0;
-  virtual void OnHeartbeat(const std::string& from, uint64_t incarnation,
-                           uint64_t epoch) = 0;
-  /// Election traffic (failure-detector-driven failover). `epoch` is the
-  /// epoch the candidate wants to claim; `suspect` the node it wants to
-  /// depose. Default no-op so pure appliers/replicators can ignore it.
-  virtual void OnVoteRequest(const std::string& from, uint64_t epoch,
-                             const std::string& suspect) {
-    (void)from, (void)epoch, (void)suspect;
-  }
-  virtual void OnVoteGrant(const std::string& from, uint64_t epoch,
-                           bool granted) {
-    (void)from, (void)epoch, (void)granted;
-  }
-  /// Join/rejoin catch-up. A joining node broadcasts a request; each
-  /// primary answers on the regular shipment link — a snapshot-flagged
-  /// shipment of the sessions the requester follows, then the journal
-  /// tail (see Shipment::snapshot).
-  virtual void OnCatchupRequest(const std::string& from, uint64_t epoch) {
-    (void)from, (void)epoch;
-  }
+  virtual void OnMessage(const Message& message) = 0;
 };
 
-/// The wire between nodes. In-process today (InProcessTransport below);
-/// the interface is socket-shaped — addressed, fire-and-forget, loss and
-/// reordering allowed — so a real network transport can replace it
-/// without touching Replicator/FollowerApplier.
+/// The wire between nodes: addressed, fire-and-forget, loss and
+/// reordering allowed. Two implementations — InProcessTransport below
+/// (one delivery thread, injected faults, link lag) and
+/// net::SocketTransport (loopback TCP, DESIGN.md §14) — and
+/// Replicator, FollowerApplier and FailoverCoordinator run unchanged
+/// over either.
 class ReplicationTransport {
  public:
   virtual ~ReplicationTransport() = default;
@@ -107,18 +152,8 @@ class ReplicationTransport {
   /// Blocks until no delivery into `node` is in flight; after return the
   /// endpoint is never called again (safe to destroy).
   virtual void Unbind(const std::string& node) = 0;
-  virtual void Ship(Shipment shipment) = 0;
-  virtual void SendAck(const std::string& from, const std::string& to,
-                       uint64_t source_incarnation, uint64_t acked_link_seq,
-                       uint64_t epoch) = 0;
-  virtual void SendHeartbeat(const std::string& from, const std::string& to,
-                             uint64_t incarnation, uint64_t epoch) = 0;
-  virtual void SendVoteRequest(const std::string& from, const std::string& to,
-                               uint64_t epoch, const std::string& suspect) = 0;
-  virtual void SendVoteGrant(const std::string& from, const std::string& to,
-                             uint64_t epoch, bool granted) = 0;
-  virtual void SendCatchupRequest(const std::string& from,
-                                  const std::string& to, uint64_t epoch) = 0;
+  /// Sends `message` from From(message) to To(message).
+  virtual void Send(Message message) = 0;
 
   /// Chaos / ops controls, shared by every transport so harnesses and the
   /// node lifecycle (Kill isolates, Start rejoins) need not know which
@@ -161,18 +196,7 @@ class InProcessTransport : public ReplicationTransport {
 
   void Bind(const std::string& node, ReplicationEndpoint* endpoint) override;
   void Unbind(const std::string& node) override;
-  void Ship(Shipment shipment) override;
-  void SendAck(const std::string& from, const std::string& to,
-               uint64_t source_incarnation, uint64_t acked_link_seq,
-               uint64_t epoch) override;
-  void SendHeartbeat(const std::string& from, const std::string& to,
-                     uint64_t incarnation, uint64_t epoch) override;
-  void SendVoteRequest(const std::string& from, const std::string& to,
-                       uint64_t epoch, const std::string& suspect) override;
-  void SendVoteGrant(const std::string& from, const std::string& to,
-                     uint64_t epoch, bool granted) override;
-  void SendCatchupRequest(const std::string& from, const std::string& to,
-                          uint64_t epoch) override;
+  void Send(Message message) override;
 
   void Partition(const std::string& src, const std::string& dst) override;
   void Heal(const std::string& src, const std::string& dst) override;
@@ -188,24 +212,8 @@ class InProcessTransport : public ReplicationTransport {
   uint64_t reordered() const { return reordered_.load(std::memory_order_relaxed); }
 
  private:
-  enum class Kind : uint8_t {
-    kShipment,
-    kAck,
-    kHeartbeat,
-    kVoteRequest,
-    kVoteGrant,
-    kCatchupRequest,
-  };
   struct Event {
-    Kind kind;
-    std::string src;
-    std::string dst;
-    Shipment shipment;            // kShipment
-    uint64_t source_incarnation;  // kAck / kHeartbeat
-    uint64_t acked_link_seq;      // kAck
-    uint64_t epoch = 0;           // all but kShipment (which carries its own)
-    std::string text;             // kVoteRequest: the suspect node
-    bool granted = false;         // kVoteGrant
+    Message message;
     std::chrono::steady_clock::time_point due;
     uint64_t order;  // tie-break: submission order
   };
@@ -221,7 +229,6 @@ class InProcessTransport : public ReplicationTransport {
     ReplicationEndpoint* endpoint = nullptr;
   };
 
-  void Submit(Event event);
   bool Blocked(const std::string& src, const std::string& dst) const;
   void DeliveryLoop();
 

@@ -24,6 +24,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "logic/cq.h"
@@ -127,8 +128,8 @@ Shipment MakeShipment(const std::string& source, const std::string& dest,
                       uint64_t incarnation, uint64_t link_seq, uint64_t epoch,
                       const persistence::JournalRecord& record) {
   Shipment s;
-  s.source = source;
-  s.dest = dest;
+  s.from = source;
+  s.to = dest;
   s.source_incarnation = incarnation;
   s.link_seq = link_seq;
   s.first_unacked = 1;
@@ -256,13 +257,12 @@ TEST(ReplicaGroupHeirTest, HeirIsDeterministicExcludableAndNeverTheDead) {
 // replication_test.cc drops the epoch).
 class AckRecordingEndpoint : public ReplicationEndpoint {
  public:
-  void OnShipment(const Shipment&) override {}
-  void OnAck(const std::string&, uint64_t, uint64_t acked,
-             uint64_t epoch) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    acks_.emplace_back(acked, epoch);
+  void OnMessage(const Message& message) override {
+    if (const auto* ack = std::get_if<Ack>(&message)) {
+      std::lock_guard<std::mutex> lock(mu_);
+      acks_.emplace_back(ack->acked_link_seq, ack->epoch);
+    }
   }
-  void OnHeartbeat(const std::string&, uint64_t, uint64_t) override {}
   std::vector<std::pair<uint64_t, uint64_t>> acks() const {
     std::lock_guard<std::mutex> lock(mu_);
     return acks_;
@@ -347,8 +347,8 @@ TEST(FollowerSnapshotTest, AbsorbsCatchupBootstrapDurably) {
       "f", ApplierOptions(dir.path(), persistence::SwsFingerprint(sws)),
       &transport, /*incarnation=*/1, nullptr);
   Shipment shipment;
-  shipment.source = "p";
-  shipment.dest = "f";
+  shipment.from = "p";
+  shipment.to = "f";
   shipment.source_incarnation = 1;
   shipment.link_seq = 1;
   shipment.first_unacked = 1;
@@ -393,8 +393,8 @@ TEST(FollowerSnapshotTest, CorruptBootstrapPayloadIsRejected) {
   FollowerApplier applier("f", ApplierOptions(dir.path()), &transport,
                           /*incarnation=*/1, nullptr);
   Shipment shipment;
-  shipment.source = "p";
-  shipment.dest = "f";
+  shipment.from = "p";
+  shipment.to = "f";
   shipment.source_incarnation = 1;
   shipment.link_seq = 1;
   shipment.first_unacked = 1;
@@ -419,13 +419,10 @@ TEST(FollowerSnapshotTest, CorruptBootstrapPayloadIsRejected) {
 class FollowerEndpoint : public ReplicationEndpoint {
  public:
   explicit FollowerEndpoint(FollowerApplier* applier) : applier_(applier) {}
-  void OnShipment(const Shipment& shipment) override {
-    applier_->OnShipment(shipment);
-  }
-  void OnAck(const std::string&, uint64_t, uint64_t, uint64_t) override {}
-  void OnHeartbeat(const std::string& from, uint64_t incarnation,
-                   uint64_t epoch) override {
-    applier_->OnHeartbeat(from, incarnation, epoch);
+  void OnMessage(const Message& message) override {
+    if (const auto* shipment = std::get_if<Shipment>(&message)) {
+      applier_->OnShipment(*shipment);
+    }
   }
 
  private:
@@ -436,12 +433,9 @@ class ReplicatorEndpoint : public ReplicationEndpoint {
  public:
   explicit ReplicatorEndpoint(Replicator* replicator)
       : replicator_(replicator) {}
-  void OnShipment(const Shipment&) override {}
-  void OnAck(const std::string& from, uint64_t incarnation, uint64_t acked,
-             uint64_t epoch) override {
-    replicator_->OnAck(from, incarnation, acked, epoch);
+  void OnMessage(const Message& message) override {
+    if (const auto* ack = std::get_if<Ack>(&message)) replicator_->OnAck(*ack);
   }
-  void OnHeartbeat(const std::string&, uint64_t, uint64_t) override {}
 
  private:
   Replicator* const replicator_;
@@ -489,11 +483,10 @@ TEST(ReplicatorCatchupTest, CatchupGatedLinkExcludedFromQuorumUntilGraduation) {
 
 class CatchupCountingEndpoint : public ReplicationEndpoint {
  public:
-  void OnShipment(const Shipment&) override {}
-  void OnAck(const std::string&, uint64_t, uint64_t, uint64_t) override {}
-  void OnHeartbeat(const std::string&, uint64_t, uint64_t) override {}
-  void OnCatchupRequest(const std::string&, uint64_t) override {
-    requests_.fetch_add(1, std::memory_order_relaxed);
+  void OnMessage(const Message& message) override {
+    if (std::holds_alternative<CatchupRequest>(message)) {
+      requests_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   uint64_t requests() const {
     return requests_.load(std::memory_order_relaxed);
@@ -561,7 +554,7 @@ TEST(ReplicatorFencingTest, DeposedReplicatorFencesItselfOnHigherEpochAck) {
   // A promotion happened behind p's back; the first higher-epoch ack is
   // how it finds out. Fence: buffers dropped, barriers fail fast.
   group.Promote("p", "f1");
-  replicator.OnAck("f1", 1, 0, /*epoch=*/1);
+  replicator.OnAck({"f1", "p", 1, 0, /*epoch=*/1});
   EXPECT_TRUE(replicator.fenced());
   EXPECT_EQ(fence.current(), 1u);
   EXPECT_EQ(replicator.MinUnackedSegment(0),
@@ -576,8 +569,8 @@ TEST(ReplicatorFencingTest, DeposedReplicatorFencesItselfOnHigherEpochAck) {
 
 TEST(ReplicatorFencingTest, FencesWhenEpochIsLearnedOutsideTheAckPath) {
   // Regression for the deposed-primary tail-reship race: the fence is
-  // shared node-wide, so an incoming *heartbeat* (FollowerApplier
-  // adoption) can raise the epoch without any ack ever reaching
+  // shared node-wide, so an incoming *heartbeat* (adopted by the node)
+  // can raise the epoch without any ack ever reaching
   // MaybeAdoptEpoch. The replicator must still notice it was deposed and
   // drop its stale buffers — were it to keep retransmitting, the
   // background loop's epoch refresh would stamp the stale tail with the
@@ -599,8 +592,8 @@ TEST(ReplicatorFencingTest, FencesWhenEpochIsLearnedOutsideTheAckPath) {
   EXPECT_EQ(replicator.MinUnackedSegment(0), 0u);
 
   group.Promote("p", "f1");
-  // What the node's applier does on a higher-epoch heartbeat: adopt into
-  // the shared fence. No ack flows to the replicator at all.
+  // What the node does on a higher-epoch heartbeat: adopt into the
+  // shared fence. No ack flows to the replicator at all.
   ASSERT_TRUE(fence.Adopt(1));
   ASSERT_TRUE(WaitFor([&] { return replicator.fenced(); }))
       << "replicator never reconciled a heartbeat-adopted epoch";
@@ -613,12 +606,11 @@ TEST(ReplicatorFencingTest, FencesWhenEpochIsLearnedOutsideTheAckPath) {
 
 class GrantRecordingEndpoint : public ReplicationEndpoint {
  public:
-  void OnShipment(const Shipment&) override {}
-  void OnAck(const std::string&, uint64_t, uint64_t, uint64_t) override {}
-  void OnHeartbeat(const std::string&, uint64_t, uint64_t) override {}
-  void OnVoteGrant(const std::string&, uint64_t epoch, bool granted) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    grants_.emplace_back(epoch, granted);
+  void OnMessage(const Message& message) override {
+    if (const auto* grant = std::get_if<VoteGrant>(&message)) {
+      std::lock_guard<std::mutex> lock(mu_);
+      grants_.emplace_back(grant->epoch, grant->granted);
+    }
   }
   std::vector<std::pair<uint64_t, bool>> grants() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -650,22 +642,22 @@ TEST(CoordinatorVoteTest, GrantsRequireSilenceAndOneVotePerEpoch) {
                                   std::move(hooks), &counters);
 
   // 1. The construction-time clock reset says everyone is alive: deny.
-  coordinator.OnVoteRequest("n0", 1, "n2");
+  coordinator.OnVoteRequest({"n0", "n1", 1, "n2"});
   // 2. After the silence window the same suspect is grantable — and the
   //    vote is persisted before the grant leaves.
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  coordinator.OnVoteRequest("n0", 2, "n2");
+  coordinator.OnVoteRequest({"n0", "n1", 2, "n2"});
   // 3. One vote per epoch, even for the same candidate: deny.
-  coordinator.OnVoteRequest("n0", 2, "n2");
+  coordinator.OnVoteRequest({"n0", "n1", 2, "n2"});
   // 4. Nobody votes for their own deposition: deny.
-  coordinator.OnVoteRequest("n0", 3, "n1");
+  coordinator.OnVoteRequest({"n0", "n1", 3, "n1"});
   // 5. A sign of life from the suspect refreshes the clock: deny.
   coordinator.NoteAlive("n2");
-  coordinator.OnVoteRequest("n0", 4, "n2");
+  coordinator.OnVoteRequest({"n0", "n1", 4, "n2"});
   // 6. A claim not ahead of the adopted epoch is stale: deny.
   ASSERT_TRUE(fence.Adopt(10));
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  coordinator.OnVoteRequest("n0", 10, "n2");
+  coordinator.OnVoteRequest({"n0", "n1", 10, "n2"});
 
   // Denials are messaged too (the candidate tallies them to give up
   // early), in request order on the FIFO in-process wire.

@@ -12,8 +12,11 @@
 #include <cstdint>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "logic/cq.h"
@@ -38,6 +41,7 @@ using logic::ConjunctiveQuery;
 using logic::Term;
 using rel::Relation;
 using rel::Value;
+using replication::Heartbeat;
 
 // ---------------------------------------------------------------------------
 // Shared fixtures: the two-level logger SWS of runtime_test (each
@@ -865,44 +869,108 @@ TEST_F(NetServerTest, LifecycleLeaksNoFds) {
 }
 
 // ---------------------------------------------------------------------------
+// Replication wire format.
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xF];
+  }
+  return out;
+}
+
+// One fully populated message of each kind, framed, byte for byte: the
+// 17-byte header (magic, type kShipment + kind, payload length, header
+// CRC, payload CRC), then the payload — strings as u32 length + bytes,
+// integers as little-endian u64, flags as one byte. Peers of different
+// builds agree only while these hold.
+TEST(ReplicationWireTest, FramesArePinned) {
+  replication::Shipment shipment;
+  shipment.from = "n1";
+  shipment.to = "n2";
+  shipment.source_incarnation = 3;
+  shipment.link_seq = 0x0102030405060708ull;
+  shipment.first_unacked = 9;
+  shipment.epoch = 2;
+  shipment.shard = (1ull << 40) + 1;
+  shipment.segment_n = 5;
+  shipment.session_id = "s-off-the-wire";
+  shipment.snapshot = true;
+  shipment.frame = std::string("\x00\x01journal\xff", 10);
+  const std::pair<replication::Message, std::string> cases[] = {
+      {shipment,
+       "5357534e" "20" "4b000000" "ccfb8e58" "e6701b81"  // header
+       "02000000" "6e31"                                  // from
+       "02000000" "6e32"                                  // to
+       "0300000000000000"                                 // source_incarnation
+       "0807060504030201"                                 // link_seq
+       "0900000000000000"                                 // first_unacked
+       "0200000000000000"                                 // epoch
+       "0100000000010000"                                 // shard
+       "0500000000000000"                                 // segment_n
+       "01"                                               // snapshot
+       "0a000000" "00016a6f75726e616cff"},                // frame
+      {replication::Ack{"n2", "n1", 3, 17, 2},
+       "5357534e" "21" "24000000" "2935ab06" "190168cc"
+       "02000000" "6e32"
+       "02000000" "6e31"
+       "0300000000000000"   // source_incarnation
+       "1100000000000000"   // acked_link_seq
+       "0200000000000000"},  // epoch
+      {replication::Heartbeat{"n1", "n2", 7, 2},
+       "5357534e" "22" "1c000000" "b79f9474" "e3506123"
+       "02000000" "6e31"
+       "02000000" "6e32"
+       "0700000000000000"   // incarnation
+       "0200000000000000"},  // epoch
+      {replication::VoteRequest{"n1", "n2", 4, "n3"},
+       "5357534e" "23" "1a000000" "dbe99f6c" "bc98d5d7"
+       "02000000" "6e31"
+       "02000000" "6e32"
+       "0400000000000000"  // epoch
+       "02000000" "6e33"},  // suspect
+      {replication::VoteGrant{"n2", "n1", 4, true},
+       "5357534e" "24" "15000000" "9d25dc86" "dd8f47e6"
+       "02000000" "6e32"
+       "02000000" "6e31"
+       "0400000000000000"  // epoch
+       "01"},               // granted
+      {replication::CatchupRequest{"n1", "n2", 2},
+       "5357534e" "25" "14000000" "486b0003" "53f326c5"
+       "02000000" "6e31"
+       "02000000" "6e32"
+       "0200000000000000"},  // epoch
+  };
+  for (const auto& [message, hex] : cases) {
+    const std::string bytes = EncodeReplication(message);
+    EXPECT_EQ(Hex(bytes), hex) << "kind " << message.index();
+    // And the pinned bytes decode back to the same message.
+    FrameDecoder decoder;
+    ASSERT_TRUE(decoder.Feed(bytes));
+    Frame frame;
+    ASSERT_EQ(decoder.Next(&frame), FrameDecoder::Result::kFrame);
+    const std::optional<replication::Message> decoded =
+        DecodeReplication(frame);
+    ASSERT_TRUE(decoded.has_value()) << "kind " << message.index();
+    EXPECT_EQ(EncodeReplication(*decoded), bytes);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // SocketTransport: replication verbs over real sockets.
 
 /// Records every delivery; thread-safe (deliveries come off the
 /// transport's loop thread).
 class RecordingEndpoint : public replication::ReplicationEndpoint {
  public:
-  void OnShipment(const replication::Shipment& shipment) override {
+  void OnMessage(const replication::Message& message) override {
     std::lock_guard<std::mutex> lock(mu_);
-    shipments.push_back(shipment);
-    cv_.notify_all();
-  }
-  void OnAck(const std::string& from, uint64_t source_incarnation,
-             uint64_t acked_link_seq, uint64_t epoch) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    acks.push_back({from, source_incarnation, acked_link_seq, epoch});
-    cv_.notify_all();
-  }
-  void OnHeartbeat(const std::string& from, uint64_t incarnation,
-                   uint64_t epoch) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    heartbeats.push_back({from, incarnation, epoch});
-    cv_.notify_all();
-  }
-  void OnVoteRequest(const std::string& from, uint64_t epoch,
-                     const std::string& suspect) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    vote_requests.push_back({from, suspect, epoch});
-    cv_.notify_all();
-  }
-  void OnVoteGrant(const std::string& from, uint64_t epoch,
-                   bool granted) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    vote_grants.push_back({from, epoch, granted});
-    cv_.notify_all();
-  }
-  void OnCatchupRequest(const std::string& from, uint64_t epoch) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    catchups.push_back({from, epoch});
+    messages.push_back(message);
+    if (const auto* beat = std::get_if<replication::Heartbeat>(&message)) {
+      heartbeats.push_back(*beat);
+    }
     cv_.notify_all();
   }
 
@@ -921,33 +989,8 @@ class RecordingEndpoint : public replication::ReplicationEndpoint {
 
   // Guarded by mu_; inspect via WaitFor's predicate or after quiescence.
   std::mutex mu_;
-  std::vector<replication::Shipment> shipments;
-  struct AckRec {
-    std::string from;
-    uint64_t incarnation, seq, epoch;
-  };
-  std::vector<AckRec> acks;
-  struct HbRec {
-    std::string from;
-    uint64_t incarnation, epoch;
-  };
-  std::vector<HbRec> heartbeats;
-  struct VoteReqRec {
-    std::string from, suspect;
-    uint64_t epoch;
-  };
-  std::vector<VoteReqRec> vote_requests;
-  struct VoteGrantRec {
-    std::string from;
-    uint64_t epoch;
-    bool granted;
-  };
-  std::vector<VoteGrantRec> vote_grants;
-  struct CatchupRec {
-    std::string from;
-    uint64_t epoch;
-  };
-  std::vector<CatchupRec> catchups;
+  std::vector<replication::Message> messages;
+  std::vector<replication::Heartbeat> heartbeats;
 
  private:
   std::condition_variable cv_;
@@ -962,8 +1005,8 @@ TEST(SocketTransportTest, AllVerbsDeliverByteExact) {
   EXPECT_GT(transport.ListenPort("B"), 0);
 
   replication::Shipment shipment;
-  shipment.source = "A";
-  shipment.dest = "B";
+  shipment.from = "A";
+  shipment.to = "B";
   shipment.source_incarnation = 3;
   shipment.link_seq = 17;
   shipment.first_unacked = 9;
@@ -972,24 +1015,26 @@ TEST(SocketTransportTest, AllVerbsDeliverByteExact) {
   shipment.segment_n = 5;
   shipment.snapshot = true;
   shipment.frame = std::string("\x00\x01garbled\xff journal bytes", 23);
-  transport.Ship(shipment);
-  transport.SendHeartbeat("A", "B", 7, 2);
-  transport.SendVoteRequest("A", "B", 4, "C");
-  transport.SendVoteGrant("A", "B", 4, true);
-  transport.SendCatchupRequest("A", "B", 2);
-  transport.SendAck("B", "A", 3, 17, 2);
+  // One message of each kind. All but the ack travel A→B on one FIFO
+  // connection, so B receives them in send order.
+  const std::vector<replication::Message> to_b = {
+      shipment,
+      replication::Heartbeat{"A", "B", 7, 2},
+      replication::VoteRequest{"A", "B", 4, "C"},
+      replication::VoteGrant{"A", "B", 4, true},
+      replication::CatchupRequest{"A", "B", 2},
+  };
+  const replication::Message ack = replication::Ack{"B", "A", 3, 17, 2};
+  for (const replication::Message& message : to_b) transport.Send(message);
+  transport.Send(ack);
 
-  ASSERT_TRUE(b.WaitFor([&] {
-    return b.shipments.size() == 1 && b.heartbeats.size() == 1 &&
-           b.vote_requests.size() == 1 && b.vote_grants.size() == 1 &&
-           b.catchups.size() == 1;
-  }));
-  ASSERT_TRUE(a.WaitFor([&] { return a.acks.size() == 1; }));
+  ASSERT_TRUE(b.WaitFor([&] { return b.messages.size() == to_b.size(); }));
+  ASSERT_TRUE(a.WaitFor([&] { return a.messages.size() == 1; }));
   {
     std::lock_guard<std::mutex> lock(b.mu_);
-    const replication::Shipment& got = b.shipments[0];
-    EXPECT_EQ(got.source, "A");
-    EXPECT_EQ(got.dest, "B");
+    const auto& got = std::get<replication::Shipment>(b.messages[0]);
+    EXPECT_EQ(got.from, "A");
+    EXPECT_EQ(got.to, "B");
     EXPECT_EQ(got.source_incarnation, 3u);
     EXPECT_EQ(got.link_seq, 17u);
     EXPECT_EQ(got.first_unacked, 9u);
@@ -998,13 +1043,21 @@ TEST(SocketTransportTest, AllVerbsDeliverByteExact) {
     EXPECT_EQ(got.segment_n, 5u);
     EXPECT_TRUE(got.snapshot);
     EXPECT_EQ(got.frame, shipment.frame);  // byte-exact, CRC included
-    EXPECT_EQ(b.vote_requests[0].suspect, "C");
-    EXPECT_TRUE(b.vote_grants[0].granted);
+    EXPECT_EQ(std::get<replication::VoteRequest>(b.messages[2]).suspect, "C");
+    EXPECT_TRUE(std::get<replication::VoteGrant>(b.messages[3]).granted);
+    // Every kind arrives field for field: what B received frames to the
+    // bytes A sent.
+    for (size_t i = 0; i < to_b.size(); ++i) {
+      EXPECT_EQ(EncodeReplication(b.messages[i]), EncodeReplication(to_b[i]))
+          << "kind " << to_b[i].index();
+    }
   }
   {
     std::lock_guard<std::mutex> lock(a.mu_);
-    EXPECT_EQ(a.acks[0].from, "B");
-    EXPECT_EQ(a.acks[0].seq, 17u);
+    const auto& got = std::get<replication::Ack>(a.messages[0]);
+    EXPECT_EQ(got.from, "B");
+    EXPECT_EQ(got.acked_link_seq, 17u);
+    EXPECT_EQ(EncodeReplication(a.messages[0]), EncodeReplication(ack));
   }
   EXPECT_GE(transport.delivered(), 6u);
   transport.Unbind("A");
@@ -1016,28 +1069,28 @@ TEST(SocketTransportTest, PartitionIsolateAndHeal) {
   RecordingEndpoint a, b;
   transport.Bind("A", &a);
   transport.Bind("B", &b);
-  transport.SendHeartbeat("A", "B", 1, 1);
+  transport.Send(Heartbeat{"A", "B", 1, 1});
   ASSERT_TRUE(b.WaitFor([&] { return !b.heartbeats.empty(); }));
 
   transport.Partition("A", "B");
   const uint64_t dropped_before = transport.dropped();
-  for (int i = 0; i < 5; ++i) transport.SendHeartbeat("A", "B", 1, 1);
+  for (int i = 0; i < 5; ++i) transport.Send(Heartbeat{"A", "B", 1, 1});
   EXPECT_TRUE(b.WaitFor([&] { return transport.dropped() >= dropped_before + 5; }));
   const size_t during = b.HeartbeatCount();
   // Reverse direction stays up: partitions are ordered pairs.
-  transport.SendHeartbeat("B", "A", 1, 1);
+  transport.Send(Heartbeat{"B", "A", 1, 1});
   ASSERT_TRUE(a.WaitFor([&] { return !a.heartbeats.empty(); }));
   EXPECT_EQ(b.HeartbeatCount(), during);
 
   transport.Heal("A", "B");
-  transport.SendHeartbeat("A", "B", 1, 1);
+  transport.Send(Heartbeat{"A", "B", 1, 1});
   ASSERT_TRUE(b.WaitFor([&] { return b.heartbeats.size() > during; }));
 
   transport.Isolate("B");
   const size_t before_isolate = b.HeartbeatCount();
-  for (int i = 0; i < 5; ++i) transport.SendHeartbeat("A", "B", 1, 1);
+  for (int i = 0; i < 5; ++i) transport.Send(Heartbeat{"A", "B", 1, 1});
   transport.Rejoin("B");
-  transport.SendHeartbeat("A", "B", 1, 1);
+  transport.Send(Heartbeat{"A", "B", 1, 1});
   ASSERT_TRUE(b.WaitFor([&] { return b.heartbeats.size() > before_isolate; }));
   transport.Unbind("A");
   transport.Unbind("B");
@@ -1048,14 +1101,14 @@ TEST(SocketTransportTest, SeverHealsTransparently) {
   RecordingEndpoint a, b;
   transport.Bind("A", &a);
   transport.Bind("B", &b);
-  transport.SendHeartbeat("A", "B", 1, 1);
+  transport.Send(Heartbeat{"A", "B", 1, 1});
   ASSERT_TRUE(b.WaitFor([&] { return b.heartbeats.size() >= 1; }));
   // Kill every socket with no block installed: the next send must
   // re-dial and deliver without any outside help.
   transport.SeverAll();
   EXPECT_GE(transport.severed(), 1u);
   ASSERT_TRUE(b.WaitFor([&] {
-    transport.SendHeartbeat("A", "B", 1, 1);
+    transport.Send(Heartbeat{"A", "B", 1, 1});
     return b.heartbeats.size() >= 2;
   }));
   transport.Unbind("A");
@@ -1077,7 +1130,7 @@ TEST(SocketTransportTest, GarbledFramesAreRejectedNeverDelivered) {
   // replication protocol's retransmit loop is what heals that in
   // production, and here the steady send stream plays that role.
   for (int i = 0; i < 2000; ++i) {
-    transport.SendHeartbeat("A", "B", static_cast<uint64_t>(i), 1);
+    transport.Send(Heartbeat{"A", "B", static_cast<uint64_t>(i), 1});
     if (transport.rejected_frames() >= 25 &&
         b.WaitFor([&] { return b.heartbeats.size() >= 5; }, 1)) {
       break;
@@ -1109,17 +1162,17 @@ TEST(SocketTransportTest, UnbindStopsDeliveriesAndRebindResumes) {
     RecordingEndpoint a;
     transport.Bind("A", &a);
     transport.Bind("B", &b1);
-    transport.SendHeartbeat("A", "B", 1, 1);
+    transport.Send(Heartbeat{"A", "B", 1, 1});
     ASSERT_TRUE(b1.WaitFor([&] { return b1.heartbeats.size() >= 1; }));
     // After Unbind returns, the endpoint must never be called again —
     // destroying it (scope exit) is safe even with sends still flowing.
     transport.Unbind("B");
-    for (int i = 0; i < 5; ++i) transport.SendHeartbeat("A", "B", 1, 1);
+    for (int i = 0; i < 5; ++i) transport.Send(Heartbeat{"A", "B", 1, 1});
   }
   RecordingEndpoint b2;
   transport.Bind("B", &b2);  // fresh ephemeral port
   ASSERT_TRUE(b2.WaitFor([&] {
-    transport.SendHeartbeat("A", "B", 2, 2);
+    transport.Send(Heartbeat{"A", "B", 2, 2});
     return b2.heartbeats.size() >= 1;
   }));
   transport.Unbind("A");
@@ -1133,7 +1186,7 @@ TEST(SocketTransportTest, LifecycleLeaksNoFds) {
     RecordingEndpoint a, b;
     transport.Bind("A", &a);
     transport.Bind("B", &b);
-    transport.SendHeartbeat("A", "B", 1, 1);
+    transport.Send(Heartbeat{"A", "B", 1, 1});
     ASSERT_TRUE(b.WaitFor([&] { return b.heartbeats.size() >= 1; }));
     transport.Unbind("A");
     transport.Unbind("B");

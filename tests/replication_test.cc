@@ -16,11 +16,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "logic/cq.h"
@@ -122,8 +124,8 @@ Shipment MakeShipment(const std::string& source, const std::string& dest,
                       uint64_t first_unacked,
                       const persistence::JournalRecord& record) {
   Shipment s;
-  s.source = source;
-  s.dest = dest;
+  s.from = source;
+  s.to = dest;
   s.source_incarnation = incarnation;
   s.link_seq = link_seq;
   s.first_unacked = first_unacked;
@@ -229,40 +231,39 @@ TEST(ReplicaGroupTest, PromoteReroutesDeadArcsAndChains) {
 
 class RecordingEndpoint : public ReplicationEndpoint {
  public:
-  void OnShipment(const Shipment& shipment) override {
+  void OnMessage(const Message& message) override {
     std::lock_guard<std::mutex> lock(mu_);
-    shipments_.push_back(shipment);
-  }
-  void OnAck(const std::string& from, uint64_t incarnation, uint64_t acked,
-             uint64_t epoch) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    acks_.emplace_back(from, acked);
-    (void)incarnation;
-    (void)epoch;
-  }
-  void OnHeartbeat(const std::string& from, uint64_t incarnation,
-                   uint64_t epoch) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++heartbeats_;
-    (void)from;
-    (void)incarnation;
-    (void)epoch;
+    if (const auto* shipment = std::get_if<Shipment>(&message)) {
+      shipments_.push_back(*shipment);
+    } else if (const auto* ack = std::get_if<Ack>(&message)) {
+      acks_.emplace_back(ack->from, ack->acked_link_seq);
+    } else if (std::holds_alternative<Heartbeat>(message)) {
+      heartbeat_times_.push_back(std::chrono::steady_clock::now());
+    }
   }
 
   std::vector<Shipment> shipments() const {
     std::lock_guard<std::mutex> lock(mu_);
     return shipments_;
   }
+  std::vector<std::pair<std::string, uint64_t>> acks() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return acks_;
+  }
   size_t heartbeats() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return heartbeats_;
+    return heartbeat_times_.size();
+  }
+  std::vector<std::chrono::steady_clock::time_point> heartbeat_times() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return heartbeat_times_;
   }
 
  private:
   mutable std::mutex mu_;
   std::vector<Shipment> shipments_;
   std::vector<std::pair<std::string, uint64_t>> acks_;
-  size_t heartbeats_ = 0;
+  std::vector<std::chrono::steady_clock::time_point> heartbeat_times_;
 };
 
 // Spin-waits (bounded) for an asynchronous delivery condition.
@@ -283,7 +284,7 @@ TEST(InProcessTransportTest, DeliversInOrderWithoutFaults) {
   transport.Bind("f", &follower);
   const persistence::JournalRecord record = InputRecord("s", 0, Msg(1));
   for (uint64_t seq = 1; seq <= 8; ++seq) {
-    transport.Ship(MakeShipment("p", "f", 1, seq, 1, record));
+    transport.Send(MakeShipment("p", "f", 1, seq, 1, record));
   }
   ASSERT_TRUE(WaitFor([&] { return follower.shipments().size() == 8; }));
   const std::vector<Shipment> got = follower.shipments();
@@ -300,16 +301,16 @@ TEST(InProcessTransportTest, PartitionsAndIsolationDrop) {
   const persistence::JournalRecord record = InputRecord("s", 0, Msg(1));
 
   transport.Partition("p", "f");
-  transport.Ship(MakeShipment("p", "f", 1, 1, 1, record));
+  transport.Send(MakeShipment("p", "f", 1, 1, 1, record));
   transport.Heal("p", "f");
-  transport.Ship(MakeShipment("p", "f", 1, 2, 1, record));
+  transport.Send(MakeShipment("p", "f", 1, 2, 1, record));
   ASSERT_TRUE(WaitFor([&] { return follower.shipments().size() == 1; }));
   EXPECT_EQ(follower.shipments()[0].link_seq, 2u);  // seq 1 vanished
 
   transport.Isolate("f");
-  transport.Ship(MakeShipment("p", "f", 1, 3, 1, record));
+  transport.Send(MakeShipment("p", "f", 1, 3, 1, record));
   transport.Rejoin("f");
-  transport.Ship(MakeShipment("p", "f", 1, 4, 1, record));
+  transport.Send(MakeShipment("p", "f", 1, 4, 1, record));
   ASSERT_TRUE(WaitFor([&] { return follower.shipments().size() == 2; }));
   EXPECT_EQ(follower.shipments()[1].link_seq, 4u);
   EXPECT_GE(transport.dropped(), 2u);
@@ -326,7 +327,7 @@ TEST(InProcessTransportTest, InjectedDropAndDuplicateFaults) {
     RecordingEndpoint follower;
     transport.Bind("f", &follower);
     for (uint64_t seq = 1; seq <= 5; ++seq) {
-      transport.Ship(MakeShipment("p", "f", 1, seq, 1, record));
+      transport.Send(MakeShipment("p", "f", 1, seq, 1, record));
     }
     EXPECT_FALSE(
         WaitFor([&] { return !follower.shipments().empty(); },
@@ -342,7 +343,7 @@ TEST(InProcessTransportTest, InjectedDropAndDuplicateFaults) {
     InProcessTransport transport(&injector);
     RecordingEndpoint follower;
     transport.Bind("f", &follower);
-    transport.Ship(MakeShipment("p", "f", 1, 1, 1, record));
+    transport.Send(MakeShipment("p", "f", 1, 1, 1, record));
     ASSERT_TRUE(WaitFor([&] { return follower.shipments().size() == 2; }));
     EXPECT_EQ(transport.duplicated(), 1u);
     transport.Unbind("f");
@@ -443,6 +444,38 @@ TEST(FollowerApplierTest, SourceIncarnationBumpResetsTheLink) {
   EXPECT_EQ(rig.applier.applied(), 3u);
 }
 
+TEST(FollowerApplierTest, RejectsFirstUnackedOutsideTheLink) {
+  // A sender sets first_unacked to its cumulative ack + 1 and ships only
+  // past that ack, so 1 <= first_unacked <= link_seq. On a fresh link,
+  // first_unacked 0 used to wrap the cursor to 2^64 - 1: the follower
+  // acked records it never had, and every later shipment of that life
+  // counted as a duplicate. One past link_seq fast-forwards over records
+  // never applied.
+  ApplierRig rig;
+  rig.applier.OnShipment(MakeShipment("p", "f", 1, 1, /*first_unacked=*/0,
+                                      InputRecord("s", 0, Msg(1))));
+  rig.applier.OnShipment(MakeShipment("p", "f", 1, 2, /*first_unacked=*/5,
+                                      InputRecord("s", 1, Msg(2))));
+  EXPECT_EQ(rig.applier.rejected(), 2u);
+  EXPECT_EQ(rig.applier.applied(), 0u);
+
+  // The link was left untouched: the well-formed stream applies from 1,
+  // and no ack claims more than was applied.
+  for (int64_t seq = 1; seq <= 3; ++seq) {
+    rig.applier.OnShipment(
+        MakeShipment("p", "f", 1, static_cast<uint64_t>(seq), 1,
+                     InputRecord("s", static_cast<uint64_t>(seq - 1),
+                                 Msg(seq))));
+  }
+  EXPECT_EQ(rig.applier.applied(), 3u);
+  EXPECT_EQ(rig.applier.duplicates(), 0u);
+  ASSERT_TRUE(WaitFor([&] { return rig.primary.acks().size() >= 3; }));
+  const std::vector<std::pair<std::string, uint64_t>> acks =
+      rig.primary.acks();
+  ASSERT_EQ(acks.size(), 3u);
+  for (size_t i = 0; i < acks.size(); ++i) EXPECT_EQ(acks[i].second, i + 1);
+}
+
 // ---------------------------------------------------------------------
 // Replicator: links, barrier, retransmission, pins
 
@@ -481,13 +514,10 @@ struct FollowerRig {
 class FollowerEndpoint : public ReplicationEndpoint {
  public:
   explicit FollowerEndpoint(FollowerApplier* applier) : applier_(applier) {}
-  void OnShipment(const Shipment& shipment) override {
-    applier_->OnShipment(shipment);
-  }
-  void OnAck(const std::string&, uint64_t, uint64_t, uint64_t) override {}
-  void OnHeartbeat(const std::string& from, uint64_t incarnation,
-                   uint64_t epoch) override {
-    applier_->OnHeartbeat(from, incarnation, epoch);
+  void OnMessage(const Message& message) override {
+    if (const auto* shipment = std::get_if<Shipment>(&message)) {
+      applier_->OnShipment(*shipment);
+    }
   }
 
  private:
@@ -498,12 +528,9 @@ class ReplicatorEndpoint : public ReplicationEndpoint {
  public:
   explicit ReplicatorEndpoint(Replicator* replicator)
       : replicator_(replicator) {}
-  void OnShipment(const Shipment&) override {}
-  void OnAck(const std::string& from, uint64_t incarnation, uint64_t acked,
-             uint64_t epoch) override {
-    replicator_->OnAck(from, incarnation, acked, epoch);
+  void OnMessage(const Message& message) override {
+    if (const auto* ack = std::get_if<Ack>(&message)) replicator_->OnAck(*ack);
   }
-  void OnHeartbeat(const std::string&, uint64_t, uint64_t) override {}
 
  private:
   Replicator* const replicator_;
@@ -554,6 +581,64 @@ TEST(ReplicatorTest, BarrierTimesOutWithoutQuorum) {
   // The unacknowledged outcome pins its segment.
   EXPECT_EQ(rig.replicator.MinUnackedSegment(0), 7u);
   EXPECT_GE(rig.counters.Load(rt::Counter::kFollowerLagHwm), 1u);
+}
+
+TEST(ReplicatorTest, AckPastTheLastShippedSeqIsIgnored) {
+  // One record shipped on each link and no follower bound. Acks claiming
+  // link_seq 1000 vouch for records never shipped; counting them used to
+  // release the buffer and let the next barrier pass at once, quorum
+  // durability that no follower had.
+  ReplicatorRig rig(FastOptions(2, 2));
+  std::string session;
+  for (int i = 0; i < 200 && session.empty(); ++i) {
+    const std::string id = "s" + std::to_string(i);
+    if (rig.group.PrimaryOf(id) == "p") session = id;
+  }
+  ASSERT_FALSE(session.empty());
+  rig.replicator.ShipRecord(InputRecord(session, 0, Msg(1)), 0, 0);
+  rig.replicator.OnAck({"f1", "p", /*source_incarnation=*/1, 1000, 0});
+  rig.replicator.OnAck({"f2", "p", /*source_incarnation=*/1, 1000, 0});
+  EXPECT_EQ(rig.replicator.MinUnackedSegment(0), 0u);  // still buffered
+  const core::Status barrier = rig.replicator.ShipOutcomeAndWait(
+      InputRecord(session, 1, SessionRunner::DelimiterMessage(1)), 0, 0);
+  EXPECT_EQ(barrier.code(), RunError::kReplicationTimeout);
+
+  // An ack of exactly the last link_seq shipped still counts.
+  rig.replicator.OnAck({"f1", "p", 1, 2, 0});
+  rig.replicator.OnAck({"f2", "p", 1, 2, 0});
+  EXPECT_EQ(rig.replicator.MinUnackedSegment(0),
+            persistence::ShardDurability::kNoSegmentPin);
+}
+
+TEST(ReplicatorTest, HeartbeatsLeaveWhenTheyAreDue) {
+  // The background loop used to send a beat at the first retransmit tick
+  // after its jittered due time: with the tick equal to the interval,
+  // gaps averaged about 1.5 intervals and reached two.
+  ReplicaGroup group({"p", "f"});
+  InProcessTransport transport(nullptr);
+  RecordingEndpoint follower;
+  transport.Bind("f", &follower);
+  ReplicationOptions options = FastOptions(1, 1);
+  options.heartbeat_interval = std::chrono::milliseconds(40);
+  options.retransmit_interval = std::chrono::milliseconds(40);
+  options.heartbeat_jitter = 0.25;
+  constexpr size_t kGaps = 20;
+  {
+    Replicator replicator("p", &group, options, &transport,
+                          /*incarnation=*/1);
+    ASSERT_TRUE(WaitFor([&] { return follower.heartbeats() > kGaps; },
+                        std::chrono::seconds(10)));
+  }
+  transport.Unbind("f");
+  const std::vector<std::chrono::steady_clock::time_point> times =
+      follower.heartbeat_times();
+  const double mean_gap_ms =
+      std::chrono::duration<double, std::milli>(times[kGaps] - times[0])
+          .count() /
+      kGaps;
+  std::printf("mean heartbeat gap over %zu beats: %.2f ms (interval 40 ms)\n",
+              kGaps, mean_gap_ms);
+  EXPECT_LE(mean_gap_ms, 1.15 * 40.0);
 }
 
 TEST(ReplicatorTest, RetransmissionCoversAHealedPartition) {

@@ -1,10 +1,11 @@
-// Fuzz harness for the persistence serde decoders and the wire-frame
-// decoder. One entry point, FuzzOne, drives every byte-level decoder
-// (values through full service definitions, plus the incremental TCP
-// frame decoder) from attacker-controlled bytes and enforces the
-// decoder contract: malformed input is rejected cleanly (no crash, no
-// UB, no giant allocation), and anything that decodes re-encodes to a
-// stable normal form (encode∘decode is idempotent).
+// Fuzz harness for the persistence serde decoders, the wire-frame
+// decoder and the socket payload decoders. One entry point, FuzzOne,
+// drives every byte-level decoder (values through full service
+// definitions, the incremental TCP frame decoder, the replication
+// message and the RPC payloads) from attacker-controlled bytes and
+// enforces the decoder contract: malformed input is rejected cleanly
+// (no crash, no UB, no giant allocation), and anything that decodes
+// re-encodes to a stable normal form (encode∘decode is idempotent).
 //
 // Two build modes share this file:
 //  * default (gtest): a deterministic corpus is swept through FuzzOne —
@@ -25,6 +26,7 @@
 
 #include "logic/cq.h"
 #include "logic/fo.h"
+#include "net/messages.h"
 #include "net/wire.h"
 #include "persistence/serde.h"
 #include "relational/relation.h"
@@ -111,11 +113,87 @@ void FuzzWireDecoder(std::string_view body) {
   }
 }
 
+// The socket payload decoders (net/messages.h) take a payload whole;
+// same contract. Returns whether `body` decoded.
+template <typename DecodeFn, typename EncodeFn>
+bool FuzzPayload(std::string_view body, DecodeFn decode, EncodeFn encode) {
+  const auto decoded = decode(body);
+  if (!decoded.has_value()) return false;  // rejected cleanly
+  const std::string first = encode(*decoded);
+  const auto redecoded = decode(first);
+  SWS_CHECK(redecoded.has_value())
+      << "re-encoding of an accepted payload failed to decode";
+  SWS_CHECK(encode(*redecoded) == first)
+      << "payload encode\xE2\x88\x98" "decode is not idempotent";
+  return true;
+}
+
+// The replication codec works on frames: as a payload here, a message is
+// its frame type byte followed by the frame's payload. The type byte may
+// be anything, RPC types included, which the decoder must refuse.
+std::optional<replication::Message> DecodeTypedReplication(
+    std::string_view body) {
+  if (body.empty()) return std::nullopt;
+  return net::DecodeReplication(
+      net::Frame{static_cast<net::MsgType>(body[0]), body.substr(1)});
+}
+
+std::string EncodeTypedReplication(const replication::Message& message) {
+  const std::string bytes = net::EncodeReplication(message);
+  net::FrameDecoder decoder;
+  net::Frame frame;
+  SWS_CHECK(decoder.Feed(bytes) &&
+            decoder.Next(&frame) == net::FrameDecoder::Result::kFrame)
+      << "EncodeReplication produced no valid frame";
+  return std::string(1, static_cast<char>(frame.type)) +
+         std::string(frame.payload);
+}
+
+// FuzzOne's dispatch byte, modulo kDecoders: 0-7 the serde decoders, 8
+// the frame decoder, kFirstPayload (9) the replication message, 10-17
+// the RPC payloads.
+constexpr uint8_t kDecoders = 18;
+constexpr uint8_t kFirstPayload = 9;
+
+bool FuzzSocketPayload(uint8_t dispatch, std::string_view body) {
+  switch (dispatch) {
+    case 9:
+      return FuzzPayload(body, DecodeTypedReplication, EncodeTypedReplication);
+    case 10:
+      return FuzzPayload(body, net::DecodeHello, net::EncodeHello);
+    case 11:
+      return FuzzPayload(body, net::DecodeSubmitRequest,
+                         net::EncodeSubmitRequest);
+    case 12:
+      return FuzzPayload(body, net::DecodeSubmitAck, net::EncodeSubmitAck);
+    case 13:
+      return FuzzPayload(body, net::DecodeErrorReply, net::EncodeErrorReply);
+    case 14:
+      return FuzzPayload(body, net::DecodeOutcomeReply,
+                         net::EncodeOutcomeReply);
+    case 15:
+      return FuzzPayload(body, net::DecodeStatsReply, net::EncodeStatsReply);
+    case 16:
+      return FuzzPayload(body, net::DecodeInspectRequest,
+                         net::EncodeInspectRequest);
+    case 17:
+      return FuzzPayload(body, net::DecodeInspectReply,
+                         net::EncodeInspectReply);
+  }
+  SWS_CHECK(false) << "no payload decoder at dispatch " << int{dispatch};
+  return false;
+}
+
 int FuzzOne(const uint8_t* data, size_t size) {
   if (size == 0) return 0;
   const std::string_view body(reinterpret_cast<const char*>(data) + 1,
                               size - 1);
-  switch (data[0] % 9) {
+  const uint8_t dispatch = data[0] % kDecoders;
+  if (dispatch >= kFirstPayload) {
+    FuzzSocketPayload(dispatch, body);
+    return 0;
+  }
+  switch (dispatch) {
     case 0:
       FuzzDecoder(body, [](ByteReader* r) { return DecodeValue(r); },
                   [](const rel::Value& v, ByteWriter* w) { EncodeValue(v, w); });
@@ -190,6 +268,49 @@ using logic::ConjunctiveQuery;
 using logic::Term;
 using rel::Relation;
 using rel::Value;
+
+// One valid encoding per socket payload decoder, each prefixed with its
+// FuzzOne dispatch byte: every replication kind, then every RPC payload.
+std::vector<std::string> BuildPayloadCorpus() {
+  std::vector<std::string> corpus;
+  auto add = [&corpus](uint8_t dispatch, const std::string& payload) {
+    corpus.push_back(std::string(1, static_cast<char>(dispatch)) + payload);
+  };
+  replication::Shipment shipment;
+  shipment.from = "n1";
+  shipment.to = "n2";
+  shipment.source_incarnation = 3;
+  shipment.link_seq = 17;
+  shipment.first_unacked = 9;
+  shipment.epoch = 2;
+  shipment.shard = 1;
+  shipment.segment_n = 5;
+  shipment.snapshot = true;
+  shipment.frame = std::string("\x00\x01journal\xff", 10);
+  const replication::Message messages[] = {
+      shipment,
+      replication::Ack{"n2", "n1", 3, 17, 2},
+      replication::Heartbeat{"n1", "n2", 7, 2},
+      replication::VoteRequest{"n1", "n2", 4, "n3"},
+      replication::VoteGrant{"n2", "n1", 4, true},
+      replication::CatchupRequest{"n1", "n2", 2},
+  };
+  for (const replication::Message& message : messages) {
+    add(kFirstPayload, EncodeTypedReplication(message));
+  }
+  Relation message(2);
+  message.Insert({Value::Int(7), Value::Str("orlando")});
+  add(10, net::EncodeHello(
+              {net::Hello::Role::kReplication, "n1", net::kProtocolVersion}));
+  add(11, net::EncodeSubmitRequest({42, "s1", 2, -5, message}));
+  add(12, net::EncodeSubmitAck({42}));
+  add(13, net::EncodeErrorReply({42, 3, "overloaded"}));
+  add(14, net::EncodeOutcomeReply({42, "s1", 0, "", 2, true, message}));
+  add(15, net::EncodeStatsReply({"{\"submitted\":1}"}));
+  add(16, net::EncodeInspectRequest({"s1"}));
+  add(17, net::EncodeInspectReply({"s1", 3, 8, 4}));
+  return corpus;
+}
 
 // One valid encoding per decoder, each prefixed with its FuzzOne
 // dispatch byte — the seed corpus the deterministic sweeps mutate.
@@ -302,6 +423,9 @@ std::vector<std::string> BuildCorpus() {
     blob += frames;
     corpus.push_back(std::move(blob));
   }
+  for (std::string& blob : BuildPayloadCorpus()) {
+    corpus.push_back(std::move(blob));
+  }
   return corpus;
 }
 
@@ -345,7 +469,10 @@ TEST(SerdeFuzzTest, CorpusDecodesAndRoundTrips) {
     // round-trip branch of FuzzDecoder; reaching here means the
     // normal-form SWS_CHECKs held.
     Fuzz(blob);
-    if (static_cast<uint8_t>(blob[0]) % 9 == 8) {
+    const uint8_t dispatch = static_cast<uint8_t>(blob[0]) % kDecoders;
+    // Payload entries: WirePayloadCorpusDecodesAndRoundTrips checks them.
+    if (dispatch >= kFirstPayload) continue;
+    if (dispatch == 8) {
       // Wire entries: a chunk-size byte then whole frames, every one of
       // which must decode (the error latch must never trip on them).
       net::FrameDecoder decoder;
@@ -361,7 +488,7 @@ TEST(SerdeFuzzTest, CorpusDecodesAndRoundTrips) {
       continue;
     }
     ByteReader reader(std::string_view(blob).substr(1));
-    switch (static_cast<uint8_t>(blob[0]) % 9) {
+    switch (dispatch) {
       case 0: EXPECT_TRUE(DecodeValue(&reader).has_value()); break;
       case 1: EXPECT_TRUE(DecodeTuple(&reader).has_value()); break;
       case 2: EXPECT_TRUE(DecodeRelation(&reader).has_value()); break;
@@ -458,6 +585,62 @@ TEST(SerdeFuzzTest, SeededRandomBlobsAreHandledCleanly) {
     blob.assign(1 + next() % 255, 0);
     for (uint8_t& b : blob) b = next();
     FuzzOne(blob.data(), blob.size());
+  }
+}
+
+TEST(SerdeFuzzTest, WirePayloadCorpusDecodesAndRoundTrips) {
+  // Every socket payload decoder accepts its valid encoding (and the
+  // round trip's SWS_CHECKs hold on it).
+  const std::vector<std::string> corpus = BuildPayloadCorpus();
+  std::vector<int> accepted(kDecoders, 0);
+  for (const std::string& blob : corpus) {
+    const uint8_t dispatch = static_cast<uint8_t>(blob[0]);
+    EXPECT_TRUE(FuzzSocketPayload(dispatch, std::string_view(blob).substr(1)))
+        << "dispatch " << int{dispatch};
+    ++accepted[dispatch];
+  }
+  EXPECT_EQ(accepted[kFirstPayload], 6);  // one message of each kind
+  for (uint8_t dispatch = kFirstPayload + 1; dispatch < kDecoders; ++dispatch) {
+    EXPECT_EQ(accepted[dispatch], 1) << "dispatch " << int{dispatch};
+  }
+}
+
+TEST(SerdeFuzzTest, WirePayloadRandomCorruptionSweep) {
+  // Multi-bit flips of the valid payloads (likely to survive the first
+  // fields and die deeper in), plus random bodies at every payload
+  // dispatch, each through FuzzOne's contract checks.
+  uint64_t state = 0x5EEDF00DBAADC0DEull;
+  auto next = [&state]() -> uint8_t {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<uint8_t>(state >> 33);
+  };
+  const std::vector<std::string> corpus = BuildPayloadCorpus();
+  for (int iter = 0; iter < 6000; ++iter) {
+    std::string blob = corpus[static_cast<size_t>(iter) % corpus.size()];
+    const int flips = 1 + next() % 4;
+    for (int i = 0; i < flips; ++i) {
+      const size_t pos = 1 + next() % (blob.size() - 1);  // keep dispatch
+      blob[pos] = static_cast<char>(blob[pos] ^ (1u << (next() % 8)));
+    }
+    Fuzz(blob);
+  }
+  std::string blob;
+  for (int iter = 0; iter < 4000; ++iter) {
+    blob.assign(2 + next() % 120, '\0');
+    blob[0] = static_cast<char>(kFirstPayload +
+                                iter % (kDecoders - kFirstPayload));
+    // Half the replication bodies get a valid frame type byte, so the
+    // random bytes reach the field decoders.
+    if (blob[0] == kFirstPayload && iter % 2 == 0) {
+      blob[1] = static_cast<char>(
+          static_cast<uint8_t>(net::MsgType::kShipment) + next() % 6);
+    } else {
+      blob[1] = static_cast<char>(next());
+    }
+    for (size_t i = 2; i < blob.size(); ++i) {
+      blob[i] = static_cast<char>(next());
+    }
+    Fuzz(blob);
   }
 }
 
