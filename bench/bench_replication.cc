@@ -3,7 +3,8 @@
 // (src/replication). Each iteration runs one full session — a message
 // plus the '#' delimiter — on the session's primary and waits for the
 // client ack, so the measured latency includes local durability, the
-// CRC-framed shipment to both followers, and the quorum ack barrier:
+// CRC-framed shipment to both followers, and the quorum ack barrier,
+// which waits for a follower's fsync (see Cluster):
 //  * quorum:0 — replicas=0, no replication wiring on the commit path,
 //  * quorum:1 — replicas=2, ack_quorum=1 (first follower ack releases),
 //  * quorum:2 — replicas=2, ack_quorum=2 (both followers must ack).
@@ -121,9 +122,11 @@ class TempDir {
 
 // Three replicated nodes joined by a clean transport — in-process by
 // default, or real loopback TCP (SocketTransport) so the shipment/ack
-// path can be priced with actual sockets in it. Storage is tuned so it
-// never stalls the measurement: no fsync, large segments, snapshots
-// effectively off.
+// path can be priced with actual sockets in it. The primary's journal
+// runs without fsync, with large segments and snapshots effectively
+// off, but each follower's applier always fsyncs
+// (ReplicatedNode::StartLife fixes it at FsyncPolicy::kAlways), so a
+// commit's barrier includes one follower fsync of its outcome record.
 struct Cluster {
   explicit Cluster(sws::replication::ReplicationOptions replication,
                    bool auto_failover = false, bool socket_transport = false)

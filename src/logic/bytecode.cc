@@ -133,29 +133,30 @@ JoinProgram Lower(const Body& body, const rel::Database& db,
     level.relation = relation;
     level.ops_begin = static_cast<uint32_t>(program.ops.size());
     level.keys_begin = static_cast<uint32_t>(program.keys.size());
+    // A small relation is scanned: its constant and bound columns become
+    // per-row checks, and no index is built for it.
+    const bool probes = relation->size() > kScanRows;
     uint64_t mask = 0;
     rel::Tuple key_template;  // parallel to the masked columns, ascending
     for (uint32_t col = 0; col < atom.regs.size(); ++col) {
       const uint16_t r = atom.regs[col];
-      if (r >= num_slots) {  // a constant
-        if (col < 64) {
-          mask |= uint64_t{1} << col;
-          key_template.push_back(body.reg_init[r]);  // never rewritten
-        } else {
-          program.ops.push_back({Op::kCheckCol, r, col});
-        }
-      } else if (state[r] == kUnbound) {  // first occurrence: bind here
+      if (r < num_slots && state[r] == kUnbound) {  // first occurrence
         state[r] = kLoadedHere;
         program.var_reg[r] = r;
         program.ops.push_back({Op::kLoad, r, col});
-      } else if (state[r] == kBoundBefore && col < 64) {
-        mask |= uint64_t{1} << col;  // bound earlier: probe key component
-        program.keys.push_back(
-            {static_cast<uint32_t>(key_template.size()), r});
-        key_template.push_back(rel::Value());  // rewritten per probe
+      } else if (probes && col < 64 &&
+                 (r >= num_slots || state[r] == kBoundBefore)) {
+        // A probe key component: a constant, prefilled, or a register
+        // bound at an earlier level, rewritten per probe.
+        mask |= uint64_t{1} << col;
+        if (r < num_slots) {
+          program.keys.push_back(
+              {static_cast<uint32_t>(key_template.size()), r});
+        }
+        key_template.push_back(body.reg_init[r]);
       } else {
-        // Repeated within this atom (its register is written by an
-        // earlier kLoad of the same level) or beyond indexable columns.
+        // Scanned, repeated within this atom (its register is written by
+        // an earlier kLoad of the same level) or beyond indexable columns.
         program.ops.push_back({Op::kCheckCol, r, col});
       }
     }
@@ -219,18 +220,20 @@ rel::Relation Emit(const JoinProgram& program, const std::vector<Term>& head,
   // words: a chain join enumerates every witness path but most project
   // to an already-seen head row, and rows dropped here are rows the
   // final sort never has to touch. FromRowMajor then sorts + bulk
-  // transposes the distinct rows (no per-match ordered insertion).
+  // transposes the distinct rows (no per-match ordered insertion). The
+  // set starts at 8 slots and doubles to keep its load under 3/4, so an
+  // evaluation with a few answers allocates a few words.
   const size_t arity = head.size();
 
   // Grouped-emission detection: when head parts [0, p) are variables
   // kLoad-ed from columns [0, p), in order, at an outermost *scan*
-  // level, the scan walks its relation in lexicographic row order, so
-  // (a) every match sharing a head prefix arrives consecutively and
-  // (b) prefix groups arrive in ascending order. Deduplication then
-  // needs only a small per-group table over the head suffix (epoch-
-  // tagged, so group changes never clear it), and the output assembles
-  // already sorted — FromRowMajor's linear sortedness check skips the
-  // final sort entirely.
+  // level, the scan walks its relation in lexicographic row order (its
+  // per-row checks only skip rows), so (a) every match sharing a head
+  // prefix arrives consecutively and (b) prefix groups arrive in
+  // ascending order. Deduplication then needs only a per-group table
+  // over the head suffix (epoch-tagged, so group changes never clear
+  // it), and the output assembles already sorted — FromRowMajor's
+  // linear sortedness check skips the final sort entirely.
   size_t group_prefix = 0;
   if (!program.levels.empty() && program.levels[0].index == nullptr) {
     const Level& lvl = program.levels[0];
@@ -256,7 +259,7 @@ rel::Relation Emit(const JoinProgram& program, const std::vector<Term>& head,
   bool have_group = false;
   bool group_inline = true;  // every suffix value has an inline order key
   std::vector<rel::Value> gflat;      // distinct suffix rows, this group
-  std::vector<uint64_t> gslots(p > 0 ? 256 : 4096, 0);
+  std::vector<uint64_t> gslots(8, 0);  // a power of two
   size_t gmask = gslots.size() - 1;
   uint32_t epoch = 0;  // gslots entry: (epoch << 32) | suffix row index
   std::vector<uint64_t> key_scratch;   // flush: bare order keys

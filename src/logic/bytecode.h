@@ -21,7 +21,8 @@ namespace sws::logic::bytecode {
 /// register machine whose state is a vector of packed 8-byte rel::Value
 /// words ("registers") — one per variable slot, then the body's
 /// constants, preloaded. One Level per atom either scans its
-/// relation's rows or probes a bound-column-mask hash index
+/// relation's rows or, when the relation holds more than kScanRows
+/// rows, probes a bound-column-mask hash index
 /// (rel::Relation::GetIndex), and each candidate row is vetted by a
 /// straight-line span of three-operand ops over registers and columnar
 /// loads. No virtual dispatch, no per-probe allocation: the executor is
@@ -32,7 +33,8 @@ namespace sws::logic::bytecode {
 /// ISA (see DESIGN.md §12 for the op table):
 ///   kLoad      regs[a] = row[b]        bind a first-occurrence variable
 ///   kCheckCol  row[b] == regs[a]?      repeated variable / constant /
-///                                      non-indexable column check
+///                                      bound column of a scanned level
+///                                      or a column ≥ 64
 ///   kCmpEq     regs[a] == regs[b]?     attached '=' comparison
 ///   kCmpNe     regs[a] != regs[b]?     attached '≠' comparison
 ///   kAntiProbe anti[b] misses?         guarded negation ¬R(t̄): probe
@@ -56,6 +58,14 @@ struct KeySlot {
   uint32_t pos;
   uint16_t reg;
 };
+
+/// A level over a relation of at most this many rows scans it and checks
+/// its constant and earlier-bound columns row by row (kCheckCol) instead
+/// of probing an index: building one costs more than those scans save.
+/// Containment's canonical databases hold a few rows per relation, each
+/// built fresh. Set at the measured scan versus build-and-probe
+/// crossover of a 4-atom chain join (DESIGN.md §8).
+inline constexpr size_t kScanRows = 12;
 
 struct Level {
   const rel::Relation* relation = nullptr;
@@ -131,7 +141,8 @@ struct JoinProgram {
 /// nothing). Within each group, atoms are ordered greedily: the most
 /// constant or already-bound arguments first, ties going to the smaller
 /// relation instance. Each level then probes a hash index over its
-/// bound columns, and each check and negated atom (all of whose
+/// bound columns, or scans a relation of at most kScanRows rows and
+/// checks those columns per row; each check and negated atom (all of whose
 /// variables the body binds) attaches at the first level where its
 /// operands are bound, so it costs one test per candidate row; negated
 /// atoms over absent relations hold trivially and are dropped.

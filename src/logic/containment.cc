@@ -66,7 +66,7 @@ bool CqContainedIn(const ConjunctiveQuery& q1_in, const PreparedUcq& q2,
   if (!normalized.has_value()) return true;  // unsatisfiable Q1
   // Variables renamed to 0, 1, ... in id order: the identifications are
   // indexed by id, and the enumeration order (hence the stats) is kept.
-  const ConjunctiveQuery q1 = normalized->Renumbered(0);
+  const ConjunctiveQuery q1 = std::move(*normalized).Renumbered(0);
   // The right-hand side is normalized too (PreparedUcq): '=' comparisons
   // are eliminated by unification (they may bind head variables that
   // occur in no body atom, e.g. in view expansions) and unsatisfiable

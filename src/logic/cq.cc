@@ -69,6 +69,12 @@ std::optional<rel::Value> ResolveTerm(const Term& term,
 
 namespace {
 
+// The rank of `var` among the ascending distinct `ids` it occurs in.
+size_t RankOf(const std::vector<int>& ids, int var) {
+  return static_cast<size_t>(std::lower_bound(ids.begin(), ids.end(), var) -
+                             ids.begin());
+}
+
 // Checks all comparisons whose two sides are bound; returns false on a
 // violated comparison, true otherwise (unbound comparisons pass for now —
 // callers re-check on complete bindings, where safety guarantees all
@@ -193,14 +199,18 @@ ConjunctiveQuery ConjunctiveQuery::ShiftVars(int offset) const {
   return out;
 }
 
-ConjunctiveQuery ConjunctiveQuery::Renumbered(int first) const {
-  SlotMap rank;  // slot = rank, as the ids are numbered in ascending order
-  rank.Extend(Vars());
-  ConjunctiveQuery out = *this;
-  out.ForEachTerm([&rank, first](Term& t) {
-    if (t.is_var()) t = Term::Var(first + rank[t.var()]);
+ConjunctiveQuery ConjunctiveQuery::Renumbered(int first) const& {
+  return ConjunctiveQuery(*this).Renumbered(first);
+}
+
+ConjunctiveQuery ConjunctiveQuery::Renumbered(int first) && {
+  const std::vector<int> ids = Vars();
+  ForEachTerm([&ids, first](Term& t) {
+    if (t.is_var()) {
+      t = Term::Var(first + static_cast<int>(RankOf(ids, t.var())));
+    }
   });
-  return out;
+  return std::move(*this);
 }
 
 int ConjunctiveQuery::MaxVar() const {
@@ -223,66 +233,73 @@ std::optional<ConjunctiveQuery> ConjunctiveQuery::Normalize() && {
 
 template <typename Self>
 std::optional<ConjunctiveQuery> ConjunctiveQuery::NormalizeImpl(Self&& self) {
-  if (self.comparisons_.empty()) return std::forward<Self>(self);
-  // Union-find over the variables, numbered densely by rank; a class's
-  // root carries the constant the class equals, if any.
-  const std::vector<int> ids = self.Vars();
-  SlotMap rank;
-  rank.Extend(ids);
-  std::vector<size_t> parent(ids.size());
-  for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
-  auto find = [&parent](size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
+  const std::vector<Comparison>& in = self.comparisons_;
+  if (in.empty()) return std::forward<Self>(self);
+  const bool has_equalities =
+      std::any_of(in.begin(), in.end(),
+                  [](const Comparison& c) { return c.is_equality; });
+  // Union-find over the variables, numbered by rank among the ascending
+  // ids; a class's root carries the constant the class equals, if any,
+  // and then its smallest variable (the first met, as ids ascend).
+  struct Class {
+    size_t parent;
+    std::optional<rel::Value> constant;
+    std::optional<int> smallest;
+  };
+  std::vector<int> ids;
+  std::vector<Class> classes;
+  auto find = [&classes](size_t x) {
+    while (classes[x].parent != x) {
+      classes[x].parent = classes[classes[x].parent].parent;
+      x = classes[x].parent;
     }
     return x;
   };
-  std::vector<std::optional<rel::Value>> constant(ids.size());
   // Pins class `root` to `value`; false if it already holds another.
-  auto pin = [&constant](size_t root, const rel::Value& value) {
-    if (!constant[root].has_value()) constant[root] = value;
-    return *constant[root] == value;
+  auto pin = [&classes](size_t root, const rel::Value& value) {
+    std::optional<rel::Value>& constant = classes[root].constant;
+    if (!constant.has_value()) constant = value;
+    return *constant == value;
   };
-  bool has_equalities = false;
-  for (const Comparison& c : self.comparisons_) {
+  if (has_equalities) {
+    ids = self.Vars();
+    classes.resize(ids.size());
+    for (size_t i = 0; i < classes.size(); ++i) classes[i].parent = i;
+  }
+  for (const Comparison& c : in) {
     if (!c.is_equality) continue;
-    has_equalities = true;
     if (c.lhs.is_const() && c.rhs.is_const()) {
       if (!(c.lhs.value() == c.rhs.value())) return std::nullopt;
     } else if (c.lhs.is_const() || c.rhs.is_const()) {
       const Term& var = c.lhs.is_var() ? c.lhs : c.rhs;
       const Term& value = c.lhs.is_var() ? c.rhs : c.lhs;
-      if (!pin(find(rank[var.var()]), value.value())) {
+      if (!pin(find(RankOf(ids, var.var())), value.value())) {
         return std::nullopt;
       }
     } else {
-      const size_t a = find(rank[c.lhs.var()]);
-      const size_t b = find(rank[c.rhs.var()]);
+      const size_t a = find(RankOf(ids, c.lhs.var()));
+      const size_t b = find(RankOf(ids, c.rhs.var()));
       if (a == b) continue;
-      parent[a] = b;
-      if (constant[a].has_value() && !pin(b, *constant[a])) {
+      classes[a].parent = b;
+      if (classes[a].constant.has_value() && !pin(b, *classes[a].constant)) {
         return std::nullopt;
       }
     }
   }
   ConjunctiveQuery out = std::forward<Self>(self);
   if (has_equalities) {
-    // A class's representative: its constant, else its smallest
-    // variable (the first met, as ids ascend).
-    std::vector<std::optional<int>> smallest(ids.size());
-    std::vector<Term> rep(ids.size());
+    // A class's representative: its constant, else its smallest variable.
     for (size_t i = 0; i < ids.size(); ++i) {
-      const size_t root = find(i);
-      if (constant[root].has_value()) {
-        rep[i] = Term::Const(*constant[root]);
-        continue;
+      Class& root = classes[find(i)];
+      if (!root.constant.has_value() && !root.smallest.has_value()) {
+        root.smallest = ids[i];
       }
-      if (!smallest[root].has_value()) smallest[root] = ids[i];
-      rep[i] = Term::Var(*smallest[root]);
     }
     out.ForEachTerm([&](Term& t) {
-      if (t.is_var()) t = rep[rank[t.var()]];
+      if (!t.is_var()) return;
+      const Class& root = classes[find(RankOf(ids, t.var()))];
+      t = root.constant.has_value() ? Term::Const(*root.constant)
+                                    : Term::Var(*root.smallest);
     });
   }
   // Keep only inequalities, oriented, sorted and deduplicated; fail on

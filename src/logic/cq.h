@@ -111,7 +111,9 @@ class ConjunctiveQuery {
   ConjunctiveQuery ShiftVars(int offset) const;
   /// Renames the variables, in ascending id order, to first, first + 1,
   /// ... (a variable-disjoint copy numbered from `first`).
-  ConjunctiveQuery Renumbered(int first) const;
+  ConjunctiveQuery Renumbered(int first) const&;
+  /// The same, renaming this query in place instead of a copy.
+  ConjunctiveQuery Renumbered(int first) &&;
   /// Largest variable id used, or -1 if none.
   int MaxVar() const;
 

@@ -1,30 +1,37 @@
 // Heap-allocation budgets of the unfolding path (DESIGN.md §4,
-// "Nonrecursive CQ unfolding"). This binary replaces the global
-// operator new with one that counts the allocations made inside a
-// CountAllocations scope. The counts repeat exactly from run to run, so
-// the budgets guard the mechanism (disjuncts built in place, checks
-// without sets) where timings on a shared host cannot. The sanitizers
+// "Nonrecursive CQ unfolding") and of the join kernel (DESIGN.md §8 and
+// §12). This binary replaces the global operator new with one that
+// counts the allocations made inside a CountAllocations scope. The
+// counts repeat exactly from run to run, so the budgets guard the
+// mechanism (disjuncts built in place, checks without sets, small
+// relations scanned without an index, a dedupe table sized to the
+// answer) where timings on a shared host cannot. The sanitizers
 // interpose their own allocator, so the binary is not in the `sanitize`
 // label.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
 
+#include "logic/containment.h"
 #include "models/travel.h"
+#include "sws/execution.h"
 #include "sws/unfold.h"
 
 namespace {
 
 bool counting = false;
 size_t allocations = 0;
+size_t largest = 0;  // bytes of the largest counted allocation
 
 // Runs f and returns the number of operator new calls it made.
 template <typename F>
 size_t CountAllocations(F f) {
   allocations = 0;
+  largest = 0;
   counting = true;
   f();
   counting = false;
@@ -34,7 +41,10 @@ size_t CountAllocations(F f) {
 }  // namespace
 
 void* operator new(std::size_t size) {
-  if (counting) ++allocations;
+  if (counting) {
+    ++allocations;
+    largest = std::max(largest, size);
+  }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -69,6 +79,39 @@ TEST(AllocBudgetTest, ValidatingTheTravelGoal) {
   EXPECT_TRUE(valid);
   std::printf("Sws::Validate(goal): %zu allocations\n", count);
   EXPECT_LE(count, 20u);
+}
+
+// Klug's test on the goal's two disjuncts, both ways: each containment
+// normalizes and renumbers its left disjunct in place and decides it on
+// a canonical database of a few rows per relation, which is scanned.
+TEST(AllocBudgetTest, TravelGoalEquivalentToItself) {
+  const logic::UnionQuery goal =
+      Unfolder(models::MakeTravelServiceCqUcq().sws).At(1).ucq;
+  bool equivalent = false;
+  const size_t count = CountAllocations(
+      [&] { equivalent = logic::UcqEquivalent(goal, goal); });
+  EXPECT_TRUE(equivalent);
+  std::printf("UcqEquivalent(goal@1, goal@1): %zu allocations\n", count);
+  EXPECT_LE(count, 700u);
+}
+
+// A run's evaluations emit a few rows each, so none may allocate a
+// dedupe table, or anything else, of 4 KiB.
+TEST(AllocBudgetTest, TravelRunMakesNoLargeAllocation) {
+  const models::TravelService service = models::MakeTravelServiceCqUcq();
+  const rel::Database db = models::MakeTravelDatabase();
+  rel::InputSequence input(service.sws.rin_arity());
+  input.Append(models::MakeTravelRequest("orlando", 1000));
+  // A first run interns the strings.
+  const RunResult warm = core::Run(service.sws, db, input);
+  ASSERT_TRUE(warm.status.ok());
+  RunResult run;
+  const size_t count =
+      CountAllocations([&] { run = core::Run(service.sws, db, input); });
+  EXPECT_EQ(run.output, warm.output);
+  std::printf("Run(travel, orlando): %zu allocations, largest %zu bytes\n",
+              count, largest);
+  EXPECT_LT(largest, 4096u);
 }
 
 }  // namespace

@@ -170,6 +170,30 @@ class CqFuzzer {
     return out;
   }
 
+  /// Inserts random tuples into `r` until it holds `rows` of them (the
+  /// domain has 10 values, so at most 10^arity).
+  void Fill(rel::Relation* r, size_t rows) {
+    while (r->size() < rows) {
+      rel::Tuple tuple;
+      for (size_t c = 0; c < r->arity(); ++c) tuple.push_back(RandomValue());
+      r->Insert(std::move(tuple));
+    }
+  }
+
+  /// Grows each relation of `db` of arity 2 or 3 to between `rows` + 1
+  /// and 2·`rows` + 1 tuples, so that a join over it crosses a size
+  /// threshold of `rows` (a unary relation cannot: it holds at most 10).
+  void GrowPast(rel::Database* db, size_t rows) {
+    std::vector<std::string> names;
+    for (const auto& [name, relation] : db->relations()) {
+      if (relation.arity() >= 2) names.push_back(name);
+    }
+    for (const std::string& name : names) {
+      Fill(db->GetMutable(name),
+           rows + 1 + static_cast<size_t>(Int(0, static_cast<int>(rows))));
+    }
+  }
+
   // Small shared domain across all three kinds, so joins exercise the
   // interned packed representations (inline ints, interned strings,
   // labeled nulls) and still collide often enough to produce matches.

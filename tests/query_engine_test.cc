@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <random>
 #include <vector>
 
@@ -36,11 +37,15 @@ using rel::Value;
 
 TEST(QueryEngineTest, IndexedJoinMatchesNaiveOnRandomQueries) {
   // The register-bytecode executor and the naive backtracking oracle
-  // must agree on every randomized case.
+  // must agree on every randomized case. CqFuzzer's relations hold at
+  // most kScanRows tuples, so all their levels scan; every other case
+  // grows each relation of arity 2 or 3 past kScanRows, where a level
+  // with a constant or bound column probes an index instead.
   for (uint64_t seed : {20260806u, 977001u}) {
     CqFuzzer fuzzer(seed);
     for (int i = 0; i < 1000; ++i) {
       RandomCq c = fuzzer.Next();
+      if (i % 2 == 1) fuzzer.GrowPast(&c.db, logic::bytecode::kScanRows);
       Relation fast = c.query.Evaluate(c.db);
       Relation naive = c.query.EvaluateNaive(c.db);
       ASSERT_EQ(fast, naive) << "seed " << seed << " case " << i << ": "
@@ -94,6 +99,141 @@ TEST(QueryEngineTest, BytecodeHandlesConstantsComparisonsAndNullaryHeads) {
   EXPECT_TRUE(q5.Evaluate(db).empty());
 }
 
+// Relations of exactly `rows` random tuples over CqFuzzer's small
+// domain: R0 of arity 3 and R1 of arity 2.
+Database RelationsOfSize(CqFuzzer* fuzzer, size_t rows) {
+  Database db;
+  for (size_t arity : {3u, 2u}) {
+    Relation r(arity);
+    fuzzer->Fill(&r, rows);
+    db.Set("R" + std::to_string(db.relations().size()), std::move(r));
+  }
+  return db;
+}
+
+TEST(QueryEngineTest, ScannedAndIndexedLevelsMatchNaive) {
+  // At most kScanRows rows a level scans its relation and checks its
+  // constant and bound columns per row; above, it probes an index.
+  // Both sides of the threshold must agree with the naive join.
+  const size_t threshold = logic::bytecode::kScanRows;
+  auto v = [](int i) { return Term::Var(i); };
+  const Term s1 = Term::Const(Value::Str("s1"));
+  const Term two = Term::Int(2);
+  const std::vector<ConjunctiveQuery> shapes = {
+      // A constant column, and a constant and a repeated variable.
+      ConjunctiveQuery({v(0), v(1)}, {Atom{"R0", {s1, v(0), v(1)}}}),
+      ConjunctiveQuery({v(0)}, {Atom{"R0", {v(0), two, v(0)}}}),
+      // Columns bound by an earlier level, with '≠' and '='.
+      ConjunctiveQuery({v(0), v(3)},
+                       {Atom{"R0", {v(0), v(1), v(2)}},
+                        Atom{"R1", {v(2), v(3)}}},
+                       {Comparison{v(0), v(3), false}}),
+      ConjunctiveQuery({v(0), v(2)},
+                       {Atom{"R0", {v(0), v(1), v(2)}},
+                        Atom{"R1", {v(1), v(3)}}, Atom{"R1", {v(3), v(2)}}},
+                       {Comparison{v(1), v(3), true}}),
+      ConjunctiveQuery({v(1)},
+                       {Atom{"R1", {v(0), v(1)}},
+                        Atom{"R0", {v(1), v(0), v(2)}}},
+                       {Comparison{v(2), s1, true},
+                        Comparison{v(0), v(1), false}}),
+      // A nullary head over a join.
+      ConjunctiveQuery({}, {Atom{"R0", {v(0), v(1), v(2)}},
+                            Atom{"R1", {v(2), v(0)}}}),
+  };
+  size_t answered = 0, checked = 0;
+  for (size_t rows : {threshold - 1, threshold, threshold + 1}) {
+    for (uint64_t seed = 0; seed < 20; ++seed) {
+      CqFuzzer fuzzer(seed * 131 + rows);
+      const Database db = RelationsOfSize(&fuzzer, rows);
+      std::vector<ConjunctiveQuery> queries = shapes;
+      auto constant = [&fuzzer] { return fuzzer.RandomValue(); };
+      for (int i = 0; i < 30; ++i) {
+        queries.push_back(fuzzer.Query({3, 2}, static_cast<size_t>(i % 3),
+                                       4, 4, 2, constant));
+      }
+      for (const ConjunctiveQuery& q : queries) {
+        const Relation naive = q.EvaluateNaive(db);
+        ++checked;
+        answered += naive.empty() ? 0 : 1;
+        ASSERT_EQ(q.Evaluate(db), naive)
+            << rows << " rows, seed " << seed << ": " << q.ToString()
+            << "\nover\n" << db.ToString();
+        ASSERT_EQ(q.EvaluatesNonempty(db), !naive.empty())
+            << rows << " rows, seed " << seed << ": " << q.ToString();
+        const logic::PreparedCq prepared(q);
+        for (const Tuple& t : naive) {
+          ASSERT_TRUE(prepared.Produces(db, t))
+              << rows << " rows, seed " << seed << ": " << q.ToString();
+        }
+      }
+    }
+  }
+  std::printf("%zu of %zu queries have answers\n", answered, checked);
+  EXPECT_GE(answered * 4, checked);  // the joins are not vacuous
+}
+
+TEST(QueryEngineTest, LowerScansSmallRelationsAndProbesLargeOnes) {
+  // R(s1, x), R(x, y): both levels have a bound column (the constant, then
+  // x). Neither builds an index at or below kScanRows rows.
+  const size_t threshold = logic::bytecode::kScanRows;
+  const std::vector<Atom> atoms = {
+      Atom{"R", {Term::Const(Value::Str("s1")), Term::Var(0)}},
+      Atom{"R", {Term::Var(0), Term::Var(1)}}};
+  logic::SlotMap slots;
+  slots.Extend({0, 1});
+  const logic::bytecode::Body body =
+      logic::PrepareBody(slots, 0, atoms, {2}, {});
+  for (size_t rows : {size_t{1}, threshold - 1, threshold, threshold + 1,
+                      4 * threshold}) {
+    Relation r(2);
+    for (size_t i = 0; r.size() < rows; ++i) {
+      r.Insert({Value::Str("s" + std::to_string(i % 3)), Value::Int(i)});
+    }
+    Database db;
+    db.Set("R", r);
+    const logic::bytecode::JoinProgram program =
+        logic::bytecode::Lower(body, db, 0, 1);
+    ASSERT_EQ(program.levels.size(), 2u);
+    for (const logic::bytecode::Level& level : program.levels) {
+      EXPECT_EQ(level.index != nullptr, rows > threshold) << rows << " rows";
+    }
+  }
+}
+
+TEST(QueryEngineTest, EmitDedupesLargeOutputsGroupedAndUngrouped) {
+  // Two-step paths over a 2,000-edge graph: 20,000 paths project to over
+  // 10,000 distinct (x, z) pairs. Head (x, z) is emitted grouped by the
+  // outer scan's x; head (z, x) goes through one table for the whole
+  // output. Either way the table starts small and grows by rehashing.
+  std::mt19937_64 rng(2026);
+  Relation e(2);
+  for (int x = 0; x < 200; ++x) {
+    while (e.size() < static_cast<size_t>(10 * (x + 1))) {
+      e.Insert({Value::Int(x), Value::Int(static_cast<int64_t>(rng() % 200))});
+    }
+  }
+  Database db;
+  db.Set("E", e);
+  size_t paths = 0;
+  for (size_t row = 0; row < e.size(); ++row) {
+    for (size_t next = 0; next < e.size(); ++next) {
+      paths += e.At(next, 0) == e.At(row, 1) ? 1 : 0;
+    }
+  }
+  auto v = [](int i) { return Term::Var(i); };
+  const std::vector<Atom> body = {Atom{"E", {v(0), v(1)}},
+                                  Atom{"E", {v(1), v(2)}}};
+  for (const std::vector<Term>& head :
+       {std::vector<Term>{v(0), v(2)}, std::vector<Term>{v(2), v(0)}}) {
+    const ConjunctiveQuery q(head, body);
+    const Relation fast = q.Evaluate(db);
+    EXPECT_GE(fast.size(), 10'000u) << q.ToString();
+    EXPECT_GT(paths, fast.size()) << "some paths must repeat a head row";
+    EXPECT_EQ(fast, q.EvaluateNaive(db)) << q.ToString();
+  }
+}
+
 TEST(QueryEngineTest, IndexedJoinTracksDatabaseMutation) {
   // Evaluate (building indexes), mutate the database, and re-evaluate:
   // stale indexes would produce answers from the pre-mutation instance.
@@ -127,6 +267,7 @@ TEST(QueryEngineTest, EnumerateMatchesAgreesWithNaiveBindings) {
   CqFuzzer fuzzer(424242);
   for (int i = 0; i < 300; ++i) {
     RandomCq c = fuzzer.Next();
+    if (i % 2 == 1) fuzzer.GrowPast(&c.db, logic::bytecode::kScanRows);
     std::set<std::vector<std::pair<int, Value>>> fast_bindings;
     logic::oracle::EnumerateMatches(
         c.query.body(), c.query.comparisons(), c.db,
