@@ -78,7 +78,9 @@ run_bench() {
   # Gate the catalog-size independence of a service run the same way: a
   # run that starts copying or re-indexing D again fails here. So does a
   # Klug containment test that indexes its few-row canonical databases
-  # again (BM_UcqEquivalentTravel; 24.8% spread over five recordings).
+  # again, or runs on unfoldings that carry implied guards again
+  # (BM_UcqEquivalentTravel; its note in the baseline gives the recorded
+  # spread).
   python3 scripts/bench_diff.py BENCH_query_engine.json \
     /tmp/bench_query_engine.fresh.json \
     --filter 'BM_UcqCatalogScaling|BM_UcqEquivalentTravel' --threshold 0.25

@@ -150,25 +150,27 @@ class LengthUnfolder {
   // Inlines a rule CQ written over R ∪ {In, Msg} reading input message
   // I_{input_level} into *out: "In" atoms become "In@level"; "Msg" atoms
   // are replaced by the node's dense register `msg` (body copied, head
-  // unified via '=' comparisons). Returns false if the CQ reads Msg but
-  // the register is definitely empty (null), or reads In at level 0 (the
-  // root's empty message I_0).
+  // unified via '=' comparisons), and sets *read_msg (if non-null) when
+  // there was one. Returns false if the CQ reads Msg but the register is
+  // definitely empty (null), or reads In at level 0 (the root's empty
+  // message I_0).
   bool InlineBase(const ConjunctiveQuery& rule, size_t input_level,
-                  const ConjunctiveQuery* msg, ConjunctiveQuery* out) {
+                  const ConjunctiveQuery* msg, ConjunctiveQuery* out,
+                  bool* read_msg = nullptr) {
     ranks_.Assign(rule);
     const int first = Take(ranks_.size());
     auto fresh = [this, first](const Term& t) {
       return ranks_.Fresh(t, first);
     };
-    // Room for the rule, one inlined register and the guard Finalize
-    // appends.
+    // Room for the rule and one copy of the register: inlined, or the
+    // guard Finalize appends.
     const size_t msg_body = msg != nullptr ? msg->body().size() : 0;
     const size_t msg_comparisons =
         msg != nullptr ? msg->comparisons().size() + msg->head_arity() : 0;
     out->mutable_head()->reserve(rule.head_arity());
-    out->mutable_body()->reserve(rule.body().size() + 2 * msg_body);
+    out->mutable_body()->reserve(rule.body().size() + msg_body);
     out->mutable_comparisons()->reserve(rule.comparisons().size() +
-                                        2 * msg_comparisons);
+                                        msg_comparisons);
     AppendHeadAndComparisons(rule, fresh, out);
     for (const Atom& atom : rule.body()) {
       if (atom.relation == kInputRelation) {
@@ -179,6 +181,7 @@ class LengthUnfolder {
         if (msg == nullptr) return false;
         SWS_CHECK_EQ(msg->head_arity(), atom.args.size());
         InlineAt(atom, fresh, *msg, Take(NumVars(*msg)), out);
+        if (read_msg != nullptr) *read_msg = true;
       } else {
         out->mutable_body()->push_back(
             RenamedAtom(atom.relation, atom, fresh));
@@ -270,11 +273,13 @@ class LengthUnfolder {
 
     const auto& successors = sws_.Successors(state);
     if (successors.empty()) {
-      // Final state: Act = ψ(D, I_j, Msg).
+      // Final state: Act = ψ(D, I_j, Msg). A rule that reads Msg holds a
+      // copy of the register, into which the guard maps, so it gets none.
       for (const ConjunctiveQuery& d : Disjuncts(sws_.Synthesis(state))) {
         ConjunctiveQuery inlined;
-        if (!InlineBase(d, j, msg, &inlined)) continue;
-        Finalize(std::move(inlined), msg, &out);
+        bool read_msg = false;
+        if (!InlineBase(d, j, msg, &inlined, &read_msg)) continue;
+        Finalize(std::move(inlined), read_msg ? nullptr : msg, &out);
       }
       return out;
     }

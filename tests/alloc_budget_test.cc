@@ -3,11 +3,11 @@
 // §12). This binary replaces the global operator new with one that
 // counts the allocations made inside a CountAllocations scope. The
 // counts repeat exactly from run to run, so the budgets guard the
-// mechanism (disjuncts built in place, checks without sets, small
-// relations scanned without an index, a dedupe table sized to the
-// answer) where timings on a shared host cannot. The sanitizers
-// interpose their own allocator, so the binary is not in the `sanitize`
-// label.
+// mechanism (disjuncts built in place, leaf rules that read Msg without
+// a guard, checks without sets, small relations scanned without an
+// index, a dedupe table sized to the answer) where timings on a shared
+// host cannot. The sanitizers interpose their own allocator, so the
+// binary is not in the `sanitize` label.
 
 #include <gtest/gtest.h>
 
@@ -58,15 +58,20 @@ namespace sws::core {
 namespace {
 
 // The travel goal of Example 5.1 unfolds at length 1 into 2 disjuncts of
-// 9 atoms each; building its unfolder checks the service once.
+// 6 atoms each, its cores: each leaf rule reads its register, so no
+// disjunct carries a guard. Building its unfolder checks the service
+// once.
 TEST(AllocBudgetTest, UnfoldingTheTravelGoal) {
   const Sws goal = models::MakeTravelServiceCqUcq().sws;
-  size_t disjuncts = 0;
+  logic::UnionQuery unfolded;
   const size_t count = CountAllocations([&] {
     const Unfolder unfolder(goal);
-    disjuncts = unfolder.At(1).ucq.size();
+    unfolded = unfolder.At(1).ucq;
   });
-  EXPECT_EQ(disjuncts, 2u);
+  ASSERT_EQ(unfolded.size(), 2u);
+  for (const logic::ConjunctiveQuery& d : unfolded.disjuncts()) {
+    EXPECT_EQ(d.body().size(), 6u) << d.ToString();
+  }
   std::printf("Unfolder(goal) + At(1): %zu allocations\n", count);
   EXPECT_LE(count, 300u);
 }
@@ -92,7 +97,26 @@ TEST(AllocBudgetTest, TravelGoalEquivalentToItself) {
       [&] { equivalent = logic::UcqEquivalent(goal, goal); });
   EXPECT_TRUE(equivalent);
   std::printf("UcqEquivalent(goal@1, goal@1): %zu allocations\n", count);
-  EXPECT_LE(count, 700u);
+  EXPECT_LE(count, 400u);
+}
+
+// One evaluation of Klug's test: the goal against its first disjunct's
+// frozen database. A component of a body that shares no variable with
+// the rest is lowered and matched on its own, so each guard would cost
+// one more lowering.
+TEST(AllocBudgetTest, TravelGoalProducesItsFrozenDisjunct) {
+  const logic::UnionQuery goal =
+      Unfolder(models::MakeTravelServiceCqUcq().sws).At(1).ucq;
+  const logic::PreparedUcq prepared(goal);
+  rel::Tuple head;
+  const rel::Database frozen = goal.disjuncts()[0].CanonicalDatabase(&head);
+  bool produces = false;
+  const size_t count =
+      CountAllocations([&] { produces = prepared.Produces(frozen, head); });
+  EXPECT_TRUE(produces);
+  std::printf("Produces(goal@1, frozen first disjunct): %zu allocations\n",
+              count);
+  EXPECT_LE(count, 20u);
 }
 
 // A run's evaluations emit a few rows each, so none may allocate a

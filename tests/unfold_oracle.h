@@ -6,6 +6,12 @@
 // is normalized into a copy. core::Unfolder must produce exactly this:
 // the same disjuncts in the same order, the same variable numbering and
 // the same `complete` flag.
+//
+// A leaf rule that reads Msg inlines a copy of its register, into which
+// the nonemptiness guard ∃msg (the Msg(v) = ∅ ⇒ Act(v) = ∅ run rule)
+// maps, so it gets no guard. Guards::kAlways conjoins the guard anyway,
+// the construction before that rule, which the tests compare by
+// containment.
 
 #ifndef SWS_TESTS_UNFOLD_ORACLE_H_
 #define SWS_TESTS_UNFOLD_ORACLE_H_
@@ -19,11 +25,18 @@
 
 namespace sws::core::oracle {
 
+/// Which disjuncts of a node below the root get the guard ∃msg.
+enum class Guards {
+  kUnlessInlined,  // all but leaf rules that read Msg (core::Unfolder)
+  kAlways,         // all of them
+};
+
 // The unfolding for inputs of length exactly n, noting whether the end
 // of the input cut a node of the execution tree.
 class LengthUnfolder {
  public:
-  LengthUnfolder(const Sws& sws, size_t n) : sws_(sws), n_(n) {}
+  LengthUnfolder(const Sws& sws, size_t n, Guards guards, int* dropped)
+      : sws_(sws), n_(n), guards_(guards), dropped_(dropped) {}
 
   Unfolding Root() {
     logic::UnionQuery ucq =
@@ -48,12 +61,13 @@ class LengthUnfolder {
   // Inlines a rule CQ written over R ∪ {In, Msg} reading input message
   // I_{input_level}: "In" atoms become "In@level"; "Msg" atoms are
   // replaced by the node's msg-defining query (body copied, head unified
-  // via '=' comparisons). Returns nullopt if the CQ reads Msg but the
-  // register is definitely empty, or reads In at level 0 (the root's
-  // empty message I_0).
+  // via '=' comparisons), and sets *read_msg (if non-null) when there was
+  // one. Returns nullopt if the CQ reads Msg but the register is
+  // definitely empty, or reads In at level 0 (the root's empty message
+  // I_0).
   std::optional<ConjunctiveQuery> InlineBase(
       const ConjunctiveQuery& rule, size_t input_level,
-      const std::optional<ConjunctiveQuery>& msg) {
+      const std::optional<ConjunctiveQuery>& msg, bool* read_msg = nullptr) {
     ConjunctiveQuery q = Freshen(rule);
     ConjunctiveQuery out(q.head(), {}, q.comparisons());
     for (const Atom& atom : q.body()) {
@@ -73,6 +87,7 @@ class LengthUnfolder {
           out.mutable_comparisons()->push_back(
               Comparison{m.head()[l], atom.args[l], /*is_equality=*/true});
         }
+        if (read_msg != nullptr) *read_msg = true;
       } else {
         out.mutable_body()->push_back(atom);
       }
@@ -152,12 +167,17 @@ class LengthUnfolder {
 
     const auto& successors = sws_.Successors(state);
     if (successors.empty()) {
-      // Final state: Act = ψ(D, I_j, Msg).
+      // Final state: Act = ψ(D, I_j, Msg). A rule that reads Msg holds a
+      // copy of the register, into which the guard maps.
       UnionQuery psi = sws_.Synthesis(state).AsUcq();
       for (const ConjunctiveQuery& d : psi.disjuncts()) {
-        auto inlined = InlineBase(d, j, msg);
+        bool read_msg = false;
+        auto inlined = InlineBase(d, j, msg, &read_msg);
         if (!inlined.has_value()) continue;
-        FinalizeDisjunct(std::move(*inlined), is_root, msg, &out);
+        const bool guarded = !read_msg || guards_ == Guards::kAlways;
+        if (!guarded) ++*dropped_;
+        FinalizeDisjunct(std::move(*inlined), is_root,
+                         guarded ? msg : std::nullopt, &out);
       }
       return out;
     }
@@ -186,14 +206,21 @@ class LengthUnfolder {
 
   const Sws& sws_;
   const size_t n_;
+  const Guards guards_;
+  int* const dropped_;
   int next_var_ = 0;
   bool cut_ = false;
 };
 
 /// The unfolding of `sws` (a well-formed SWS(CQ, UCQ) service, not
-/// checked here) for inputs of length n.
-inline Unfolding Unfold(const Sws& sws, size_t n) {
-  return LengthUnfolder(sws, n).Root();
+/// checked here) for inputs of length n, with the guards `guards`;
+/// adds the number of guards it leaves out to `*dropped` if non-null.
+inline Unfolding Unfold(const Sws& sws, size_t n,
+                        Guards guards = Guards::kUnlessInlined,
+                        int* dropped = nullptr) {
+  int ignored = 0;
+  return LengthUnfolder(sws, n, guards, dropped != nullptr ? dropped : &ignored)
+      .Root();
 }
 
 }  // namespace sws::core::oracle
