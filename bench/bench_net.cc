@@ -14,7 +14,7 @@
 //    full client-visible session commit over the socket.
 //
 // Recorded in BENCH_net.json; gated by scripts/check.sh bench mode
-// against that baseline (loopback RTT on a loaded 1-CPU host is
+// against that baseline (loopback RTT on a shared host is
 // scheduler-bound, so the gate is loose).
 
 #include <benchmark/benchmark.h>

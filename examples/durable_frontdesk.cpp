@@ -11,10 +11,15 @@
 // Also a small recovery CLI:
 //   durable_frontdesk [dir]            # run the crash/recover demo in dir
 //   durable_frontdesk --inspect [dir]  # read-only: what would dir recover to?
+// With no dir the demo clears its own default directory first, so every
+// run starts empty and prints the same; a dir given is used as it is.
 
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <map>
+#include <mutex>
 #include <string>
 
 #include "models/travel.h"
@@ -46,6 +51,16 @@ void PrintRecovery(const persistence::RecoveryResult& recovery) {
     std::printf("          %-12s next_seq=%" PRIu64 " buffered=%zu\n",
                 id.c_str(), image.next_seq, image.pending.size());
   }
+}
+
+// The desk's work counters. Stats().ToString() also prints latency
+// quantiles, which vary from run to run; these counters do not.
+void PrintCounters(const char* label, const rt::StatsSnapshot& s) {
+  std::printf("%s submitted=%" PRIu64 " completed=%" PRIu64
+              " sessions_closed=%" PRIu64 " journal_appends=%" PRIu64
+              " snapshots=%" PRIu64 " storage_failures=%" PRIu64 "\n",
+              label, s.submitted, s.completed, s.sessions_closed,
+              s.journal_appends, s.snapshots, s.storage_failures);
 }
 
 int Inspect(const std::string& dir) {
@@ -82,7 +97,11 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--inspect") == 0) {
     return Inspect(argc > 2 ? argv[2] : dir);
   }
-  if (argc > 1) dir = argv[1];
+  if (argc > 1) {
+    dir = argv[1];
+  } else {
+    std::filesystem::remove_all(dir);
+  }
 
   models::TravelService service = models::MakeTravelService();
   rel::Database catalog = models::MakeTravelDatabase();
@@ -104,7 +123,7 @@ int main(int argc, char** argv) {
       runtime.Submit(id, models::MakeTravelRequest("paris", 800));
     }
     runtime.Drain();
-    std::printf("act I done:   %s\n", runtime.Stats().ToString().c_str());
+    PrintCounters("act I done: ", runtime.Stats());
     // The runtime object dying here is the crash: only what the WAL
     // discipline already persisted survives — which is everything the
     // desk acknowledged, plus the buffered open conversations.
@@ -117,21 +136,26 @@ int main(int argc, char** argv) {
     PrintRecovery(*runtime.recovery());
     // The open conversations resume exactly where they stopped: the
     // recovered buffer already holds the paris request, so one '#'
-    // books it.
+    // books it. Outcomes arrive on the workers in any order; they are
+    // printed by session id once the desk has drained.
+    std::mutex mu;
+    std::map<std::string, std::string> booked;
     for (int c = 0; c < 3; ++c) {
       const std::string id = "open-" + std::to_string(c);
       runtime.Submit(id, core::SessionRunner::DelimiterMessage(3),
-                     [](rt::Outcome outcome) {
-                       std::printf(
-                           "          %s booked on recovered state: %s\n",
-                           outcome.session_id.c_str(),
+                     [&mu, &booked](rt::Outcome outcome) {
+                       std::lock_guard<std::mutex> lock(mu);
+                       booked[outcome.session_id] =
                            outcome.status.ok() ? "ok"
-                                               : outcome.status.ToString()
-                                                     .c_str());
+                                               : outcome.status.ToString();
                      });
     }
-    runtime.Drain();
-    std::printf("act II done:  %s\n", runtime.Stats().ToString().c_str());
+    runtime.Drain();  // returns after every callback has run
+    for (const auto& [id, status] : booked) {
+      std::printf("          %s booked on recovered state: %s\n", id.c_str(),
+                  status.c_str());
+    }
+    PrintCounters("act II done:", runtime.Stats());
   }
 
   std::printf("inspect the directory any time:\n  %s --inspect %s\n", argv[0],

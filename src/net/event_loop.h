@@ -15,8 +15,9 @@ namespace sws::net {
 /// everything the loop owns (its handler map, its owners' connection
 /// maps) is single-threaded by construction. The cross-thread surface
 /// is RunInLoop/Stop, which are mutex-guarded and wake the loop via an
-/// eventfd, and ModFd. Both the RPC server and the socket replication
-/// transport run one of these.
+/// eventfd, and ModFd. The RPC server runs one per runtime worker, each
+/// owning the connections handed to it; the socket replication
+/// transport runs one.
 class EventLoop {
  public:
   /// Called with the epoll event mask (EPOLLIN/EPOLLOUT/EPOLLHUP/...).

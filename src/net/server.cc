@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -16,9 +17,10 @@
 
 namespace sws::net {
 
-/// One accepted connection. The read side belongs to the loop thread;
-/// the send side is `mu` and what it guards, shared by the loop (acks,
-/// admin replies, EPOLLOUT) and the runtime workers (outcomes).
+/// One accepted connection. The read side belongs to the thread of its
+/// own `loop`; the send side is `mu` and what it guards, shared by that
+/// loop (acks, admin replies, EPOLLOUT) and the runtime workers
+/// (outcomes).
 ///
 /// Fd safety: every write to `fd` and every ModFd happens under `mu`
 /// while `closed` is false, and CloseConn sets `closed` under `mu`
@@ -35,17 +37,18 @@ struct RpcServer::Connection {
   size_t queued() const { return out.size() - out_off; }
 
   int fd = -1;
-  EventLoop* loop = nullptr;
+  Loop* loop = nullptr;  // the owning loop
   rt::Counters* stats = nullptr;  // runtime-owned: outlives every callback
 
-  // Loop-thread only.
+  // The owning loop's thread only.
   FrameDecoder decoder;
   bool hello_done = false;
   std::chrono::steady_clock::time_point last_read;
 
   std::mutex mu;
-  /// Guarded by mu. Written only on the loop thread (or by Stop after
-  /// the loop has exited), so the loop may read it without the lock.
+  /// Guarded by mu. Written only on the owning loop's thread (or by Stop
+  /// after the loop has exited), so that loop may read it without the
+  /// lock.
   bool closed = false;
   std::string out;  // [out_off, end) not yet on the wire
   size_t out_off = 0;
@@ -76,12 +79,15 @@ void RpcServer::Connection::Send(std::string_view frame) {
   }
   if (want != want_write) {
     want_write = want;
-    loop->ModFd(fd, want ? (EPOLLIN | EPOLLOUT) : EPOLLIN);
+    loop->events.ModFd(fd, want ? (EPOLLIN | EPOLLOUT) : EPOLLIN);
   }
 }
 
 RpcServer::RpcServer(rt::ServiceRuntime* runtime, Options options)
-    : runtime_(runtime), stats_(runtime->stats_sink()), options_(options) {}
+    : runtime_(runtime), stats_(runtime->stats_sink()), options_(options) {
+  loops_.resize(std::max<size_t>(1, runtime->num_workers()));
+  for (auto& loop : loops_) loop = std::make_unique<Loop>();
+}
 
 RpcServer::~RpcServer() { Stop(); }
 
@@ -94,9 +100,14 @@ core::Status RpcServer::Start() {
     return core::Status::Error(core::RunError::kNetworkError, error);
   }
   port_.store(BoundPort(listen_fd_), std::memory_order_relaxed);
-  loop_.AddFd(listen_fd_, EPOLLIN, [this](uint32_t) { AcceptReady(); });
-  loop_.SetTick(options_.sweep_interval, [this] { Sweep(); });
-  loop_thread_ = std::thread([this] { loop_.Run(); });
+  loops_[0]->events.AddFd(listen_fd_, EPOLLIN,
+                          [this](uint32_t) { AcceptReady(); });
+  for (auto& owned : loops_) {
+    Loop* loop = owned.get();
+    loop->events.SetTick(options_.sweep_interval,
+                         [this, loop] { Sweep(loop); });
+    loop->thread = std::thread([loop] { loop->events.Run(); });
+  }
   started_ = true;
   return core::Status::Ok();
 }
@@ -107,14 +118,23 @@ void RpcServer::Stop() {
     if (!started_ || stopped_) return;
     stopped_ = true;
   }
-  loop_.Stop();
-  loop_thread_.join();
-  // The loop has exited, so its state is this thread's now. Workers may
-  // still hold connections: CloseConn marks each closed under its mutex,
-  // so their late outcomes count as shed instead of reaching the fd.
-  while (!conns_.empty()) {
-    std::shared_ptr<Connection> conn = conns_.begin()->second;
-    CloseConn(conn);
+  // In index order, so the accepting loop 0 is joined first: after that
+  // no hand-off can target a stopped loop, whose RunInLoop would drop it
+  // and leak its fd. Each other loop's last queue drain adopts what was
+  // already handed to it.
+  for (auto& loop : loops_) {
+    loop->events.Stop();
+    loop->thread.join();
+  }
+  // The loops have exited, so their state is this thread's now. Workers
+  // may still hold connections: CloseConn marks each closed under its
+  // mutex, so their late outcomes count as shed instead of reaching the
+  // fd.
+  for (auto& loop : loops_) {
+    while (!loop->conns.empty()) {
+      std::shared_ptr<Connection> conn = loop->conns.begin()->second;
+      CloseConn(conn);
+    }
   }
   close(listen_fd_);
   listen_fd_ = -1;
@@ -126,33 +146,45 @@ void RpcServer::AcceptReady() {
                      SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN or a transient error — nothing to do
     stats_->Add(rt::Counter::kNetConnsAccepted);
-    if (conns_.size() >= options_.max_connections) {
+    if (num_connections_.load(std::memory_order_relaxed) >=
+        options_.max_connections) {
       // Overload: the cheapest honest signal is an immediate close —
       // accepting and holding would hand a flooder our memory.
       stats_->Add(rt::Counter::kNetConnsReaped);
       close(fd);
       continue;
     }
-    int one = 1;
-    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Connection>();
-    conn->fd = fd;
-    conn->loop = &loop_;
-    conn->stats = stats_;
-    conn->decoder = FrameDecoder(
-        FrameDecoder::Options{.max_payload = options_.max_frame_payload});
-    conn->last_read = conn->last_progress = std::chrono::steady_clock::now();
-    conns_.emplace(fd, conn);
-    num_connections_.store(conns_.size(), std::memory_order_relaxed);
-    loop_.AddFd(fd, EPOLLIN, [this, conn](uint32_t events) {
-      if (events & (EPOLLHUP | EPOLLERR)) {
-        CloseConn(conn);
-        return;
-      }
-      if (events & EPOLLIN) ConnReadable(conn);
-      if (!conn->closed && (events & EPOLLOUT)) conn->Send({});
-    });
+    num_connections_.fetch_add(1, std::memory_order_relaxed);
+    // Round-robin. Loop 0 is on its own thread already; a closure queued
+    // on it could be dropped by a racing Stop, leaking the fd.
+    Loop* loop = loops_[next_loop_++ % loops_.size()].get();
+    if (loop == loops_[0].get()) {
+      Adopt(loop, fd);
+    } else {
+      loop->events.RunInLoop([this, loop, fd] { Adopt(loop, fd); });
+    }
   }
+}
+
+void RpcServer::Adopt(Loop* loop, int fd) {
+  int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  auto conn = std::make_shared<Connection>();
+  conn->fd = fd;
+  conn->loop = loop;
+  conn->stats = stats_;
+  conn->decoder = FrameDecoder(
+      FrameDecoder::Options{.max_payload = options_.max_frame_payload});
+  conn->last_read = conn->last_progress = std::chrono::steady_clock::now();
+  loop->conns.emplace(fd, conn);
+  loop->events.AddFd(fd, EPOLLIN, [this, conn](uint32_t events) {
+    if (events & (EPOLLHUP | EPOLLERR)) {
+      CloseConn(conn);
+      return;
+    }
+    if (events & EPOLLIN) ConnReadable(conn);
+    if (!conn->closed && (events & EPOLLOUT)) conn->Send({});
+  });
 }
 
 void RpcServer::ConnReadable(const std::shared_ptr<Connection>& conn) {
@@ -281,9 +313,8 @@ void RpcServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
     // the runtime's ShedPolicy sheds it before well-behaved traffic.
     sopts.priority = rt::Priority::kLow;
   }
-  if (request->deadline_ns > 0) {
-    sopts.deadline = std::chrono::nanoseconds(request->deadline_ns);
-  }
+  // Zero means the runtime's default; the runtime rejects a negative one.
+  sopts.deadline = std::chrono::nanoseconds(request->deadline_ns);
   // The callback runs on a pool worker, possibly after this server has
   // stopped (the runtime outlives it), so it touches only the connection.
   sopts.callback = [conn, request_id](rt::Outcome outcome) {
@@ -329,18 +360,18 @@ void RpcServer::CloseConn(const std::shared_ptr<Connection>& conn) {
     shed = conn->queued();
   }
   stats_->Add(rt::Counter::kNetBytesShed, shed);
-  loop_.DelFd(conn->fd);
+  conn->loop->events.DelFd(conn->fd);
   close(conn->fd);
-  conns_.erase(conn->fd);
-  num_connections_.store(conns_.size(), std::memory_order_relaxed);
+  conn->loop->conns.erase(conn->fd);
+  num_connections_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void RpcServer::Sweep() {
+void RpcServer::Sweep(Loop* loop) {
   const auto now = std::chrono::steady_clock::now();
   // CloseConn mutates the map; sweep over a snapshot of the values.
   std::vector<std::shared_ptr<Connection>> conns;
-  conns.reserve(conns_.size());
-  for (const auto& [fd, conn] : conns_) conns.push_back(conn);
+  conns.reserve(loop->conns.size());
+  for (const auto& [fd, conn] : loop->conns) conns.push_back(conn);
   for (const auto& conn : conns) {
     if (conn->closed) continue;
     bool has_backlog;

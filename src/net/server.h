@@ -9,6 +9,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "net/event_loop.h"
 #include "net/messages.h"
@@ -17,9 +18,11 @@
 
 namespace sws::net {
 
-/// The TCP front door (DESIGN.md §14): an epoll loop accepting framed
-/// RPC connections and mapping them onto a ServiceRuntime. Robustness
-/// posture:
+/// The TCP front door (DESIGN.md §14): epoll loops accepting framed RPC
+/// connections and mapping them onto a ServiceRuntime. There is one
+/// loop per runtime worker. Loop 0 also accepts, and hands each new
+/// connection to the loops in turn; the chosen loop then owns the
+/// connection's reads, its close and its sweep. Robustness posture:
 ///
 ///  * total decoding — every frame runs through FrameDecoder's caps and
 ///    CRC; a malformed/oversize/truncated frame closes the connection
@@ -36,10 +39,10 @@ namespace sws::net {
 ///    immediately closed (cheapest honest signal), counted as reaped.
 ///
 /// Replies leave on one send path: the thread that produces a frame
-/// (the loop for acks and admin replies, a runtime worker for an
+/// (the owning loop for acks and admin replies, a runtime worker for an
 /// outcome) appends it to the connection's send buffer under the
 /// connection's mutex and writes what the socket takes, without
-/// blocking; EPOLLOUT finishes the rest on the loop thread.
+/// blocking; EPOLLOUT finishes the rest on the owning loop's thread.
 class RpcServer {
  public:
   struct Options {
@@ -67,11 +70,11 @@ class RpcServer {
   RpcServer(const RpcServer&) = delete;
   RpcServer& operator=(const RpcServer&) = delete;
 
-  /// Binds, listens and starts the loop thread. ok() or the reason
+  /// Binds, listens and starts the loop threads. ok() or the reason
   /// (address in use, etc. — environmental, so a Status not a check).
   core::Status Start();
 
-  /// Stops the loop and joins it, then closes every connection
+  /// Stops the loops and joins them, then closes every connection
   /// (shedding unsent replies). Outcome callbacks still in flight in the
   /// runtime find their connection closed and count their bytes as shed
   /// — safe to call while the runtime is busy; idempotent.
@@ -80,15 +83,26 @@ class RpcServer {
   /// The bound port (after Start); 0 before.
   uint16_t port() const { return port_; }
 
-  /// Live connection count (loop-maintained; approximate off-thread).
+  /// Live connection count over all loops: raised on accept, lowered
+  /// when a connection closes.
   size_t num_connections() const {
     return num_connections_.load(std::memory_order_relaxed);
   }
 
  private:
   struct Connection;
+  /// One event loop and the connections it owns.
+  struct Loop {
+    EventLoop events;
+    /// This loop's thread only (Stop's, once the loop has exited).
+    std::unordered_map<int, std::shared_ptr<Connection>> conns;
+    std::thread thread;
+  };
 
+  /// Loop 0's thread: accepts, and hands each connection to a loop.
   void AcceptReady();
+  /// On `loop`'s thread: registers the accepted `fd` as its connection.
+  void Adopt(Loop* loop, int fd);
   void ConnReadable(const std::shared_ptr<Connection>& conn);
   /// Parses and dispatches every complete frame; returns false when the
   /// connection was closed (decoder error or protocol violation).
@@ -98,22 +112,22 @@ class RpcServer {
   /// Typed-error close: best-effort kError frame, then CloseConn.
   void RejectConn(const std::shared_ptr<Connection>& conn, uint8_t code,
                   const std::string& message);
+  /// Runs on the connection's own loop (or in Stop, once it exited).
   void CloseConn(const std::shared_ptr<Connection>& conn);
-  void Sweep();
+  void Sweep(Loop* loop);
 
   rt::ServiceRuntime* const runtime_;
   rt::Counters* const stats_;
   const Options options_;
-  EventLoop loop_;
-  /// Loop-thread-owned (Stop's, once the loop has exited).
-  std::unordered_map<int, std::shared_ptr<Connection>> conns_;
+  /// max(1, runtime->num_workers()) loops; loops_[0] holds the listener.
+  std::vector<std::unique_ptr<Loop>> loops_;
+  size_t next_loop_ = 0;  // loops_[0]'s thread only: the round-robin turn
   int listen_fd_ = -1;
   std::atomic<uint16_t> port_{0};
   std::atomic<size_t> num_connections_{0};
   std::mutex lifecycle_mu_;
   bool started_ = false;
   bool stopped_ = false;
-  std::thread loop_thread_;
 };
 
 }  // namespace sws::net

@@ -208,6 +208,11 @@ core::Status ServiceRuntime::Submit(std::string session_id,
 core::Status ServiceRuntime::Submit(std::string session_id,
                                     rel::Relation message,
                                     SubmitOptions options) {
+  if (options.deadline.count() < 0) {
+    stats_.Add(Counter::kRejected);
+    return core::Status::Error(core::RunError::kInvalidInput,
+                               "negative deadline");
+  }
   // One clock reading serves the relative deadline and the dead-on-arrival
   // check, so only an absolute deadline already past is dead on arrival.
   const auto now = std::chrono::steady_clock::now();

@@ -132,7 +132,8 @@ core::Status ValidateRuntimeOptions(const RuntimeOptions& options);
 /// Per-request submission knobs (the long-form Submit overload).
 struct SubmitOptions {
   Priority priority = Priority::kNormal;
-  /// Relative deadline; zero falls back to RuntimeOptions::default_deadline.
+  /// Relative deadline; zero falls back to RuntimeOptions::default_deadline
+  /// and a negative one is rejected with kInvalidInput.
   std::chrono::nanoseconds deadline{0};
   /// Absolute deadline; overrides `deadline` when set. A deadline already
   /// expired at enqueue time fast-fails the submission (kDeadlineExceeded
@@ -173,10 +174,11 @@ class ServiceRuntime {
   /// admitted; otherwise the code says why: kQueueRejected (backpressure
   /// or priority shedding), kShutdown, kDeadlineExceeded (already
   /// expired at enqueue — fast-failed without running), or kInvalidInput
-  /// (a non-delimiter message whose arity is not rin_arity()). A non-admitted
-  /// message produces no callback. `callback`, if given, fires on the
-  /// worker when the message closes a session, errors, or misses its
-  /// deadline; buffered non-delimiter messages produce no callback.
+  /// (a non-delimiter message whose arity is not rin_arity(), or a
+  /// negative deadline). A non-admitted message produces no callback.
+  /// `callback`, if given, fires on the worker when the message closes a
+  /// session, errors, or misses its deadline; buffered non-delimiter
+  /// messages produce no callback.
   core::Status Submit(std::string session_id, rel::Relation message,
                       OutcomeCallback callback = nullptr);
 

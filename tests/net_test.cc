@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -453,22 +454,49 @@ TEST_F(NetServerTest, SubmitRoundtripAndAdmin) {
 
 TEST_F(NetServerTest, InterleavedOutcomesAreCorrelated) {
   StartAll();
-  RpcClient client = MakeClient();
-  // Two sessions interleaved on one connection: outcome frames arrive
-  // in completion order, but WaitOutcome hands each caller its own.
-  ASSERT_TRUE(client.Submit(1, "alice", Msg(7)).ok());
-  ASSERT_TRUE(client.Submit(2, "bob", Msg(8)).ok());
-  ASSERT_TRUE(client.Submit(3, "alice", Delim()).ok());
-  ASSERT_TRUE(client.Submit(4, "bob", Delim()).ok());
-  OutcomeReply bob, alice;
-  ASSERT_TRUE(client.WaitOutcome(4, &bob).ok());
-  ASSERT_TRUE(client.WaitOutcome(3, &alice).ok());  // buffered while waiting
-  EXPECT_EQ(bob.session_id, "bob");
-  EXPECT_EQ(alice.session_id, "alice");
-  EXPECT_TRUE(alice.output.Contains(
-      {Value::Str("ins"), Value::Str("Log"), Value::Int(7)}));
-  EXPECT_TRUE(bob.output.Contains(
-      {Value::Str("ins"), Value::Str("Log"), Value::Int(8)}));
+  // Two sessions interleaved on each of 2 × num_workers() connections,
+  // driven at once, so every loop owns two of them. Outcome frames arrive
+  // in completion order, but WaitOutcome hands each caller its own; each
+  // session keeps its FIFO (the logger commits the session's first
+  // message) and gets one outcome per '#'.
+  const size_t num_conns = 2 * runtime_->num_workers();
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < num_conns; ++c) {
+    threads.emplace_back([this, c] {
+      RpcClient client = MakeClient();
+      const std::string alice = "alice" + std::to_string(c);
+      const std::string bob = "bob" + std::to_string(c);
+      const int64_t base = 100 * static_cast<int64_t>(c);
+      ASSERT_TRUE(client.Submit(1, alice, Msg(base + 1)).ok());
+      ASSERT_TRUE(client.Submit(2, bob, Msg(base + 2)).ok());
+      ASSERT_TRUE(client.Submit(3, alice, Msg(base + 3)).ok());
+      ASSERT_TRUE(client.Submit(4, alice, Delim()).ok());
+      ASSERT_TRUE(client.Submit(5, bob, Delim()).ok());
+      ASSERT_TRUE(client.Submit(6, alice, Msg(base + 6)).ok());
+      ASSERT_TRUE(client.Submit(7, alice, Delim()).ok());
+      OutcomeReply bob_out, alice_first, alice_second;
+      ASSERT_TRUE(client.WaitOutcome(7, &alice_second).ok());
+      ASSERT_TRUE(client.WaitOutcome(5, &bob_out).ok());  // buffered
+      ASSERT_TRUE(client.WaitOutcome(4, &alice_first).ok());
+      EXPECT_EQ(alice_first.session_id, alice);
+      EXPECT_EQ(bob_out.session_id, bob);
+      EXPECT_EQ(alice_second.session_id, alice);
+      auto logged = [](const OutcomeReply& outcome, int64_t v) {
+        return outcome.output.Contains(
+            {Value::Str("ins"), Value::Str("Log"), Value::Int(v)});
+      };
+      EXPECT_TRUE(logged(alice_first, base + 1))
+          << alice_first.output.ToString();
+      EXPECT_FALSE(logged(alice_first, base + 3));
+      EXPECT_TRUE(logged(bob_out, base + 2)) << bob_out.output.ToString();
+      EXPECT_TRUE(logged(alice_second, base + 6))
+          << alice_second.output.ToString();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  rt::StatsSnapshot stats = runtime_->Stats();
+  EXPECT_EQ(stats.net_conns_accepted, num_conns);
+  EXPECT_EQ(stats.sessions_closed, 3 * num_conns);
 }
 
 TEST_F(NetServerTest, WrongAritySubmitGetsTypedRejection) {
@@ -511,6 +539,30 @@ TEST_F(NetServerTest, HugeDeadlineSubmitRunsNormally) {
       << outcome.output.ToString();
   EXPECT_EQ(runtime_->Stats().deadline_exceeded, 0u);
   EXPECT_EQ(runtime_->Stats().expired_at_enqueue, 0u);
+}
+
+TEST_F(NetServerTest, NegativeDeadlineSubmitGetsTypedRejection) {
+  // A negative deadline_ns is the runtime's kInvalidInput for that
+  // request alone: the connection stays open and keeps serving.
+  StartAll();
+  RpcClient client = MakeClient();
+  core::Status status = client.Submit(client.NextRequestId(), "alice", Msg(3),
+                                      1, std::chrono::nanoseconds(-1));
+  EXPECT_EQ(status.code(), core::RunError::kInvalidInput) << status.ToString();
+  ASSERT_TRUE(client.Submit(client.NextRequestId(), "alice", Msg(4)).ok());
+  OutcomeReply outcome;
+  ASSERT_TRUE(client
+                  .SubmitAndWait(client.NextRequestId(), "alice", Delim(),
+                                 &outcome)
+                  .ok());
+  EXPECT_EQ(outcome.status_code, 0u);
+  EXPECT_TRUE(outcome.output.Contains(
+      {Value::Str("ins"), Value::Str("Log"), Value::Int(4)}))
+      << outcome.output.ToString();
+  EXPECT_EQ(client.reconnects(), 0u);
+  rt::StatsSnapshot stats = runtime_->Stats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.net_conns_accepted, 1u);
 }
 
 TEST_F(NetServerTest, HelloIsEnforcedFirst) {
@@ -618,6 +670,23 @@ TEST_F(NetServerTest, IdleConnectionsReaped) {
   EXPECT_EQ(stats.net_conns_reaped, 1u);
 }
 
+TEST_F(NetServerTest, EveryLoopReapsItsIdleConnections) {
+  RpcServer::Options sopts;
+  sopts.idle_timeout = std::chrono::milliseconds(100);
+  sopts.sweep_interval = std::chrono::milliseconds(20);
+  StartAll(sopts);
+  // One loop per worker, handed connections in turn: one connection more
+  // than there are loops leaves every loop owning at least one.
+  const size_t n = runtime_->num_workers() + 1;
+  std::vector<RawConn> silent(n);
+  for (RawConn& raw : silent) ASSERT_TRUE(raw.Connect(server_->port()));
+  for (RawConn& raw : silent) EXPECT_TRUE(raw.AtEof());
+  EXPECT_TRUE(Eventually([&] { return server_->num_connections() == 0; }));
+  rt::StatsSnapshot stats = runtime_->Stats();
+  EXPECT_EQ(stats.net_conns_accepted, n);
+  EXPECT_EQ(stats.net_conns_reaped, n);
+}
+
 TEST_F(NetServerTest, AcceptOverloadClosesImmediately) {
   RpcServer::Options sopts;
   sopts.max_connections = 1;
@@ -633,6 +702,30 @@ TEST_F(NetServerTest, AcceptOverloadClosesImmediately) {
     return stats.net_conns_accepted == 2 && stats.net_conns_reaped == 1;
   }));
   ASSERT_TRUE(first.Ping().ok());  // the in-cap connection is unharmed
+}
+
+TEST_F(NetServerTest, AcceptOverloadCountsEveryLoop) {
+  RpcServer::Options sopts;
+  sopts.max_connections = 3;
+  StartAll(sopts);
+  // Handed out in turn, the three live connections sit on three loops;
+  // the cap counts them all.
+  std::vector<std::unique_ptr<RpcClient>> live;
+  for (int i = 0; i < 3; ++i) {
+    RpcClient::Options copts;
+    copts.port = server_->port();
+    live.push_back(std::make_unique<RpcClient>(copts));
+    ASSERT_TRUE(live.back()->Ping().ok());
+  }
+  RawConn fourth;
+  ASSERT_TRUE(fourth.Connect(server_->port()));
+  EXPECT_TRUE(fourth.AtEof());  // accepted and immediately cut
+  EXPECT_TRUE(Eventually([&] {
+    rt::StatsSnapshot stats = runtime_->Stats();
+    return stats.net_conns_accepted == 4 && stats.net_conns_reaped == 1;
+  }));
+  for (auto& client : live) EXPECT_TRUE(client->Ping().ok());
+  EXPECT_EQ(server_->num_connections(), 3u);
 }
 
 TEST_F(NetServerTest, HardWatermarkRejectsAndWedgedWriterReaped) {
@@ -766,7 +859,7 @@ std::string SubmitFrame(uint64_t request_id, const std::string& session_id,
 
 TEST_F(NetServerTest, PeerClosingBeforeItsRepliesCannotKillTheServer) {
   // Each peer sends its requests and closes at once, so the server's
-  // replies (pongs on the loop thread, outcomes on a worker) meet a
+  // replies (pongs on the connection's loop, outcomes on a worker) meet a
   // reset socket. A write that raised SIGPIPE would end the process.
   StartAll();
   for (int round = 0; round < 20; ++round) {
@@ -864,6 +957,36 @@ TEST_F(NetServerTest, LifecycleLeaksNoFds) {
     client.Close();
     hostile.Close();
     server.Stop();
+  }
+  EXPECT_EQ(OpenFdCount(), baseline);
+}
+
+TEST_F(NetServerTest, AcceptsRacingStopLeakNoFds) {
+  // A peer dials in a loop while Stop runs, so accepts and hand-offs to
+  // the other loops race the loops' shutdown. No accepted fd may be left
+  // open: not one handed to a loop that already stopped, nor one adopted
+  // by a loop's last queue drain.
+  StartAll();
+  server_->Stop();
+  const int baseline = OpenFdCount();
+  ASSERT_GT(baseline, 0);
+  for (int round = 0; round < 20; ++round) {
+    RpcServer server(runtime_.get(), RpcServer::Options{});
+    ASSERT_TRUE(server.Start().ok());
+    const uint16_t port = server.port();
+    std::atomic<bool> done{false};
+    std::atomic<int> dialed{0};
+    std::thread dialer([&] {
+      while (!done.load()) {
+        RawConn raw;
+        if (raw.Connect(port)) dialed.fetch_add(1);
+      }
+    });
+    while (dialed.load() < 8) std::this_thread::yield();
+    server.Stop();
+    done = true;
+    dialer.join();
+    EXPECT_EQ(server.num_connections(), 0u);
   }
   EXPECT_EQ(OpenFdCount(), baseline);
 }

@@ -602,6 +602,39 @@ TEST(RuntimeTest, TinyRelativeDeadlineExpiresQueuedNotAtEnqueue) {
   EXPECT_EQ(stats.deadline_exceeded, 1u);
 }
 
+TEST(RuntimeTest, NegativeRelativeDeadlineIsRejected) {
+  // A negative relative deadline is a caller's error, not "the default":
+  // a typed rejection, nothing admitted, no callback. Zero still means
+  // the default, so the session then runs normally.
+  Sws sws = MakeTwoLevelLogger();
+  ServiceRuntime runtime(&sws, LoggerDb());
+  OutcomeCollector collector;
+  SubmitOptions negative;
+  negative.deadline = std::chrono::nanoseconds(-1);
+  negative.callback = collector.Callback();
+  core::Status status = runtime.Submit("alice", Msg(1), std::move(negative));
+  EXPECT_EQ(status.code(), core::RunError::kInvalidInput) << status.ToString();
+  status = runtime.Submit("alice", Delim(), std::chrono::milliseconds(-5),
+                          collector.Callback());
+  EXPECT_EQ(status.code(), core::RunError::kInvalidInput) << status.ToString();
+
+  ASSERT_TRUE(runtime.Submit("alice", Msg(2)).ok());
+  ASSERT_TRUE(runtime
+                  .Submit("alice", Delim(), std::chrono::nanoseconds(0),
+                          collector.Callback())
+                  .ok());
+  runtime.Drain();
+  std::vector<Outcome> outcomes = collector.Take();
+  ASSERT_EQ(outcomes.size(), 1u);  // only the admitted '#'
+  ASSERT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.ToString();
+  EXPECT_TRUE(outcomes[0].session->output.Contains(
+      {Value::Str("ins"), Value::Str("Log"), Value::Int(2)}))
+      << outcomes[0].session->output.ToString();
+  StatsSnapshot stats = runtime.Stats();
+  EXPECT_EQ(stats.rejected, 2u);
+  EXPECT_EQ(stats.submitted, 2u);
+}
+
 TEST(RuntimeTest, PrioritySheddingDegradesGracefully) {
   Sws sws = MakeTwoLevelLogger();
   Gate gate;
